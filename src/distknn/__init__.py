@@ -2,45 +2,19 @@
 
 Exact per-shard neighbor search, weighted cross-shard aggregation, a
 data-driven choice of neighbor counts with an early-stopping search rule, the
-standard comparison classifiers, and a benchmark harness for synthetic and
-census-income experiments.
+standard comparison classifiers, a plain-loop reference oracle, and a
+benchmark harness for synthetic and census-income experiments.
 """
 
-from .adaptive import (
-    AdaptiveSelection,
-    StopReason,
-    StoppingConfig,
-    adaptive_select,
-    k1_bound,
-    stopping_statistic,
-    stopping_threshold,
-    sub_k,
-)
-from .baselines import (
-    BASELINE_KINDS,
-    ClassifierKind,
-    d1nn_classify,
-    dann_nes_select,
-    dnn_qiao_classify,
-    qiao_k,
-)
-from .engine import Partition, evaluate_queries, evaluate_query, profile_partition
-from .estimator import AggregateEstimate, LocalEstimate, aggregate, classify, local_estimate
-from .neighbors import (
-    LabeledPoint,
-    NeighborProfile,
-    ProfileBatch,
-    Shard,
-    brute_force_profile,
-    euclidean_distance,
-    neighbor_profile,
-)
+from .adaptive import StoppingConfig, k1_bound, stopping_threshold
+from .baselines import ClassifierKind, depths
+from .engine import Partition, evaluate_queries, evaluate_query
+from .neighbors import Shard
 from .realdata import (
     AdultRecord,
     DatasetSplit,
     evaluate_real,
     ingest_adult,
-    scale_features,
     train_test_split,
 )
 from .simharness import (

@@ -16,28 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .estimator import AggregateEstimate, classify
-from .neighbors import NeighborProfile, ProfileBatch
-
 __all__ = [
-    "StopReason",
     "StoppingConfig",
-    "AdaptiveSelection",
     "k1_bound",
-    "sub_k",
-    "stopping_statistic",
     "stopping_threshold",
-    "adaptive_select",
+    "depth_matrix",
+    "scan_first_crossing",
 ]
-
-
-class StopReason(Enum):
-    THRESHOLD_CROSSED = "threshold_crossed"
-    BOUND_REACHED = "bound_reached"
 
 
 @dataclass(frozen=True)
@@ -60,7 +48,7 @@ class StoppingConfig:
 
 
 def k1_bound(n1: int, cfg: StoppingConfig) -> int:
-    """Search cap for k1: max(1, ceil(n1 * N^(-d/(2+d)) [* log N]))."""
+    """Search bound for k1: max(1, ceil(n1 * N^(-d/(2+d)) [* log N]))."""
     if not 1 <= n1 <= cfg.N:
         raise ValueError(f"n1={n1} outside [1, N={cfg.N}]")
     value = n1 * cfg.N ** (-cfg.d / (2 + cfg.d))
@@ -69,44 +57,13 @@ def k1_bound(n1: int, cfg: StoppingConfig) -> int:
     return max(1, math.ceil(value))
 
 
-def sub_k(k1: int, n1: int, nj: int) -> int:
-    """Depth for shard j slaved to k1: min(ceil(k1 * nj / n1), nj)."""
-    if not 1 <= k1 <= n1:
-        raise ValueError(f"k1={k1} outside [1, n1={n1}]")
-    if not 1 <= nj <= n1:
-        raise ValueError(f"nj={nj} outside [1, n1={n1}]")
-    return min(-(-k1 * nj // n1), nj)
-
-
-def stopping_statistic(agg: AggregateEstimate) -> float:
-    """Signal statistic sqrt(2 * sum k_j) * |eta - 1/2|."""
-    return math.sqrt(2 * agg.total_k) * abs(agg.eta - 0.5)
-
-
 def stopping_threshold(cfg: StoppingConfig) -> float:
     """Crossing level sqrt((d + 2) * log N)."""
     return math.sqrt((cfg.d + 2) * math.log(cfg.N))
 
 
-@dataclass(frozen=True, eq=False)
-class AdaptiveSelection:
-    """Outcome of the adaptive depth search for one query."""
-
-    k1_hat: int
-    ks_hat: np.ndarray
-    eta_hat: float
-    label: int
-    stop_reason: StopReason
-    iterations: int
-
-    def __post_init__(self) -> None:
-        ks = np.asarray(self.ks_hat, dtype=np.int64)
-        ks.setflags(write=False)
-        object.__setattr__(self, "ks_hat", ks)
-
-
 def depth_matrix(cap: int, sizes: np.ndarray) -> np.ndarray:
-    """Per-step shard depths: row b is (sub_k(b+1, n_1, n_j))_j, shape (cap, m)."""
+    """Per-step shard depths: row b is (min(ceil((b+1) n_j / n_1), n_j))_j, shape (cap, m)."""
     k1s = np.arange(1, cap + 1, dtype=np.int64)[:, None]
     nj = np.asarray(sizes, dtype=np.int64)[None, :]
     n1 = int(sizes[0])
@@ -134,61 +91,3 @@ def scan_first_crossing(
     first = np.argmax(crossed_steps, axis=-1)
     stop = np.where(any_crossed, first, cap - 1)
     return stop, eta, any_crossed
-
-
-def _checked_sizes(batch: ProfileBatch, shard_sizes: np.ndarray, cfg: StoppingConfig) -> np.ndarray:
-    sizes = np.asarray(shard_sizes, dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes.size != len(batch):
-        raise ValueError("shard_sizes must be a nonempty vector, one entry per profile")
-    if np.any(sizes < 1):
-        raise ValueError("shard sizes must be >= 1")
-    if np.any(np.diff(sizes) > 0):
-        raise ValueError("shard sizes must be sorted nonincreasing")
-    if int(sizes.sum()) != cfg.N:
-        raise ValueError(f"sum of shard sizes {int(sizes.sum())} != cfg.N {cfg.N}")
-    return sizes
-
-
-def select_with_cap(
-    batch: ProfileBatch, sizes: np.ndarray, cfg: StoppingConfig, cap: int
-) -> AdaptiveSelection:
-    """Shared search core: walk k1 = 1..cap and stop per the crossing rule."""
-    kj = depth_matrix(cap, sizes)
-    if np.any(batch.k_max < kj[-1]):
-        short = int(np.flatnonzero(batch.k_max < kj[-1])[0])
-        raise ValueError(
-            f"profile {short} is too shallow: k_max={int(batch.k_max[short])} "
-            f"< required depth {int(kj[-1, short])}"
-        )
-    stop, eta, any_crossed = scan_first_crossing(batch.prefix_sums, kj, stopping_threshold(cfg))
-    k1_hat = int(stop) + 1
-    eta_hat = float(eta[int(stop)])
-    reason = StopReason.THRESHOLD_CROSSED if bool(any_crossed) else StopReason.BOUND_REACHED
-    return AdaptiveSelection(
-        k1_hat=k1_hat,
-        ks_hat=kj[int(stop)],
-        eta_hat=eta_hat,
-        label=classify(eta_hat),
-        stop_reason=reason,
-        iterations=k1_hat,
-    )
-
-
-def adaptive_select(
-    profiles: list[NeighborProfile] | ProfileBatch,
-    shard_sizes: np.ndarray,
-    cfg: StoppingConfig,
-) -> AdaptiveSelection:
-    """Run the adaptive depth search over per-shard neighbor profiles.
-
-    ``shard_sizes`` must be sorted nonincreasing (largest shard first) and sum
-    to ``cfg.N``; profile j must be at least as deep as the depth that shard j
-    would need at the search bound.
-    """
-    batch = profiles if isinstance(profiles, ProfileBatch) else ProfileBatch.from_profiles(list(profiles))
-    sizes = _checked_sizes(batch, shard_sizes, cfg)
-    n1 = int(sizes[0])
-    # For very small N at low dimension the bound formula can exceed n_1;
-    # past n_1 every shard is already at full depth and nothing changes, so
-    # the walk is cut there.
-    return select_with_cap(batch, sizes, cfg, min(k1_bound(n1, cfg), n1))

@@ -1,29 +1,21 @@
-"""Comparison classifiers: fixed-depth distributed NN, distributed 1-NN, and
-the adaptive search without its early-stopping cap.
+"""The classifier taxonomy and each classifier's depth rule.
 
-All of them share the aggregation rule of the main classifier and differ only
-in how the per-shard depths k_j are chosen.
+Every classifier forms the same pooled estimate, the fraction of 1-labels
+over each shard's k_j nearest neighbors, and differs only in how the per-shard
+depths k_j are chosen: the adaptive classifier walks k1 up to its search
+bound, the variant without early stopping walks k1 up to n_1, and the
+fixed-depth distributed NN and distributed 1-NN take a single step.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
-from .adaptive import AdaptiveSelection, StoppingConfig, select_with_cap, _checked_sizes
-from .estimator import aggregate, classify, local_estimate
-from .neighbors import NeighborProfile, ProfileBatch
+from .adaptive import StoppingConfig, depth_matrix, k1_bound
 
-__all__ = [
-    "ClassifierKind",
-    "BASELINE_KINDS",
-    "qiao_k",
-    "dnn_qiao_classify",
-    "d1nn_classify",
-    "dann_nes_select",
-]
+__all__ = ["ClassifierKind", "depths"]
 
 
 class ClassifierKind(Enum):
@@ -44,58 +36,27 @@ class ClassifierKind(Enum):
                          f"{[k.value for k in cls]}")
 
 
-#: The non-adaptive / uncapped comparison classifiers.
-BASELINE_KINDS = (ClassifierKind.DNN_QIAO, ClassifierKind.D1NN, ClassifierKind.DANN_NES)
+def depths(kind: ClassifierKind, sizes: np.ndarray, cfg: StoppingConfig) -> np.ndarray:
+    """Per-step shard depths of a classifier, shape (steps, m).
 
-
-def qiao_k(nj: int, cfg: StoppingConfig) -> int:
-    """Fixed depth ceil(nj * N^(-d/(2+d))), clamped to [1, nj]."""
-    if not 1 <= nj <= cfg.N:
-        raise ValueError(f"nj={nj} outside [1, N={cfg.N}]")
-    k = math.ceil(nj * cfg.N ** (-cfg.d / (2 + cfg.d)))
-    return min(max(1, k), nj)
-
-
-def _as_batch(profiles: list[NeighborProfile] | ProfileBatch) -> ProfileBatch:
-    if isinstance(profiles, ProfileBatch):
-        return profiles
-    return ProfileBatch.from_profiles(list(profiles))
-
-
-def dnn_qiao_classify(
-    profiles: list[NeighborProfile] | ProfileBatch,
-    shard_sizes: np.ndarray,
-    cfg: StoppingConfig,
-) -> int:
-    """Aggregate local estimates at the fixed per-shard depths and classify."""
-    batch = _as_batch(profiles)
-    sizes = _checked_sizes(batch, shard_sizes, cfg)
-    estimates = []
-    for j in range(len(batch)):
-        k = qiao_k(int(sizes[j]), cfg)
-        if batch.k_max[j] < k:
-            raise ValueError(f"profile {j} too shallow for depth {k}")
-        estimates.append(local_estimate(batch.profile(j), k))
-    return classify(aggregate(estimates).eta)
-
-
-def d1nn_classify(profiles: list[NeighborProfile] | ProfileBatch) -> int:
-    """Majority over each shard's single nearest label (ties go to 1)."""
-    batch = _as_batch(profiles)
-    estimates = [local_estimate(batch.profile(j), 1) for j in range(len(batch))]
-    return classify(aggregate(estimates).eta)
-
-
-def dann_nes_select(
-    profiles: list[NeighborProfile] | ProfileBatch,
-    shard_sizes: np.ndarray,
-    cfg: StoppingConfig,
-) -> AdaptiveSelection:
-    """Adaptive search with the cap replaced by n_1 (no early stopping).
-
-    Requires full-depth profiles (k_max_j = n_j). The crossing threshold is
-    unchanged; only the search range grows.
+    Row b holds the depths k_j of step b; the last row is the deepest, so it
+    is how far each shard's neighbor profile must reach. ``sizes`` is sorted
+    nonincreasing. ``dann`` walks k1 = 1 .. min(k1_bound(n_1), n_1) and
+    ``dann_nes`` walks k1 = 1 .. n_1, both with k_j = ceil(k1 n_j / n_1).
+    ``dnn_qiao`` takes one step at k_j = ceil(n_j N^(-d/(2+d))) clamped to
+    [1, n_j], and ``d1nn`` one step at k_j = 1.
     """
-    batch = _as_batch(profiles)
-    sizes = _checked_sizes(batch, shard_sizes, cfg)
-    return select_with_cap(batch, sizes, cfg, int(sizes[0]))
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n1 = int(sizes[0])
+    if kind is ClassifierKind.DANN:
+        # For very small N at low dimension the bound formula can exceed n_1;
+        # past n_1 every shard is already at full depth, so the walk is cut there.
+        return depth_matrix(min(k1_bound(n1, cfg), n1), sizes)
+    if kind is ClassifierKind.DANN_NES:
+        return depth_matrix(n1, sizes)
+    if kind is ClassifierKind.DNN_QIAO:
+        k = np.ceil(sizes * cfg.N ** (-cfg.d / (2 + cfg.d))).astype(np.int64)
+        return np.clip(k, 1, sizes)[None, :]
+    if kind is ClassifierKind.D1NN:
+        return np.ones((1, sizes.size), dtype=np.int64)
+    raise ValueError(f"unhandled classifier kind {kind!r}")

@@ -11,6 +11,7 @@ effective config and library versions.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import platform
@@ -19,19 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .adaptive import (
-    StoppingConfig,
-    StopReason,
-    adaptive_select,
-    stopping_statistic,
-    stopping_threshold,
-    sub_k,
-)
-from .baselines import ClassifierKind
-from .engine import evaluate_queries, profile_partition, required_depths
-from .estimator import aggregate, local_estimate
-from .neighbors import Shard, brute_force_profile, neighbor_profile
+from . import __version__, oracle
+from .adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
+from .baselines import ClassifierKind, depths
+from .engine import build_prefix_tensor, evaluate_queries, query_distance_matrix
+from .neighbors import Shard
 from .realdata import (
     apply_scaling,
     evaluate_real,
@@ -219,10 +212,8 @@ def cmd_adult(args) -> int:
 
 
 def _read_csv_columns(path) -> tuple[list[str], list[list[str]]]:
-    import csv as _csv
-
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -241,16 +232,27 @@ def _parse_feature_rows(path, rows, columns, header) -> np.ndarray:
     return out
 
 
+def _parse_labels(path, rows, column: int) -> np.ndarray:
+    """Training labels; anything but exactly 0 or 1 is rejected with its line."""
+    out = np.empty(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        try:
+            value = float(row[column])
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}: row {i + 2}: {exc}") from exc
+        if value not in (0.0, 1.0):
+            raise ValueError(f"{path}: row {i + 2}: label must be 0 or 1, got {row[column]!r}")
+        out[i] = int(value)
+    return out
+
+
 def cmd_classify(args) -> int:
     header, rows = _read_csv_columns(args.train)
     if args.label_col not in header:
         raise ValueError(f"label column {args.label_col!r} not in {args.train}")
     feature_cols = [c for c in header if c != args.label_col]
     feats = _parse_feature_rows(args.train, rows, feature_cols, header)
-    label_idx = header.index(args.label_col)
-    labels = np.array([int(float(r[label_idx])) for r in rows], dtype=np.int64)
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
+    labels = _parse_labels(args.train, rows, header.index(args.label_col))
 
     q_header, q_rows = _read_csv_columns(args.queries)
     missing = [c for c in feature_cols if c not in q_header]
@@ -263,7 +265,8 @@ def cmd_classify(args) -> int:
     queries = apply_scaling(queries_raw, scaling)
 
     m = args.shards if args.shards else shard_count(train.size, args.epsilon)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,)))
+    seed = _setting(args, {}, "seed", 0, int)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     part = (partition_uniform if args.split == "uniform" else partition_proportional)(train, m, rng)
     kind = ClassifierKind.parse(args.classifier)
     stopping = StoppingConfig(N=train.size, d=train.dim, include_log_in_bound=args.include_log_in_bound)
@@ -287,7 +290,7 @@ def cmd_classify(args) -> int:
             "split": args.split,
             "feature_columns": feature_cols,
         },
-        args.seed,
+        seed,
         args.threads,
     )
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -299,34 +302,36 @@ def cmd_classify(args) -> int:
 
 
 def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
-    """Exercise the exact-search oracle and the stopping-rule audit.
+    """Check the engine against the plain-loop oracle and audit the stopping rule.
 
     Returns the number of failed checks (0 means healthy).
     """
     rng = np.random.default_rng(seed)
     failures = 0
 
+    grid = np.array([0.0, 0.25, 0.5, 1.0])
     mismatches = 0
     for _ in range(instances):
-        n = int(rng.integers(1, 120))
+        n = int(rng.integers(2, 120))
+        d = int(rng.integers(1, 17))
         tie_prone = rng.random() < 0.3
-        feats = (
-            rng.choice(np.array([0.0, 0.25, 0.5, 1.0]), size=(n, 3)) if tie_prone else rng.random((n, 3))
-        )
-        shard = Shard(1, feats, rng.integers(0, 2, n))
-        k = int(rng.integers(1, n + 1))
-        query = rng.random(3)
-        fast = neighbor_profile(shard, query, k)
-        slow = brute_force_profile(shard, query, k)
-        if not (
-            np.array_equal(fast.prefix_sums, slow.prefix_sums)
-            and np.array_equal(fast.distances, slow.distances)
-        ):
-            mismatches += 1
+        feats = rng.choice(grid, size=(n, d)) if tie_prone else rng.random((n, d))
+        data = Shard(1, feats, rng.integers(0, 2, n))
+        m = int(rng.integers(1, min(n, 8) + 1))
+        part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(data, m, rng)
+        cfg = StoppingConfig(N=n, d=d)
+        queries = rng.choice(grid, size=(2, d)) if tie_prone else rng.random((2, d))
+        for q, row in zip(queries, query_distance_matrix(part.features, queries)):
+            for j, (ref, _) in enumerate(oracle.shard_profiles(part, q)):
+                mismatches += np.sort(row[part.offsets[j] : part.offsets[j + 1]]).tolist() != ref
+        for kind in ClassifierKind:
+            got = list(zip(*(a.tolist() for a in evaluate_queries(part, queries, kind, cfg))))
+            if got != [oracle.classify(part, q, kind, cfg) for q in queries]:
+                mismatches += 1
     failures += mismatches
     if verbose:
         state = "ok" if mismatches == 0 else f"{mismatches} MISMATCHES"
-        print(f"selftest: search vs brute-force oracle on {instances} instances: {state}")
+        print(f"selftest: engine vs plain-loop oracle on {instances} instances: {state}")
 
     audit_bad = 0
     audits = max(20, instances // 10)
@@ -336,24 +341,22 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
         cfg = StoppingConfig(N=N, d=3)
         data = Shard(1, rng.random((N, 3)), rng.integers(0, 2, N))
         part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(data, m, rng)
-        depths = required_depths(ClassifierKind.DANN, part.sizes, cfg)
-        batch = profile_partition(part, rng.random(3), depths)
-        sel = adaptive_select(batch, part.sizes, cfg)
+        query = rng.random(3)
+        kj = depths(ClassifierKind.DANN, part.sizes, cfg)
+        prefix = build_prefix_tensor(part, query[None, :], kj[-1])
         threshold = stopping_threshold(cfg)
-        n1 = int(part.sizes[0])
-        replay_ok = True
-        for k1 in range(1, sel.k1_hat + 1):
-            ks = [sub_k(k1, n1, int(nj)) for nj in part.sizes]
-            agg = aggregate([local_estimate(batch.profile(j), ks[j]) for j in range(len(batch))])
-            r = stopping_statistic(agg)
-            if k1 < sel.k1_hat and r > threshold:
-                replay_ok = False
-            if k1 == sel.k1_hat:
-                crossed = r > threshold
-                if crossed != (sel.stop_reason is StopReason.THRESHOLD_CROSSED):
-                    replay_ok = False
-        if not replay_ok:
-            audit_bad += 1
+        stop, _, crossed = scan_first_crossing(prefix, kj, threshold)
+        k1_hat = int(stop[0]) + 1
+        # replay on the oracle's profiles: no crossing before k1_hat, and the
+        # scan's own flag must say whether step k1_hat crossed
+        profiles = [p for _, p in oracle.shard_profiles(part, query)]
+        for k1, _, r in oracle.walk_steps(profiles, [int(n) for n in part.sizes]):
+            if k1 == k1_hat:
+                audit_bad += (r > threshold) != bool(crossed[0])
+                break
+            if r > threshold:
+                audit_bad += 1
+                break
     failures += audit_bad
     if verbose:
         state = "ok" if audit_bad == 0 else f"{audit_bad} BAD WALKS"
@@ -362,7 +365,7 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = run_selftest(args.instances, args.seed)
+    failures = run_selftest(args.instances, _setting(args, {}, "seed", 0, int))
     if failures:
         print(f"selftest FAILED with {failures} mismatching checks", file=sys.stderr)
         return 1
@@ -437,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -5,24 +5,25 @@ contiguously in nonincreasing size order. Because equal-sized shards sit next
 to each other, neighbor search vectorizes across whole groups of shards (and
 across query batches) instead of looping shard by shard.
 
-The grouped path reproduces the per-shard reference functions bit for bit:
-distance accumulation is column-ordered, which matches numpy's row reduction
-for the dimensions used here (d < 8), and selection uses the same
-(distance, index) ordering.
+This is the library's only classification path. Distances come from one
+kernel that adds squared differences column by column, and neighbors are
+ordered by (distance, index within the shard); ``oracle.py`` follows the same
+contract with plain loops, so the two agree bit for bit at every dimension.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import StoppingConfig, depth_matrix, k1_bound, scan_first_crossing, stopping_threshold
-from .baselines import ClassifierKind
-from .neighbors import ProfileBatch, Shard, k_smallest_rows
+from .adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
+from .baselines import ClassifierKind, depths
+from .neighbors import Shard, k_smallest_rows
 
-__all__ = ["Partition", "profile_partition", "required_depths", "evaluate_query", "evaluate_queries"]
+__all__ = ["Partition", "query_distance_matrix", "evaluate_query", "evaluate_queries"]
 
 
 @dataclass
@@ -61,16 +62,6 @@ class Partition:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def shard(self, j: int) -> Shard:
-        a, b = int(self.offsets[j]), int(self.offsets[j + 1])
-        return Shard(j + 1, self.features[a:b], self.labels[a:b])
-
-    def shards(self) -> list[Shard]:
-        return [self.shard(j) for j in range(len(self))]
-
-    def __iter__(self):
-        return iter(self.shards())
-
     def size_runs(self):
         """Yield (first_shard, last_shard_exclusive, size) for equal-size runs."""
         sizes = self.sizes
@@ -82,7 +73,12 @@ class Partition:
 
 
 def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Distances from each query (rows) to each point (columns)."""
+    """Distances from each query (rows) to each point (columns).
+
+    Squared differences are added column by column and then square-rooted, at
+    every dimension; the oracle repeats this order, which keeps the two bit
+    for bit equal.
+    """
     nq = queries.shape[0]
     acc = np.zeros((nq, features.shape[0]), dtype=np.float64)
     for c in range(features.shape[1]):
@@ -92,21 +88,23 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
 
 
 def build_prefix_tensor(
-    partition: Partition, queries: np.ndarray, depths: np.ndarray
+    partition: Partition, queries: np.ndarray, shard_depths: np.ndarray
 ) -> np.ndarray:
     """Label prefix sums for every (query, shard) pair, shape (q, m, kpad).
 
-    ``depths[j]`` is how deep shard j's profile must go; it must be constant
-    within each equal-size run (it always is when derived from shard size).
-    Entries past a shard's depth are zero padding.
+    ``shard_depths[j]`` is how deep shard j's profile must go; it must be
+    constant within each equal-size run (it always is when derived from shard
+    size). Entries past a shard's depth are zero padding.
     """
+    if np.any(shard_depths < 1) or np.any(shard_depths > partition.sizes):
+        raise ValueError("each depth must lie in [1, shard size]")
     nq = queries.shape[0]
     m = len(partition)
-    kpad = int(depths.max())
+    kpad = int(shard_depths.max())
     dist = query_distance_matrix(partition.features, queries)
     out = np.zeros((nq, m, kpad), dtype=np.int64)
     for first, last, size in partition.size_runs():
-        depth = int(depths[first])
+        depth = int(shard_depths[first])
         cnt = last - first
         a = int(partition.offsets[first])
         b = int(partition.offsets[last])
@@ -118,68 +116,27 @@ def build_prefix_tensor(
     return out
 
 
-def profile_partition(partition: Partition, query: np.ndarray, depths: np.ndarray) -> ProfileBatch:
-    """ProfileBatch for one query against every shard of a partition."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.size != partition.dim:
-        raise ValueError("query dimension does not match the partition")
-    depths = np.asarray(depths, dtype=np.int64)
-    if depths.shape != (len(partition),):
-        raise ValueError("depths must give one entry per shard")
-    if np.any(depths < 1) or np.any(depths > partition.sizes):
-        raise ValueError("each depth must lie in [1, shard size]")
-    prefix = build_prefix_tensor(partition, q[None, :], depths)[0]
-    ids = np.arange(1, len(partition) + 1, dtype=np.int64)
-    return ProfileBatch(shard_ids=ids, k_max=depths.copy(), prefix_sums=prefix)
-
-
-def qiao_depths(sizes: np.ndarray, cfg: StoppingConfig) -> np.ndarray:
-    """Vectorized twin of baselines.qiao_k over a size vector."""
-    scale = cfg.N ** (-cfg.d / (2 + cfg.d))
-    k = np.ceil(sizes * scale).astype(np.int64)
-    return np.clip(k, 1, sizes)
-
-
-def required_depths(kind: ClassifierKind, sizes: np.ndarray, cfg: StoppingConfig) -> np.ndarray:
-    """Per-shard profile depth each classifier needs."""
-    n1 = int(sizes[0])
-    if kind is ClassifierKind.DANN:
-        cap = min(k1_bound(n1, cfg), n1)
-        return np.minimum((cap * sizes + n1 - 1) // n1, sizes)
-    if kind is ClassifierKind.DANN_NES:
-        return sizes.copy()
-    if kind is ClassifierKind.DNN_QIAO:
-        return qiao_depths(sizes, cfg)
-    if kind is ClassifierKind.D1NN:
-        return np.ones_like(sizes)
-    raise ValueError(f"unhandled classifier kind {kind!r}")
-
-
 def _classify_chunk(
     partition: Partition,
     queries: np.ndarray,
     kind: ClassifierKind,
     cfg: StoppingConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, k1 choices (-1 where not applicable) and etas for a query chunk."""
-    sizes = partition.sizes
-    n1 = int(sizes[0])
-    depths = required_depths(kind, sizes, cfg)
-    prefix = build_prefix_tensor(partition, queries, depths)
-    m = len(partition)
+    """Labels, k1 choices (-1 where not applicable) and etas for a query chunk.
 
-    if kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES):
-        cap = min(k1_bound(n1, cfg), n1) if kind is ClassifierKind.DANN else n1
-        kj = depth_matrix(cap, sizes)
-        stop, eta, _ = scan_first_crossing(prefix, kj, stopping_threshold(cfg))
-        eta_hat = np.take_along_axis(eta, stop[:, None], axis=1)[:, 0]
+    Every classifier is a walk over its depth rows; a fixed-depth classifier
+    has one row and never stops early, so its threshold is infinite.
+    """
+    kj = depths(kind, partition.sizes, cfg)
+    prefix = build_prefix_tensor(partition, queries, kj[-1])
+    adaptive = kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES)
+    threshold = stopping_threshold(cfg) if adaptive else math.inf
+    stop, eta, _ = scan_first_crossing(prefix, kj, threshold)
+    eta_hat = np.take_along_axis(eta, stop[:, None], axis=1)[:, 0]
+    if adaptive:
         k1_hat = stop.astype(np.int64) + 1
     else:
-        ks = depths  # fixed depths: qiao's rule or all ones
-        counts = prefix[:, np.arange(m), ks - 1].sum(axis=1)
-        eta_hat = counts / int(ks.sum())
         k1_hat = np.full(queries.shape[0], -1, dtype=np.int64)
-
     labels = (eta_hat >= 0.5).astype(np.int64)
     return labels, k1_hat, eta_hat
 
@@ -214,11 +171,17 @@ def evaluate_queries(
     """Classify many query points; parallelizes over query chunks.
 
     Output is independent of ``workers`` and ``chunk_size``: chunks are pure
-    functions of their inputs and are reassembled in input order.
+    functions of their inputs and are reassembled in input order. A query row
+    with a non-finite coordinate is rejected, naming the first such row
+    (0-based).
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != partition.dim:
         raise ValueError("queries must be (n, d) with the partition's dimension")
+    bad = ~np.isfinite(queries).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"query row {row} is not finite: {queries[row].tolist()}")
     chunks = [queries[i : i + chunk_size] for i in range(0, queries.shape[0], chunk_size)]
     if workers <= 1 or len(chunks) <= 1:
         parts = [_classify_chunk(partition, c, kind, cfg) for c in chunks]

@@ -1,51 +1,16 @@
-"""Exact nearest-neighbor search over data shards.
+"""Data shards and exact k-smallest selection.
 
-All distances are plain Euclidean in double precision. Ties in distance are
-broken by ascending point index within the shard (stable ordering), so every
-search result is deterministic and bit-for-bit reproducible. A brute-force
-implementation with an independent selection path is provided as a test
-oracle.
+Neighbors are ordered by (distance, point index within the shard): ties in
+distance are broken by ascending index, so every search result is
+deterministic and bit-for-bit reproducible. The distance kernel itself is
+``engine.query_distance_matrix``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = [
-    "LabeledPoint",
-    "Shard",
-    "NeighborProfile",
-    "ProfileBatch",
-    "euclidean_distance",
-    "neighbor_profile",
-    "brute_force_profile",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledPoint:
-    """A d-dimensional feature vector with a binary label."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1 or feats.size == 0:
-            raise ValueError("features must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "label", int(self.label))
-
-    @property
-    def dim(self) -> int:
-        return self.features.size
+__all__ = ["Shard", "k_smallest_rows"]
 
 
 class Shard:
@@ -82,17 +47,6 @@ class Shard:
         self.features = feats
         self.labels = labs
 
-    @classmethod
-    def from_points(cls, shard_id: int, points: list[LabeledPoint]) -> "Shard":
-        if not points:
-            raise ValueError("a shard needs at least one point")
-        dims = {p.dim for p in points}
-        if len(dims) != 1:
-            raise ValueError("all points in a shard must share one dimension")
-        feats = np.stack([p.features for p in points])
-        labs = np.array([p.label for p in points], dtype=np.int64)
-        return cls(shard_id, feats, labs)
-
     @property
     def size(self) -> int:
         return self.features.shape[0]
@@ -101,72 +55,11 @@ class Shard:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def point(self, i: int) -> LabeledPoint:
-        return LabeledPoint(self.features[i], int(self.labels[i]))
-
     def __len__(self) -> int:
         return self.size
 
     def __repr__(self) -> str:
         return f"Shard(id={self.id}, size={self.size}, dim={self.dim})"
-
-
-@dataclass(frozen=True, eq=False)
-class NeighborProfile:
-    """Labels of the k_max nearest points to one query, in distance order.
-
-    ``prefix_sums[i]`` is the number of ones among the ``i + 1`` nearest
-    labels; ``distances[i]`` is the distance to the ``(i + 1)``-th nearest
-    point. Ordering is by (distance, point index within the shard).
-    """
-
-    shard_id: int
-    k_max: int
-    prefix_sums: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self) -> None:
-        ps = np.asarray(self.prefix_sums, dtype=np.int64)
-        ds = np.asarray(self.distances, dtype=np.float64)
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if ps.shape != (self.k_max,) or ds.shape != (self.k_max,):
-            raise ValueError("prefix_sums and distances must have length k_max")
-        steps = np.diff(ps, prepend=0)
-        if not np.isin(steps, (0, 1)).all():
-            raise ValueError("prefix sums must increase by 0 or 1 per neighbor")
-        if np.any(np.diff(ds) < 0) or np.any(ds < 0):
-            raise ValueError("distances must be nonnegative and nondecreasing")
-        ps.setflags(write=False)
-        ds.setflags(write=False)
-        object.__setattr__(self, "prefix_sums", ps)
-        object.__setattr__(self, "distances", ds)
-
-    def label_count(self, k: int) -> int:
-        """Number of 1-labels among the k nearest points (1-based k)."""
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"k={k} outside [1, {self.k_max}]")
-        return int(self.prefix_sums[k - 1])
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two equal-length finite vectors."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
-        raise ValueError("inputs must be finite")
-    diff = av - bv
-    # Same elementwise-square-then-sum form as distances_to_query, so the two
-    # paths agree bit for bit.
-    return float(np.sqrt((diff * diff).sum()))
-
-
-def distances_to_query(features: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Distances from every row of ``features`` to ``query``."""
-    diff = features - query
-    return np.sqrt((diff * diff).sum(axis=1))
 
 
 def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
@@ -191,93 +84,3 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     vals = np.take_along_axis(dist, idx, axis=1)
     order = np.argsort(vals, axis=1, kind="stable")
     return np.take_along_axis(idx, order, axis=1)
-
-
-def _check_profile_args(shard: Shard, query: np.ndarray, k_max: int) -> np.ndarray:
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.size != shard.dim:
-        raise ValueError(f"query dimension {q.shape} does not match shard dim {shard.dim}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query must be finite")
-    if not 1 <= k_max <= shard.size:
-        raise ValueError(f"k_max={k_max} outside [1, {shard.size}]")
-    return q
-
-
-def neighbor_profile(shard: Shard, query: np.ndarray, k_max: int) -> NeighborProfile:
-    """Exact k_max-nearest-neighbor profile of ``query`` within ``shard``.
-
-    Selects the k_max smallest distances by partial selection and returns
-    neighbor labels as prefix sums. Equal distances are ordered by ascending
-    point index.
-    """
-    q = _check_profile_args(shard, query, k_max)
-    dist = distances_to_query(shard.features, q)
-    idx = k_smallest_rows(dist[None, :], k_max)[0]
-    return NeighborProfile(
-        shard_id=shard.id,
-        k_max=k_max,
-        prefix_sums=np.cumsum(shard.labels[idx]),
-        distances=dist[idx],
-    )
-
-
-def brute_force_profile(shard: Shard, query: np.ndarray, k_max: int) -> NeighborProfile:
-    """Reference profile: all distances one by one, full stable sort.
-
-    Test oracle for :func:`neighbor_profile`; same contract, independent
-    selection path.
-    """
-    q = _check_profile_args(shard, query, k_max)
-    dist = np.array([euclidean_distance(row, q) for row in shard.features])
-    order = np.argsort(dist, kind="stable")[:k_max]
-    return NeighborProfile(
-        shard_id=shard.id,
-        k_max=k_max,
-        prefix_sums=np.cumsum(shard.labels[order]),
-        distances=dist[order],
-    )
-
-
-@dataclass
-class ProfileBatch:
-    """Neighbor profiles for m shards against one query, in padded arrays.
-
-    Row j holds shard j's profile up to depth ``k_max[j]``; columns past the
-    depth are padding and must never be read. This is the bulk counterpart of
-    a list of :class:`NeighborProfile` and is what the experiment engine
-    produces directly.
-    """
-
-    shard_ids: np.ndarray  # (m,)
-    k_max: np.ndarray = field(repr=False)  # (m,)
-    prefix_sums: np.ndarray = field(repr=False)  # (m, kpad) int64
-    distances: np.ndarray | None = field(default=None, repr=False)  # (m, kpad)
-
-    def __len__(self) -> int:
-        return self.shard_ids.shape[0]
-
-    @classmethod
-    def from_profiles(cls, profiles: list[NeighborProfile]) -> "ProfileBatch":
-        if not profiles:
-            raise ValueError("need at least one profile")
-        m = len(profiles)
-        kmax = np.array([p.k_max for p in profiles], dtype=np.int64)
-        kpad = int(kmax.max())
-        prefix = np.zeros((m, kpad), dtype=np.int64)
-        dists = np.zeros((m, kpad), dtype=np.float64)
-        for j, p in enumerate(profiles):
-            prefix[j, : p.k_max] = p.prefix_sums
-            dists[j, : p.k_max] = p.distances
-        ids = np.array([p.shard_id for p in profiles], dtype=np.int64)
-        return cls(shard_ids=ids, k_max=kmax, prefix_sums=prefix, distances=dists)
-
-    def profile(self, j: int) -> NeighborProfile:
-        k = int(self.k_max[j])
-        dists = self.distances[j, :k] if self.distances is not None else np.zeros(k)
-        return NeighborProfile(
-            shard_id=int(self.shard_ids[j]),
-            k_max=k,
-            prefix_sums=self.prefix_sums[j, :k].copy(),
-            distances=dists.copy(),
-        )

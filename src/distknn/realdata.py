@@ -22,7 +22,6 @@ from .neighbors import Shard
 from .simharness import (
     ExperimentConfig,
     ExperimentResult,
-    ResultRow,
     partition_proportional,
     partition_uniform,
     shard_count,
@@ -36,7 +35,6 @@ __all__ = [
     "records_to_arrays",
     "fit_scaling",
     "apply_scaling",
-    "scale_features",
     "train_test_split",
     "evaluate_real",
 ]
@@ -164,13 +162,6 @@ def apply_scaling(features: np.ndarray, scaling: FeatureScaling) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def scale_features(records: list[AdultRecord]) -> tuple[Shard, FeatureScaling]:
-    """Min-max scale the records into [0, 1]^6 and return fitted parameters."""
-    feats, labels = records_to_arrays(records)
-    scaling = fit_scaling(feats)
-    return Shard(1, apply_scaling(feats, scaling), labels), scaling
-
-
 @dataclass(frozen=True)
 class DatasetSplit:
     train: Shard
@@ -211,9 +202,7 @@ def evaluate_real(
         raise ValueError("train and test dimensions differ")
     n_train = train.size
     stopping = StoppingConfig(N=n_train, d=train.dim, include_log_in_bound=cfg.include_log_in_bound)
-    rows: list[ResultRow] = []
-    agreement_samples = {}
-    k1_samples = {}
+    result = ExperimentResult(config=cfg, rows=[])
     for eps_idx, eps in enumerate(cfg.epsilons):
         m = shard_count(n_train, eps)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(eps_idx,)))
@@ -226,22 +215,5 @@ def evaluate_real(
             labels, k1s, _ = evaluate_queries(part, test.features, kind, stopping, workers=workers)
             elapsed = time.perf_counter() - start
             agree = (labels == test.labels).astype(np.int8)
-            rate = float(agree.mean())
-            ks = k1s[k1s >= 0]
-            rows.append(
-                ResultRow(
-                    classifier=kind.value,
-                    epsilon=eps,
-                    m=m,
-                    agreement_rate=rate,
-                    mc_stderr=float(np.sqrt(rate * (1.0 - rate) / agree.size)),
-                    mean_runtime_s=elapsed,
-                    k1_min=int(ks.min()) if ks.size else None,
-                    k1_med=float(np.median(ks)) if ks.size else None,
-                    k1_max=int(ks.max()) if ks.size else None,
-                )
-            )
-            agreement_samples[(kind.value, eps)] = agree
-            if ks.size:
-                k1_samples[(kind.value, eps)] = ks
-    return ExperimentResult(config=cfg, rows=rows, agreement_samples=agreement_samples, k1_samples=k1_samples)
+            result.add_row(kind.value, eps, m, agree, k1s[k1s >= 0], elapsed)
+    return result

@@ -250,6 +250,32 @@ class ExperimentResult:
     k1_samples: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
+    def add_row(
+        self, classifier: str, epsilon: float, m: int, agree: np.ndarray, k1s: np.ndarray, runtime_s: float
+    ) -> None:
+        """Append one (classifier, epsilon) row and keep its samples.
+
+        ``agree`` holds the 0/1 agreement indicators and ``k1s`` the int64 k1
+        choices (empty for the fixed-depth classifiers).
+        """
+        rate = float(agree.mean())
+        self.rows.append(
+            ResultRow(
+                classifier=classifier,
+                epsilon=epsilon,
+                m=m,
+                agreement_rate=rate,
+                mc_stderr=math.sqrt(rate * (1.0 - rate) / agree.size),
+                mean_runtime_s=runtime_s,
+                k1_min=int(k1s.min()) if k1s.size else None,
+                k1_med=float(np.median(k1s)) if k1s.size else None,
+                k1_max=int(k1s.max()) if k1s.size else None,
+            )
+        )
+        self.agreement_samples[(classifier, epsilon)] = agree
+        if k1s.size:
+            self.k1_samples[(classifier, epsilon)] = k1s
+
     def row(self, classifier: ClassifierKind | str, eps: float) -> ResultRow:
         name = classifier.value if isinstance(classifier, ClassifierKind) else classifier
         for r in self.rows:
@@ -366,41 +392,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             k1s.setdefault(key, []).extend(run_k1s)
             times.setdefault(key, []).append(elapsed)
 
-    rows = []
-    agreement_samples = {}
-    k1_samples = {}
+    result = ExperimentResult(config=cfg, rows=[], failures=failures)
     for eps_idx, eps in enumerate(cfg.epsilons):
         m = shard_count(cfg.N, eps)
         for kind in cfg.classifiers:
             key = (kind.value, eps_idx)
             if key not in bits:
                 continue
-            sample = np.concatenate(bits[key])
-            rate = float(sample.mean())
-            stderr = math.sqrt(rate * (1.0 - rate) / sample.size)
-            ks = np.array(k1s[key], dtype=np.int64)
-            rows.append(
-                ResultRow(
-                    classifier=kind.value,
-                    epsilon=eps,
-                    m=m,
-                    agreement_rate=rate,
-                    mc_stderr=stderr,
-                    mean_runtime_s=float(np.mean(times[key])),
-                    k1_min=int(ks.min()) if ks.size else None,
-                    k1_med=float(np.median(ks)) if ks.size else None,
-                    k1_max=int(ks.max()) if ks.size else None,
-                )
+            result.add_row(
+                kind.value,
+                eps,
+                m,
+                np.concatenate(bits[key]),
+                np.array(k1s[key], dtype=np.int64),
+                float(np.mean(times[key])),
             )
-            agreement_samples[(kind.value, eps)] = sample
-            if ks.size:
-                k1_samples[(kind.value, eps)] = ks
-    if not rows:
+    if not result.rows:
         raise RuntimeError(f"every run failed; first failure: {failures[0] if failures else 'none'}")
-    return ExperimentResult(
-        config=cfg,
-        rows=rows,
-        agreement_samples=agreement_samples,
-        k1_samples=k1_samples,
-        failures=failures,
-    )
+    return result

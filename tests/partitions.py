@@ -1,0 +1,26 @@
+"""Hand-built partitions for tests that need to know the neighbor order exactly."""
+
+import numpy as np
+
+from distknn.engine import Partition
+
+
+def one_shard(shard):
+    """``shard`` as a one-shard partition, its points kept in storage order."""
+    n = shard.size
+    return Partition(features=shard.features, labels=shard.labels, sizes=np.array([n]), offsets=np.array([0, n]))
+
+
+def line_partition(label_rows, d=3):
+    """Partition whose shard j holds one point per entry of ``label_rows[j]``.
+
+    Point i of every shard lies on the first axis at distance i + 1 from the
+    origin, so a query at the origin meets each shard's labels in the order
+    given. Rows must come in nonincreasing length.
+    """
+    sizes = np.array([len(row) for row in label_rows], dtype=np.int64)
+    feats = np.zeros((int(sizes.sum()), d))
+    feats[:, 0] = np.concatenate([np.arange(1, n + 1) for n in sizes])
+    labels = np.concatenate([np.asarray(row, dtype=np.int64) for row in label_rows])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return Partition(features=feats, labels=labels, sizes=sizes, offsets=offsets)

@@ -13,20 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from partitions import one_shard
 
-from distknn.adaptive import (
-    StoppingConfig,
-    StopReason,
-    adaptive_select,
-    k1_bound,
-    stopping_statistic,
-    stopping_threshold,
-    sub_k,
-)
-from distknn.baselines import ClassifierKind
-from distknn.engine import profile_partition, required_depths
-from distknn.estimator import aggregate, classify, local_estimate
-from distknn.neighbors import Shard, brute_force_profile, neighbor_profile
+from distknn import oracle
+from distknn.adaptive import StoppingConfig, k1_bound, scan_first_crossing, stopping_threshold
+from distknn.baselines import ClassifierKind, depths
+from distknn.engine import build_prefix_tensor, query_distance_matrix
+from distknn.neighbors import Shard, k_smallest_rows
 from distknn.realdata import (
     apply_scaling,
     evaluate_real,
@@ -112,10 +105,12 @@ def test_criterion_1_oracle_equivalence():
         shard = Shard(1, feats, rng.integers(0, 2, n))
         k_max = int(rng.integers(1, n + 1))
         query = rng.random(3)
-        fast = neighbor_profile(shard, query, k_max)
-        slow = brute_force_profile(shard, query, k_max)
-        np.testing.assert_array_equal(fast.distances, slow.distances, err_msg=f"instance {i}")
-        np.testing.assert_array_equal(fast.prefix_sums, slow.prefix_sums, err_msg=f"instance {i}")
+        dist = query_distance_matrix(shard.features, query[None, :])
+        idx = k_smallest_rows(dist, k_max)[0]
+        fast_prefix = build_prefix_tensor(one_shard(shard), query[None, :], np.array([k_max]))[0, 0]
+        slow_dists, slow_prefix = oracle.shard_profiles(one_shard(shard), query)[0]
+        np.testing.assert_array_equal(dist[0, idx], slow_dists[:k_max], err_msg=f"instance {i}")
+        np.testing.assert_array_equal(fast_prefix, slow_prefix[:k_max], err_msg=f"instance {i}")
     elapsed = time.perf_counter() - start
     report(1, elapsed < 10.0, f"500 instances exact-equal to brute force in {elapsed:.2f}s (< 10s)")
     assert elapsed < 10.0
@@ -135,8 +130,9 @@ def test_criterion_2_single_shard_reduction():
         labels = rng.integers(0, 2, n)
         k = int(rng.integers(1, n + 1))
         query = rng.random(3)
-        prof = neighbor_profile(Shard(1, feats, labels), query, k)
-        got = classify(aggregate([local_estimate(prof, k)]).eta)
+        prefix = build_prefix_tensor(one_shard(Shard(1, feats, labels)), query[None, :], np.array([k]))
+        _, eta, _ = scan_first_crossing(prefix, np.array([[k]]), math.inf)
+        got = int(eta[0, 0] >= 0.5)
         assert got == plain_knn_label(feats, labels, query, k), f"instance {i}"
     report(2, True, "200 single-shard predictions match the independent plain k-NN coding exactly")
 
@@ -155,26 +151,30 @@ def test_criterion_3_first_crossing_audit():
         part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(
             data, min(m, N), rng
         )
-        depths = required_depths(ClassifierKind.DANN, part.sizes, cfg)
-        batch = profile_partition(part, rng.random(3), depths)
-        sel = adaptive_select(batch, part.sizes, cfg)
+        kj = depths(ClassifierKind.DANN, part.sizes, cfg)
+        query = rng.random(3)
+        prefix = build_prefix_tensor(part, query[None, :], kj[-1])
         threshold = stopping_threshold(cfg)
+        stop, _, crossed = scan_first_crossing(prefix, kj, threshold)
+        k1_hat = int(stop[0]) + 1
         n1 = int(part.sizes[0])
         bound = k1_bound(n1, cfg)
+        profiles = [p for _, p in oracle.shard_profiles(part, query)]
 
         def r_at(k1):
-            ks = [sub_k(k1, n1, int(nj)) for nj in part.sizes]
-            ests = [local_estimate(batch.profile(j), ks[j]) for j in range(len(batch))]
-            return stopping_statistic(aggregate(ests))
+            ks = [min(-(-k1 * int(nj) // n1), int(nj)) for nj in part.sizes]
+            total = sum(ks)
+            eta = sum(p[k - 1] for p, k in zip(profiles, ks)) / total
+            return math.sqrt(2 * total) * abs(eta - 0.5)
 
-        for k1 in range(1, sel.k1_hat):
+        for k1 in range(1, k1_hat):
             assert r_at(k1) <= threshold, f"instance {i}: early crossing at k1={k1} missed"
-        if sel.stop_reason is StopReason.THRESHOLD_CROSSED:
+        if crossed[0]:
             crossings += 1
-            assert r_at(sel.k1_hat) > threshold, f"instance {i}: no crossing at k1_hat"
+            assert r_at(k1_hat) > threshold, f"instance {i}: no crossing at k1_hat"
         else:
-            assert sel.k1_hat == bound, f"instance {i}: bound mismatch {sel.k1_hat} != {bound}"
-            assert r_at(sel.k1_hat) <= threshold, f"instance {i}: missed crossing at the bound"
+            assert k1_hat == bound, f"instance {i}: bound mismatch {k1_hat} != {bound}"
+            assert r_at(k1_hat) <= threshold, f"instance {i}: missed crossing at the bound"
     report(3, True, f"200 searches audited exactly ({crossings} crossed, {200 - crossings} hit the bound)")
 
 

@@ -7,33 +7,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distknn.adaptive import (
-    StopReason,
     StoppingConfig,
-    adaptive_select,
+    depth_matrix,
     k1_bound,
-    stopping_statistic,
+    scan_first_crossing,
     stopping_threshold,
-    sub_k,
 )
-from distknn.estimator import aggregate, local_estimate
-from distknn.neighbors import NeighborProfile, ProfileBatch
+from distknn.baselines import ClassifierKind, depths
+from distknn.engine import Partition
+from distknn.neighbors import Shard
 
 
-def all_ones_profile(shard_id, depth):
-    return NeighborProfile(shard_id, depth, np.arange(1, depth + 1), np.linspace(0, 1, depth))
+def prefix_tensor(label_rows):
+    """(1, m, kpad) prefix sums of hand-made label sequences in neighbor order."""
+    kpad = max(len(row) for row in label_rows)
+    out = np.zeros((1, len(label_rows), kpad), dtype=np.int64)
+    for j, row in enumerate(label_rows):
+        out[0, j, : len(row)] = np.cumsum(row)
+    return out
 
 
-def all_zeros_profile(shard_id, depth):
-    return NeighborProfile(shard_id, depth, np.zeros(depth, dtype=int), np.linspace(0, 1, depth))
+def walk(label_rows, sizes, cfg, kind=ClassifierKind.DANN):
+    """(k1_hat, eta_hat, crossed, depths at the stop) of the scan over the label rows."""
+    kj = depths(kind, np.asarray(sizes), cfg)
+    stop, eta, crossed = scan_first_crossing(prefix_tensor(label_rows), kj, stopping_threshold(cfg))
+    b = int(stop[0])
+    return b + 1, float(eta[0, b]), bool(crossed[0]), kj[b]
 
 
-def random_profiles(rng, sizes, depths):
-    profiles = []
-    for j, depth in enumerate(depths):
-        steps = rng.integers(0, 2, depth)
-        dists = np.sort(rng.random(depth))
-        profiles.append(NeighborProfile(j + 1, int(depth), np.cumsum(steps), dists))
-    return profiles
+def random_label_rows(rng, depths_needed):
+    return [rng.integers(0, 2, int(depth)) for depth in depths_needed]
+
+
+def statistic_crosses(label_rows, k, threshold):
+    """Whether the scan's statistic at the single step of depths k exceeds threshold."""
+    _, _, crossed = scan_first_crossing(prefix_tensor(label_rows), np.array([k]), threshold)
+    return bool(crossed[0])
 
 
 class TestK1Bound:
@@ -77,49 +86,53 @@ class TestK1Bound:
 
     def test_bound_can_exceed_n1_at_low_dimension(self):
         # d=1, N=50: N^(-1/3) * ln N = 1.06 > 1, so the raw formula tops n1;
-        # adaptive_select clamps its walk at n1 in that regime
+        # the walk is clamped at n1 in that regime
         cfg = StoppingConfig(N=50, d=1)
         assert k1_bound(50, cfg) > 50
-        sel = adaptive_select([all_ones_profile(1, 50)], np.array([50]), cfg)
-        assert sel.k1_hat <= 50
+        assert depths(ClassifierKind.DANN, np.array([50]), cfg).shape == (50, 1)
+        k1_hat, _, _, _ = walk([[1] * 50], [50], cfg)
+        assert k1_hat <= 50
 
 
 class TestSubK:
     def test_exact_ratio(self):
-        assert sub_k(4, 100, 50) == 2
+        assert depth_matrix(4, np.array([100, 50]))[3, 1] == 2
 
     def test_k1_one_always_one(self):
         for n1, nj in [(10, 10), (100, 1), (7, 3)]:
-            assert sub_k(1, n1, nj) == 1
+            assert depth_matrix(1, np.array([n1, nj]))[0].tolist() == [1, 1]
 
     def test_full_depth(self):
         for n1, nj in [(10, 10), (100, 37)]:
-            assert sub_k(n1, n1, nj) == nj
+            assert depth_matrix(n1, np.array([n1, nj]))[-1].tolist() == [n1, nj]
 
     @given(n1=st.integers(1, 500), nj_frac=st.floats(0.01, 1.0), k1_frac=st.floats(0.0, 1.0))
     @settings(max_examples=80, deadline=None)
     def test_monotone_in_k1_and_bounded(self, n1, nj_frac, k1_frac):
         nj = max(1, int(n1 * nj_frac))
         k1 = max(1, int(n1 * k1_frac))
-        vals = [sub_k(k, n1, nj) for k in range(1, k1 + 1)]
+        vals = depth_matrix(k1, np.array([n1, nj]))[:, 1].tolist()
         assert all(1 <= v <= nj for v in vals)
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 class TestStoppingStatistic:
+    # r = sqrt(2 * sum k_j) * |eta - 1/2| is pinned by the thresholds just
+    # below and at its value
+
     def test_direct_small(self):
-        agg = aggregate([local_estimate(all_ones_profile(1, 2), 2)])
-        assert stopping_statistic(agg) == pytest.approx(1.0, abs=1e-15)
+        # two 1-labels: r = sqrt(4) * 0.5 = 1 exactly
+        assert statistic_crosses([[1, 1]], [2], math.nextafter(1.0, 0.0))
+        assert not statistic_crosses([[1, 1]], [2], 1.0)
 
     def test_zero_signal(self):
-        prof = NeighborProfile(1, 4, np.array([1, 1, 2, 2]), np.linspace(0, 1, 4))
-        agg = aggregate([local_estimate(prof, 4)])
-        assert stopping_statistic(agg) == 0.0
+        assert not statistic_crosses([[1, 0, 1, 0]], [4], 0.0)
+        assert statistic_crosses([[1, 0, 1, 0]], [4], -1e-300)
 
     def test_total_50_eta_08(self):
-        prof = NeighborProfile(1, 50, np.cumsum([1] * 40 + [0] * 10), np.linspace(0, 1, 50))
-        agg = aggregate([local_estimate(prof, 50)])
-        assert stopping_statistic(agg) == pytest.approx(3.0, abs=1e-12)
+        rows = [[1] * 40 + [0] * 10]
+        assert statistic_crosses(rows, [50], 3.0 - 1e-12)
+        assert not statistic_crosses(rows, [50], 3.0 + 1e-12)
 
 
 class TestStoppingThreshold:
@@ -146,20 +159,17 @@ class TestAdaptiveSelect:
         # sqrt(5 ln 100) ~ 4.80 for k <= 30
         cfg = StoppingConfig(N=100, d=3)
         assert k1_bound(100, cfg) == 30
-        sel = adaptive_select([all_ones_profile(1, 30)], np.array([100]), cfg)
-        assert sel.stop_reason is StopReason.BOUND_REACHED
-        assert sel.k1_hat == 30
-        assert sel.eta_hat == 1.0
-        assert sel.label == 1
-        assert sel.iterations == 30
+        k1_hat, eta_hat, crossed, _ = walk([[1] * 30], [100], cfg)
+        assert not crossed
+        assert k1_hat == 30
+        assert eta_hat == 1.0
 
     def test_single_shard_all_zeros_symmetric(self):
         cfg = StoppingConfig(N=100, d=3)
-        sel = adaptive_select([all_zeros_profile(1, 30)], np.array([100]), cfg)
-        assert sel.stop_reason is StopReason.BOUND_REACHED
-        assert sel.k1_hat == 30
-        assert sel.eta_hat == 0.0
-        assert sel.label == 0
+        k1_hat, eta_hat, crossed, _ = walk([[0] * 30], [100], cfg)
+        assert not crossed
+        assert k1_hat == 30
+        assert eta_hat == 0.0
 
     def test_four_equal_shards_threshold_crossing(self):
         # all labels 1: r(k1) = sqrt(8 k1)/2 crosses sqrt(5 ln N) at the
@@ -170,54 +180,54 @@ class TestAdaptiveSelect:
         k_star = math.floor(2.5 * math.log(N)) + 1
         bound = k1_bound(n, cfg)
         assert k_star < bound
-        profiles = [all_ones_profile(j + 1, bound) for j in range(m)]
-        sel = adaptive_select(profiles, np.full(m, n), cfg)
-        assert sel.stop_reason is StopReason.THRESHOLD_CROSSED
-        assert sel.k1_hat == k_star
-        assert sel.ks_hat.tolist() == [k_star] * m
-        assert sel.label == 1
+        k1_hat, eta_hat, crossed, ks_hat = walk([[1] * bound] * m, [n] * m, cfg)
+        assert crossed
+        assert k1_hat == k_star
+        assert ks_hat.tolist() == [k_star] * m
+        assert eta_hat == 1.0
 
     def test_shallow_profiles_rejected(self):
+        # a profile one neighbor short of the bound cannot be read past its end
         cfg = StoppingConfig(N=100, d=3)
-        with pytest.raises(ValueError, match="shallow"):
-            adaptive_select([all_ones_profile(1, 29)], np.array([100]), cfg)
+        with pytest.raises(IndexError):
+            walk([[1] * 29], [100], cfg)
 
     def test_unsorted_sizes_rejected(self):
-        cfg = StoppingConfig(N=30, d=3)
-        profiles = [all_ones_profile(1, 10), all_ones_profile(2, 20)]
+        data = Shard(1, np.zeros((30, 3)), np.zeros(30, dtype=int))
         with pytest.raises(ValueError, match="nonincreasing"):
-            adaptive_select(profiles, np.array([10, 20]), cfg)
+            Partition.from_shard(data, np.array([10, 20]), np.random.default_rng(0))
 
     def test_size_sum_must_match_N(self):
-        cfg = StoppingConfig(N=31, d=3)
-        profiles = [all_ones_profile(1, 20), all_ones_profile(2, 10)]
-        with pytest.raises(ValueError, match="cfg.N"):
-            adaptive_select(profiles, np.array([20, 10]), cfg)
+        data = Shard(1, np.zeros((31, 3)), np.zeros(31, dtype=int))
+        with pytest.raises(ValueError, match="sum"):
+            Partition.from_shard(data, np.array([20, 10]), np.random.default_rng(0))
 
     def test_batch_and_list_inputs_agree(self):
+        # a stack of queries scans exactly like each query on its own
         rng = np.random.default_rng(8)
         sizes = np.array([40, 30, 30])
         cfg = StoppingConfig(N=100, d=3)
-        depths = [sub_k(k1_bound(40, cfg), 40, int(nj)) for nj in sizes]
-        profiles = random_profiles(rng, sizes, depths)
-        a = adaptive_select(profiles, sizes, cfg)
-        b = adaptive_select(ProfileBatch.from_profiles(profiles), sizes, cfg)
-        assert (a.k1_hat, a.eta_hat, a.label, a.stop_reason) == (b.k1_hat, b.eta_hat, b.label, b.stop_reason)
-        np.testing.assert_array_equal(a.ks_hat, b.ks_hat)
+        kj = depths(ClassifierKind.DANN, sizes, cfg)
+        stacked = np.concatenate([prefix_tensor(random_label_rows(rng, kj[-1])) for _ in range(5)])
+        threshold = stopping_threshold(cfg)
+        batch = scan_first_crossing(stacked, kj, threshold)
+        for i in range(stacked.shape[0]):
+            single = scan_first_crossing(stacked[i], kj, threshold)
+            for a, b in zip(batch, single):
+                np.testing.assert_array_equal(a[i], b)
 
 
-def replay_walk(profiles, sizes, cfg, cap):
-    """Sequential re-execution of the depth walk with the scalar operations."""
+def replay_walk(label_rows, sizes, cfg, cap):
+    """Sequential re-execution of the depth walk with scalar arithmetic."""
     n1 = int(sizes[0])
     threshold = stopping_threshold(cfg)
     for k1 in range(1, cap + 1):
-        ks = [sub_k(k1, n1, int(nj)) for nj in sizes]
-        agg = aggregate([local_estimate(p, k) for p, k in zip(profiles, ks)])
-        if stopping_statistic(agg) > threshold:
-            return k1, agg.eta, StopReason.THRESHOLD_CROSSED
-    ks = [sub_k(cap, n1, int(nj)) for nj in sizes]
-    agg = aggregate([local_estimate(p, k) for p, k in zip(profiles, ks)])
-    return cap, agg.eta, StopReason.BOUND_REACHED
+        ks = [min(-(-k1 * int(nj) // n1), int(nj)) for nj in sizes]
+        total = sum(ks)
+        eta = sum(int(row[:k].sum()) for row, k in zip(label_rows, ks)) / total
+        if math.sqrt(2 * total) * abs(eta - 0.5) > threshold:
+            return k1, eta, True
+    return cap, eta, False
 
 
 def test_first_crossing_matches_sequential_replay():
@@ -228,12 +238,11 @@ def test_first_crossing_matches_sequential_replay():
         N = int(sizes.sum())
         cfg = StoppingConfig(N=N, d=int(rng.integers(1, 5)))
         cap = min(k1_bound(int(sizes[0]), cfg), int(sizes[0]))
-        depths = [sub_k(cap, int(sizes[0]), int(nj)) for nj in sizes]
-        profiles = random_profiles(rng, sizes, depths)
-        sel = adaptive_select(profiles, sizes, cfg)
-        k1_ref, eta_ref, reason_ref = replay_walk(profiles, sizes, cfg, cap)
-        assert sel.k1_hat == k1_ref
-        assert sel.eta_hat == eta_ref
-        assert sel.stop_reason is reason_ref
-        assert sel.k1_hat <= cap
-        assert sel.ks_hat.tolist() == [sub_k(sel.k1_hat, int(sizes[0]), int(nj)) for nj in sizes]
+        rows = random_label_rows(rng, depth_matrix(cap, sizes)[-1])
+        k1_hat, eta_hat, crossed, ks_hat = walk(rows, sizes, cfg)
+        k1_ref, eta_ref, crossed_ref = replay_walk(rows, sizes, cfg, cap)
+        assert k1_hat == k1_ref
+        assert eta_hat == eta_ref
+        assert crossed is crossed_ref
+        assert k1_hat <= cap
+        assert ks_hat.tolist() == [min(-(-k1_hat * int(nj) // int(sizes[0])), int(nj)) for nj in sizes]

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
+from partitions import line_partition, one_shard
 
-from distknn.adaptive import StoppingConfig, StopReason, adaptive_select, stopping_threshold
-from distknn.baselines import (
-    BASELINE_KINDS,
-    ClassifierKind,
-    d1nn_classify,
-    dann_nes_select,
-    dnn_qiao_classify,
-    qiao_k,
-)
-from distknn.neighbors import NeighborProfile, Shard, neighbor_profile
+from distknn import oracle
+from distknn.adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
+from distknn.baselines import ClassifierKind, depths
+from distknn.engine import build_prefix_tensor, evaluate_query
+from distknn.neighbors import Shard
+
+ORIGIN = np.zeros(3)
 
 
-def profile_from_labels(shard_id, labels):
-    labels = np.asarray(labels)
-    return NeighborProfile(shard_id, len(labels), np.cumsum(labels), np.linspace(0, 1, len(labels)))
+def qiao_k(nj, cfg):
+    return int(depths(ClassifierKind.DNN_QIAO, np.array([nj]), cfg)[0, 0])
+
+
+def crossed(part, query, kind, cfg):
+    """The scan's own crossed flag for one query."""
+    kj = depths(kind, part.sizes, cfg)
+    prefix = build_prefix_tensor(part, np.asarray(query)[None, :], kj[-1])
+    return bool(scan_first_crossing(prefix, kj, stopping_threshold(cfg))[2][0])
 
 
 class TestQiaoK:
@@ -27,8 +31,9 @@ class TestQiaoK:
 
     def test_same_k_for_equal_shards(self):
         cfg = StoppingConfig(N=1200, d=3)
-        ks = {qiao_k(100, cfg) for _ in range(12)}
-        assert len(ks) == 1
+        ks = depths(ClassifierKind.DNN_QIAO, np.full(12, 100), cfg)
+        assert ks.shape == (1, 12)
+        assert len(set(ks[0].tolist())) == 1
 
     def test_never_exceeds_shard_size(self):
         rng = np.random.default_rng(1)
@@ -42,19 +47,19 @@ class TestQiaoK:
 class TestDnnQiao:
     def test_unanimous_ones(self):
         cfg = StoppingConfig(N=40, d=3)
-        profiles = [profile_from_labels(j + 1, np.ones(10, dtype=int)) for j in range(4)]
-        assert dnn_qiao_classify(profiles, np.full(4, 10), cfg) == 1
+        part = line_partition([[1] * 10] * 4)
+        assert evaluate_query(part, ORIGIN, ClassifierKind.DNN_QIAO, cfg)[0] == 1
 
     def test_single_shard_reduction(self):
         rng = np.random.default_rng(2)
         n = 500
-        shard = Shard(1, rng.random((n, 3)), rng.integers(0, 2, n))
+        part = one_shard(Shard(1, rng.random((n, 3)), rng.integers(0, 2, n)))
         cfg = StoppingConfig(N=n, d=3)
         k = qiao_k(n, cfg)
         query = rng.random(3)
-        prof = neighbor_profile(shard, query, k)
-        expected = 1 if prof.prefix_sums[k - 1] / k >= 0.5 else 0
-        assert dnn_qiao_classify([prof], np.array([n]), cfg) == expected
+        prefix = oracle.shard_profiles(part, query)[0][1]
+        expected = 1 if prefix[k - 1] / k >= 0.5 else 0
+        assert evaluate_query(part, query, ClassifierKind.DNN_QIAO, cfg)[0] == expected
 
     def test_pooled_majority_on_mixed_labels(self):
         rng = np.random.default_rng(3)
@@ -62,42 +67,47 @@ class TestDnnQiao:
             m = int(rng.integers(1, 6))
             sizes = np.sort(rng.integers(4, 50, m))[::-1]
             cfg = StoppingConfig(N=int(sizes.sum()), d=3)
-            profiles, pooled, total = [], 0, 0
-            for j, nj in enumerate(sizes):
+            rows, pooled, total = [], 0, 0
+            for nj in sizes:
                 k = qiao_k(int(nj), cfg)
-                labels = rng.integers(0, 2, k)
-                profiles.append(profile_from_labels(j + 1, labels))
-                pooled += int(labels.sum())
+                labels = rng.integers(0, 2, int(nj))
+                rows.append(labels)
+                pooled += int(labels[:k].sum())
                 total += k
             expected = 1 if pooled / total >= 0.5 else 0
-            assert dnn_qiao_classify(profiles, sizes, cfg) == expected
+            label, k1, eta = evaluate_query(line_partition(rows), ORIGIN, ClassifierKind.DNN_QIAO, cfg)
+            assert (label, k1, eta) == (expected, None, pooled / total)
 
     def test_shallow_profiles_rejected(self):
+        # a depth-1 profile cannot serve the depth-16 rule at N=1000
         cfg = StoppingConfig(N=1000, d=3)
-        profiles = [profile_from_labels(1, [1])]
-        with pytest.raises(ValueError, match="shallow"):
-            dnn_qiao_classify(profiles, np.array([1000]), cfg)
+        kj = depths(ClassifierKind.DNN_QIAO, np.array([1000]), cfg)
+        assert kj.tolist() == [[16]]
+        with pytest.raises(IndexError):
+            scan_first_crossing(np.ones((1, 1, 1), dtype=np.int64), kj, np.inf)
 
 
 class TestD1nn:
+    cfg = StoppingConfig(N=12, d=3)
+
     def test_majority(self):
-        profiles = [profile_from_labels(j + 1, [y]) for j, y in enumerate([1, 1, 0])]
-        assert d1nn_classify(profiles) == 1
+        part = line_partition([[1], [1], [0]])
+        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, self.cfg)[0] == 1
 
     def test_tie_maps_to_one(self):
-        profiles = [profile_from_labels(j + 1, [y]) for j, y in enumerate([1, 0])]
-        assert d1nn_classify(profiles) == 1
+        part = line_partition([[1], [0]])
+        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, self.cfg)[0] == 1
 
     def test_single_shard_is_plain_1nn(self):
         rng = np.random.default_rng(4)
-        shard = Shard(1, rng.random((30, 3)), rng.integers(0, 2, 30))
+        part = one_shard(Shard(1, rng.random((30, 3)), rng.integers(0, 2, 30)))
         query = rng.random(3)
-        prof = neighbor_profile(shard, query, 1)
-        assert d1nn_classify([prof]) == int(prof.prefix_sums[0])
+        nearest = oracle.shard_profiles(part, query)[0][1][0]
+        assert evaluate_query(part, query, ClassifierKind.D1NN, StoppingConfig(N=30, d=3))[0] == nearest
 
     def test_uses_only_nearest_label(self):
-        deep = [profile_from_labels(1, [0, 1, 1, 1]), profile_from_labels(2, [0, 1, 1, 1])]
-        assert d1nn_classify(deep) == 0
+        part = line_partition([[0, 1, 1, 1], [0, 1, 1, 1]])
+        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, self.cfg)[0] == 0
 
 
 class TestDannNes:
@@ -107,11 +117,9 @@ class TestDannNes:
         # the n1 bound with eta 0.5, classified 1
         cfg = StoppingConfig(N=2, d=3)
         assert stopping_threshold(cfg) > np.sqrt(2) * 0.5
-        sel = dann_nes_select([profile_from_labels(1, [1, 0])], np.array([2]), cfg)
-        assert sel.k1_hat == 2
-        assert sel.stop_reason is StopReason.BOUND_REACHED
-        assert sel.eta_hat == 0.5
-        assert sel.label == 1
+        part = line_partition([[1, 0]])
+        assert evaluate_query(part, ORIGIN, ClassifierKind.DANN_NES, cfg) == (1, 2, 0.5)
+        assert not crossed(part, ORIGIN, ClassifierKind.DANN_NES, cfg)
 
     def test_matches_dann_when_threshold_crossed(self):
         rng = np.random.default_rng(5)
@@ -120,34 +128,32 @@ class TestDannNes:
             m = int(rng.integers(1, 5))
             sizes = np.sort(rng.integers(10, 80, m))[::-1]
             cfg = StoppingConfig(N=int(sizes.sum()), d=3)
-            profiles = [
-                profile_from_labels(j + 1, rng.integers(0, 2, int(nj))) for j, nj in enumerate(sizes)
-            ]
-            dann = adaptive_select(profiles, sizes, cfg)
-            nes = dann_nes_select(profiles, sizes, cfg)
-            assert nes.k1_hat >= 1
-            if dann.stop_reason is StopReason.THRESHOLD_CROSSED:
+            part = line_partition([rng.integers(0, 2, int(nj)) for nj in sizes])
+            dann = evaluate_query(part, ORIGIN, ClassifierKind.DANN, cfg)
+            nes = evaluate_query(part, ORIGIN, ClassifierKind.DANN_NES, cfg)
+            assert nes[1] >= 1
+            if crossed(part, ORIGIN, ClassifierKind.DANN, cfg):
                 agreements += 1
-                assert nes.k1_hat == dann.k1_hat
-                assert nes.eta_hat == dann.eta_hat
-                assert nes.label == dann.label
-                assert nes.stop_reason is StopReason.THRESHOLD_CROSSED
+                assert nes == dann
+                assert crossed(part, ORIGIN, ClassifierKind.DANN_NES, cfg)
 
     def test_runs_past_dann_bound_on_constant_labels(self):
         # all-ones labels never cross for small N, so nes walks all the way
         # to n1 while dann stops at its cap
         n = 40
         cfg = StoppingConfig(N=n, d=3)
-        profiles = [profile_from_labels(1, np.ones(n, dtype=int))]
-        dann = adaptive_select(profiles, np.array([n]), cfg)
-        nes = dann_nes_select(profiles, np.array([n]), cfg)
-        assert dann.stop_reason is StopReason.BOUND_REACHED
-        assert nes.k1_hat > dann.k1_hat or nes.stop_reason is StopReason.THRESHOLD_CROSSED
+        part = line_partition([[1] * n])
+        dann = evaluate_query(part, ORIGIN, ClassifierKind.DANN, cfg)
+        nes = evaluate_query(part, ORIGIN, ClassifierKind.DANN_NES, cfg)
+        assert not crossed(part, ORIGIN, ClassifierKind.DANN, cfg)
+        assert nes[1] > dann[1] or crossed(part, ORIGIN, ClassifierKind.DANN_NES, cfg)
 
     def test_requires_full_depth(self):
         cfg = StoppingConfig(N=10, d=3)
-        with pytest.raises(ValueError, match="shallow"):
-            dann_nes_select([profile_from_labels(1, [1, 0, 1])], np.array([10]), cfg)
+        kj = depths(ClassifierKind.DANN_NES, np.array([10]), cfg)
+        assert kj[-1].tolist() == [10]
+        with pytest.raises(IndexError):
+            scan_first_crossing(np.ones((1, 1, 3), dtype=np.int64), kj, stopping_threshold(cfg))
 
 
 def test_kind_parse_roundtrip():
@@ -156,4 +162,3 @@ def test_kind_parse_roundtrip():
         assert ClassifierKind.parse(kind.value.upper()) is kind
     with pytest.raises(ValueError):
         ClassifierKind.parse("nearest")
-    assert ClassifierKind.DANN not in BASELINE_KINDS

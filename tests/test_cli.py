@@ -70,6 +70,15 @@ class TestConfigFile:
             build_experiment_config(args, parse_config_file(path))
 
 
+    def test_file_seed_reaches_manifest(self, tmp_path):
+        path = write_config(tmp_path, "seed = 12345\nn = 200\nruns = 2\nepsilons = 0\nclassifiers = d1nn\n")
+        for extra, expected in (([], 12345), (["--seed", "7"], 7)):
+            out = tmp_path / f"out{expected}"
+            assert main(["simulate", "--config", str(path), "--output", str(out)] + extra) == 0
+            assert json.loads((out / "manifest.json").read_text())["seed"] == expected
+            assert json.loads((out / "results.json").read_text())["config"]["seed"] == expected
+
+
 class TestSimulateCommand:
     def test_end_to_end_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -194,6 +203,28 @@ class TestClassifyCommand:
                    "--output", str(tmp_path / "o")])
         assert rc == 1
         assert "feature columns" in capsys.readouterr().err
+
+    def test_nonfinite_query_row_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        train, _ = self.make_files(tmp_path, rng)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n0.5,0.5\nnan,0.1\n0.2,0.2\n")
+        rc = main(["classify", "--train", str(train), "--queries", str(bad),
+                   "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert "query row 1 " in capsys.readouterr().err
+
+    def test_fractional_label_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        train, queries = self.make_files(tmp_path, rng)
+        lines = train.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",0.7"
+        train.write_text("\n".join(lines) + "\n")
+        rc = main(["classify", "--train", str(train), "--queries", str(queries),
+                   "--output", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "row 4" in err and "0.7" in err
 
     def test_unknown_label_column_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from distknn.adaptive import StoppingConfig, adaptive_select
-from distknn.baselines import ClassifierKind, d1nn_classify, dann_nes_select, dnn_qiao_classify
-from distknn.engine import (
-    evaluate_queries,
-    evaluate_query,
-    profile_partition,
-    required_depths,
-)
-from distknn.neighbors import Shard, neighbor_profile
+from distknn import oracle
+from distknn.adaptive import StoppingConfig
+from distknn.baselines import ClassifierKind
+from distknn.engine import build_prefix_tensor, evaluate_queries, evaluate_query, query_distance_matrix
+from distknn.neighbors import Shard
 from distknn.simharness import SyntheticModel, generate_sample, partition_proportional, partition_uniform
+
+TIE_GRID = np.array([0.0, 0.25, 0.5, 1.0])
 
 
 @pytest.fixture(scope="module")
@@ -18,24 +16,6 @@ def setup():
     rng = np.random.default_rng(123)
     data = generate_sample(600, SyntheticModel(0.60), rng)
     return rng, data
-
-
-def reference_prediction(partition, query, kind, cfg):
-    """Per-shard reference path: scalar profiles + the public classifier ops."""
-    depths = required_depths(kind, partition.sizes, cfg)
-    profiles = [
-        neighbor_profile(partition.shard(j), query, int(depths[j])) for j in range(len(partition))
-    ]
-    sizes = partition.sizes
-    if kind is ClassifierKind.DANN:
-        sel = adaptive_select(profiles, sizes, cfg)
-        return sel.label, sel.k1_hat, sel.eta_hat
-    if kind is ClassifierKind.DANN_NES:
-        sel = dann_nes_select(profiles, sizes, cfg)
-        return sel.label, sel.k1_hat, sel.eta_hat
-    if kind is ClassifierKind.DNN_QIAO:
-        return dnn_qiao_classify(profiles, sizes, cfg), None, None
-    return d1nn_classify(profiles), None, None
 
 
 @pytest.mark.parametrize("split", ["uniform", "proportional"])
@@ -48,11 +28,10 @@ def test_engine_matches_reference_ops(setup, split, m):
         for _ in range(6):
             query = rng.random(3)
             label, k1, eta = evaluate_query(part, query, kind, cfg)
-            ref_label, ref_k1, ref_eta = reference_prediction(part, query, kind, cfg)
+            ref_label, ref_k1, ref_eta = oracle.classify(part, query, kind, cfg)
             assert label == ref_label
-            if ref_k1 is not None:
-                assert k1 == ref_k1
-                assert eta == ref_eta
+            assert (k1 if k1 is not None else -1) == ref_k1
+            assert eta == ref_eta
 
 
 def test_profile_partition_matches_per_shard_profiles(setup):
@@ -60,11 +39,9 @@ def test_profile_partition_matches_per_shard_profiles(setup):
     part = partition_proportional(data, 9, rng)
     query = rng.random(3)
     depths = np.minimum(part.sizes, 7)
-    batch = profile_partition(part, query, depths)
-    for j in range(len(part)):
-        ref = neighbor_profile(part.shard(j), query, int(depths[j]))
-        got = batch.profile(j)
-        np.testing.assert_array_equal(got.prefix_sums, ref.prefix_sums)
+    batch = build_prefix_tensor(part, query[None, :], depths)[0]
+    for j, (_, ref) in enumerate(oracle.shard_profiles(part, query)):
+        assert batch[j, : depths[j]].tolist() == ref[: depths[j]]
 
 
 def test_profile_partition_handles_ties_like_reference():
@@ -75,10 +52,33 @@ def test_profile_partition_handles_ties_like_reference():
     part = partition_uniform(data, 5, rng)
     query = np.array([0.5, 0.5, 0.0])
     depths = np.minimum(part.sizes, 10)
-    batch = profile_partition(part, query, depths)
-    for j in range(len(part)):
-        ref = neighbor_profile(part.shard(j), query, int(depths[j]))
-        np.testing.assert_array_equal(batch.profile(j).prefix_sums, ref.prefix_sums)
+    batch = build_prefix_tensor(part, query[None, :], depths)[0]
+    for j, (_, ref) in enumerate(oracle.shard_profiles(part, query)):
+        assert batch[j, : depths[j]].tolist() == ref[: depths[j]]
+
+
+@pytest.mark.parametrize("split", ["uniform", "proportional"])
+@pytest.mark.parametrize("d", [1, 3, 6, 8, 16])
+def test_engine_matches_oracle_across_dimensions(split, d):
+    # tie-prone points at every dimension; distances must match bit for bit,
+    # including d >= 8, where numpy's row sum rounds differently from the
+    # column-ordered kernel
+    rng = np.random.default_rng(1000 + d)
+    n = 240
+    data = Shard(1, rng.choice(TIE_GRID, size=(n, d)), rng.integers(0, 2, n))
+    part = (partition_uniform if split == "uniform" else partition_proportional)(data, 6, rng)
+    cfg = StoppingConfig(N=n, d=d)
+    queries = np.concatenate([rng.choice(TIE_GRID, size=(6, d)), rng.random((6, d))])
+    dist = query_distance_matrix(part.features, queries)
+    for q, row in zip(queries, dist):
+        for j, (ref, _) in enumerate(oracle.shard_profiles(part, q)):
+            shard = row[part.offsets[j] : part.offsets[j + 1]]
+            assert np.sort(shard).tolist() == ref, (j, q)
+    for kind in ClassifierKind:
+        expected = [oracle.classify(part, q, kind, cfg) for q in queries]
+        for chunk_size in (1, 7):
+            got = evaluate_queries(part, queries, kind, cfg, workers=1, chunk_size=chunk_size)
+            assert list(zip(*(a.tolist() for a in got))) == expected, (kind, chunk_size)
 
 
 def test_batched_queries_match_single_queries(setup):
@@ -110,11 +110,12 @@ def test_partition_shard_views(setup):
     rng, data = setup
     part = partition_uniform(data, 7, rng)
     assert len(part) == 7
-    shards = part.shards()
-    assert sum(s.size for s in shards) == data.size
-    assert [s.id for s in shards] == list(range(1, 8))
+    assert part.total == data.size
+    assert np.diff(part.offsets).tolist() == part.sizes.tolist()
     runs = list(part.size_runs())
     assert sum(last - first for first, last, _ in runs) == 7
+    for first, last, size in runs:
+        assert (part.sizes[first:last] == size).all()
 
 
 def test_query_dimension_validated(setup):

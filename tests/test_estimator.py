@@ -1,97 +1,99 @@
+"""The pooled estimate and the plug-in decision, as the engine computes them."""
+
+import math
+
 import numpy as np
 import pytest
+from partitions import line_partition, one_shard
 
-from distknn.estimator import LocalEstimate, aggregate, classify, local_estimate
-from distknn.neighbors import NeighborProfile, Shard, neighbor_profile
+from distknn.adaptive import StoppingConfig, scan_first_crossing
+from distknn.baselines import ClassifierKind
+from distknn.engine import Partition, build_prefix_tensor, evaluate_query
+from distknn.neighbors import Shard
 
 
-def profile_from_prefix(prefix, shard_id=1):
-    prefix = np.asarray(prefix)
-    return NeighborProfile(shard_id, len(prefix), prefix, np.linspace(0.1, 0.2, len(prefix)))
+def pooled_eta(label_rows, ks):
+    """Pooled eta at depths ``ks`` over each shard's labels in neighbor order."""
+    kpad = max(len(row) for row in label_rows)
+    prefix = np.zeros((1, len(label_rows), kpad), dtype=np.int64)
+    for j, row in enumerate(label_rows):
+        prefix[0, j, : len(row)] = np.cumsum(row)
+    _, eta, _ = scan_first_crossing(prefix, np.array([ks]), math.inf)
+    return float(eta[0, 0])
 
 
 class TestLocalEstimate:
     def test_direct_division(self):
-        est = local_estimate(profile_from_prefix([1, 1, 2]), 3)
-        assert est.eta == pytest.approx(2 / 3)
-        assert est.count == 2
+        assert pooled_eta([[1, 0, 1]], [3]) == pytest.approx(2 / 3)
 
     def test_all_zero_labels(self):
-        assert local_estimate(profile_from_prefix([0, 0]), 2).eta == 0.0
+        assert pooled_eta([[0, 0]], [2]) == 0.0
 
     def test_all_one_labels(self):
         for k in (1, 3, 7):
-            est = local_estimate(profile_from_prefix(np.arange(1, k + 1)), k)
-            assert est.eta == 1.0
+            assert pooled_eta([[1] * k], [k]) == 1.0
 
     def test_k_out_of_range(self):
-        prof = profile_from_prefix([1, 1])
-        with pytest.raises(ValueError):
-            local_estimate(prof, 0)
-        with pytest.raises(ValueError):
-            local_estimate(prof, 3)
-
-    def test_count_recovered_from_eta(self):
-        est = LocalEstimate(shard_id=1, k=4, eta=0.75)
-        assert est.count == 3
-
-    def test_non_integer_count_rejected(self):
-        with pytest.raises(ValueError):
-            LocalEstimate(shard_id=1, k=3, eta=0.5)
+        part = line_partition([[1, 1]])
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="depth"):
+                build_prefix_tensor(part, np.zeros((1, 3)), np.array([k]))
 
 
 class TestAggregate:
     def test_equal_weight_average(self):
-        agg = aggregate([LocalEstimate(1, 2, 0.5), LocalEstimate(2, 2, 1.0)])
-        assert agg.eta == 0.75
-        assert agg.total_k == 4 and agg.total_count == 3
+        assert pooled_eta([[1, 0], [1, 1]], [2, 2]) == 0.75
 
     def test_weighted_average(self):
-        agg = aggregate([LocalEstimate(1, 3, 1.0), LocalEstimate(2, 1, 0.0)])
-        assert agg.eta == 0.75
+        assert pooled_eta([[1, 1, 1], [0]], [3, 1]) == 0.75
 
     def test_constant_inputs(self):
         for c, ks in [(0.5, (2, 4, 8)), (1.0, (1, 5)), (0.0, (3, 3))]:
-            ests = [LocalEstimate(j + 1, k, c) for j, k in enumerate(ks)]
-            assert aggregate(ests).eta == c
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
+            rows = [[1] * int(k * c) + [0] * (k - int(k * c)) for k in ks]
+            assert pooled_eta(rows, list(ks)) == c
 
     def test_pooled_count_identity_exact(self):
         # integer identity: eta * sum(k_j) == sum of per-shard label counts
         rng = np.random.default_rng(42)
         for _ in range(100):
             m = int(rng.integers(1, 9))
-            ests = []
-            expected = 0
-            for j in range(m):
+            rows, ks, expected = [], [], 0
+            for _ in range(m):
                 k = int(rng.integers(1, 50))
-                count = int(rng.integers(0, k + 1))
-                ests.append(LocalEstimate(j + 1, k, count / k, count))
-                expected += count
-            agg = aggregate(ests)
-            assert agg.total_count == expected
-            assert agg.eta == expected / agg.total_k
-            assert 0.0 <= agg.eta <= 1.0
+                row = rng.integers(0, 2, k + int(rng.integers(0, 5)))
+                rows.append(row)
+                ks.append(k)
+                expected += int(row[:k].sum())
+            eta = pooled_eta(rows, ks)
+            assert eta == expected / sum(ks)
+            assert 0.0 <= eta <= 1.0
 
 
 class TestClassify:
+    cfg = StoppingConfig(N=10000, d=3)
+
     def test_boundary_maps_to_one(self):
-        assert classify(0.5) == 1
+        label, _, eta = evaluate_query(line_partition([[1], [0]]), np.zeros(3), ClassifierKind.D1NN, self.cfg)
+        assert (label, eta) == (1, 0.5)
 
     def test_below_threshold(self):
-        assert classify(0.4999) == 0
+        # 10000 one-point shards, 4999 of them labeled 1: eta = 0.4999
+        labels = np.zeros(10000, dtype=np.int64)
+        labels[:4999] = 1
+        part = Partition(
+            features=np.zeros((10000, 3)),
+            labels=labels,
+            sizes=np.ones(10000, dtype=np.int64),
+            offsets=np.arange(10001),
+        )
+        label, _, eta = evaluate_query(part, np.zeros(3), ClassifierKind.D1NN, self.cfg)
+        assert (label, eta) == (0, 0.4999)
 
     def test_certain_positive(self):
-        assert classify(1.0) == 1
-
-    def test_range_validated(self):
-        with pytest.raises(ValueError):
-            classify(-0.01)
-        with pytest.raises(ValueError):
-            classify(1.01)
+        part = line_partition([[1, 1], [1]])
+        for kind in ClassifierKind:
+            label, _, eta = evaluate_query(part, np.zeros(3), kind, StoppingConfig(N=3, d=3))
+            assert (label, eta) == (1, 1.0)
 
 
 def plain_knn_estimate(features, labels, query, k):
@@ -110,5 +112,6 @@ def test_single_shard_reduction_matches_plain_knn():
         shard = Shard(1, feats, labels)
         k = int(rng.integers(1, n + 1))
         query = rng.random(3)
-        agg = aggregate([local_estimate(neighbor_profile(shard, query, k), k)])
-        assert agg.eta == pytest.approx(plain_knn_estimate(feats, labels, query, k), abs=0)
+        prefix = build_prefix_tensor(one_shard(shard), query[None, :], np.array([k]))
+        _, eta, _ = scan_first_crossing(prefix, np.array([[k]]), math.inf)
+        assert eta[0, 0] == pytest.approx(plain_knn_estimate(feats, labels, query, k), abs=0)

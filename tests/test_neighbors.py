@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from partitions import one_shard
 
-from distknn.neighbors import (
-    LabeledPoint,
-    NeighborProfile,
-    ProfileBatch,
-    Shard,
-    brute_force_profile,
-    euclidean_distance,
-    neighbor_profile,
-)
+from distknn import oracle
+from distknn.adaptive import StoppingConfig
+from distknn.baselines import ClassifierKind
+from distknn.engine import Partition, build_prefix_tensor, evaluate_queries, query_distance_matrix
+from distknn.neighbors import Shard, k_smallest_rows
 
 
 def random_shard(rng, n, d=3, coord_pool=None):
@@ -22,65 +19,91 @@ def random_shard(rng, n, d=3, coord_pool=None):
     return Shard(1, feats, rng.integers(0, 2, n))
 
 
+def engine_profile(shard, query, k):
+    """Distances and label prefix sums of the k nearest points, through the engine."""
+    q = np.asarray(query, dtype=np.float64)[None, :]
+    dist = query_distance_matrix(shard.features, q)
+    idx = k_smallest_rows(dist, k)[0]
+    prefix = build_prefix_tensor(one_shard(shard), q, np.array([k]))[0, 0]
+    return dist[0, idx], prefix
+
+
+def oracle_profile(shard, query, k):
+    """The same from the plain-loop oracle."""
+    dists, prefix = oracle.shard_profiles(one_shard(shard), query)[0]
+    return np.array(dists[:k]), np.array(prefix[:k])
+
+
+def dist(a, b):
+    return float(query_distance_matrix(np.asarray(a, dtype=float)[None, :], np.asarray(b, dtype=float)[None, :])[0, 0])
+
+
 class TestEuclideanDistance:
     def test_identity(self):
-        assert euclidean_distance(np.zeros(3), np.zeros(3)) == 0.0
+        assert dist(np.zeros(3), np.zeros(3)) == 0.0
 
     def test_unit_cube_diagonal(self):
-        assert euclidean_distance(np.zeros(3), np.ones(3)) == pytest.approx(np.sqrt(3), abs=1e-12)
+        assert dist(np.zeros(3), np.ones(3)) == pytest.approx(np.sqrt(3), abs=1e-12)
 
     def test_single_axis(self):
-        assert euclidean_distance(np.array([0.5, 0, 0]), np.zeros(3)) == 0.5
+        assert dist(np.array([0.5, 0, 0]), np.zeros(3)) == 0.5
 
     def test_symmetric(self):
         rng = np.random.default_rng(0)
         a, b = rng.random(4), rng.random(4)
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
+        assert dist(a, b) == dist(b, a)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance(np.zeros(3), np.zeros(4))
+        shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
+        cfg = StoppingConfig(N=2, d=3)
+        for width in (2, 4):
+            with pytest.raises(ValueError, match="dimension"):
+                evaluate_queries(one_shard(shard), np.zeros((1, width)), ClassifierKind.DANN, cfg)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            euclidean_distance(np.array([np.nan, 0.0]), np.zeros(2))
+        shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
+        queries = np.array([[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="query row 1 "):
+            evaluate_queries(one_shard(shard), queries, ClassifierKind.D1NN, StoppingConfig(N=2, d=3))
 
 
 class TestNeighborProfile:
     def test_two_point_shard(self):
         shard = Shard(1, np.array([[0.0, 0, 0], [1.0, 1, 1]]), np.array([1, 0]))
-        prof = neighbor_profile(shard, np.array([0.1, 0.0, 0.0]), 2)
-        assert prof.distances == pytest.approx([0.1, np.sqrt(0.81 + 1 + 1)], abs=1e-12)
-        assert prof.prefix_sums.tolist() == [1, 1]
+        for profile in (engine_profile, oracle_profile):
+            dists, prefix = profile(shard, np.array([0.1, 0.0, 0.0]), 2)
+            assert dists == pytest.approx([0.1, np.sqrt(0.81 + 1 + 1)], abs=1e-12)
+            assert prefix.tolist() == [1, 1]
 
     def test_constant_labels(self):
         rng = np.random.default_rng(3)
         shard = Shard(1, rng.random((10, 3)), np.ones(10, dtype=int))
-        prof = neighbor_profile(shard, rng.random(3), 6)
-        assert prof.prefix_sums.tolist() == [1, 2, 3, 4, 5, 6]
+        query = rng.random(3)
+        for profile in (engine_profile, oracle_profile):
+            assert profile(shard, query, 6)[1].tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_k_max_zero_rejected(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
-        with pytest.raises(ValueError):
-            neighbor_profile(shard, np.zeros(3), 0)
+        with pytest.raises(ValueError, match="depth"):
+            build_prefix_tensor(one_shard(shard), np.zeros((1, 3)), np.array([0]))
 
     def test_k_max_above_size_rejected(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
-        with pytest.raises(ValueError):
-            neighbor_profile(shard, np.zeros(3), 3)
+        with pytest.raises(ValueError, match="depth"):
+            build_prefix_tensor(one_shard(shard), np.zeros((1, 3)), np.array([3]))
 
     def test_query_dimension_checked(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
-            neighbor_profile(shard, np.zeros(2), 1)
+            oracle.shard_profiles(one_shard(shard), np.zeros(2))
 
     def test_ties_broken_by_point_index(self):
         # four copies of the same point with different labels: neighbor order
         # must follow the storage order
         feats = np.tile([[0.5, 0.5, 0.5]], (4, 1))
         shard = Shard(1, feats, np.array([0, 1, 1, 0]))
-        prof = neighbor_profile(shard, np.zeros(3), 4)
-        assert prof.prefix_sums.tolist() == [0, 1, 2, 2]
+        for profile in (engine_profile, oracle_profile):
+            assert profile(shard, np.zeros(3), 4)[1].tolist() == [0, 1, 2, 2]
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(11)
@@ -89,10 +112,10 @@ class TestNeighborProfile:
             shard = random_shard(rng, n)
             k = int(rng.integers(1, n + 1))
             query = rng.random(3)
-            fast = neighbor_profile(shard, query, k)
-            slow = brute_force_profile(shard, query, k)
-            np.testing.assert_array_equal(fast.prefix_sums, slow.prefix_sums)
-            np.testing.assert_array_equal(fast.distances, slow.distances)
+            fast = engine_profile(shard, query, k)
+            slow = oracle_profile(shard, query, k)
+            np.testing.assert_array_equal(fast[1], slow[1])
+            np.testing.assert_array_equal(fast[0], slow[0])
 
     def test_permutation_invariance_with_distinct_distances(self):
         rng = np.random.default_rng(5)
@@ -100,10 +123,10 @@ class TestNeighborProfile:
         query = rng.random(3)
         perm = rng.permutation(25)
         permuted = Shard(1, shard.features[perm], shard.labels[perm])
-        a = neighbor_profile(shard, query, 10)
-        b = neighbor_profile(permuted, query, 10)
-        np.testing.assert_array_equal(a.distances, b.distances)
-        np.testing.assert_array_equal(a.prefix_sums, b.prefix_sums)
+        a = engine_profile(shard, query, 10)
+        b = engine_profile(permuted, query, 10)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 # Duplicated coordinates from a small pool make distance ties frequent, which
@@ -120,21 +143,21 @@ def test_oracle_equivalence_property(n, seed, tie_prone):
     shard = random_shard(rng, n, d=2, coord_pool=pool)
     k = int(rng.integers(1, n + 1))
     query = rng.choice(pool, size=2) if tie_prone else rng.random(2)
-    fast = neighbor_profile(shard, query, k)
-    slow = brute_force_profile(shard, query, k)
-    np.testing.assert_array_equal(fast.prefix_sums, slow.prefix_sums)
-    np.testing.assert_array_equal(fast.distances, slow.distances)
-    assert np.all(np.diff(fast.distances) >= 0)
-    assert np.all(fast.prefix_sums >= 0)
-    assert np.all(fast.prefix_sums <= np.arange(1, k + 1))
+    fast_dists, fast_prefix = engine_profile(shard, query, k)
+    slow_dists, slow_prefix = oracle_profile(shard, query, k)
+    np.testing.assert_array_equal(fast_prefix, slow_prefix)
+    np.testing.assert_array_equal(fast_dists, slow_dists)
+    assert np.all(np.diff(fast_dists) >= 0)
+    assert np.all(fast_prefix >= 0)
+    assert np.all(fast_prefix <= np.arange(1, k + 1))
 
 
 class TestTypes:
     def test_labeled_point_validation(self):
         with pytest.raises(ValueError):
-            LabeledPoint(np.array([0.1, np.inf]), 1)
+            Shard(1, np.array([[0.1, np.inf]]), np.array([1]))
         with pytest.raises(ValueError):
-            LabeledPoint(np.array([0.1, 0.2]), 2)
+            Shard(1, np.array([[0.1, 0.2]]), np.array([2]))
 
     def test_shard_validation(self):
         with pytest.raises(ValueError):
@@ -149,29 +172,28 @@ class TestTypes:
         with pytest.raises(ValueError):
             shard.features[0, 0] = 1.0
 
-    def test_shard_from_points_roundtrip(self):
-        pts = [LabeledPoint(np.array([0.1, 0.2]), 1), LabeledPoint(np.array([0.3, 0.4]), 0)]
-        shard = Shard.from_points(2, pts)
-        assert shard.size == 2 and shard.dim == 2 and shard.id == 2
-        assert shard.point(0).label == 1
-
     def test_profile_invariant_validation(self):
-        with pytest.raises(ValueError):
-            NeighborProfile(1, 2, np.array([0, 2]), np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            NeighborProfile(1, 2, np.array([0, 1]), np.array([0.2, 0.1]))
+        # every profile steps by 0 or 1 label per neighbor and never gets closer
+        rng = np.random.default_rng(13)
+        shard = random_shard(rng, 40, coord_pool=np.array([0.0, 0.5, 1.0]))
+        query = rng.random(3)
+        for profile in (engine_profile, oracle_profile):
+            dists, prefix = profile(shard, query, 40)
+            assert np.isin(np.diff(prefix, prepend=0), (0, 1)).all()
+            assert np.all(np.diff(dists) >= 0) and np.all(dists >= 0)
 
     def test_profile_batch_roundtrip(self):
+        # the padded prefix tensor holds each shard's own profile up to its
+        # depth and zeros past it
         rng = np.random.default_rng(7)
-        profiles = []
-        for j in range(4):
-            n = int(rng.integers(3, 12))
-            shard = Shard(j + 1, rng.random((n, 3)), rng.integers(0, 2, n))
-            profiles.append(neighbor_profile(shard, rng.random(3), int(rng.integers(1, n + 1))))
-        batch = ProfileBatch.from_profiles(profiles)
-        assert len(batch) == 4
-        for j, original in enumerate(profiles):
-            back = batch.profile(j)
-            assert back.shard_id == original.shard_id
-            np.testing.assert_array_equal(back.prefix_sums, original.prefix_sums)
-            np.testing.assert_array_equal(back.distances, original.distances)
+        sizes = np.array([11, 8, 5, 3])
+        data = Shard(1, rng.random((int(sizes.sum()), 3)), rng.integers(0, 2, int(sizes.sum())))
+        part = Partition.from_shard(data, sizes, rng)
+        query = rng.random(3)
+        shard_depths = np.array([7, 8, 2, 3])
+        batch = build_prefix_tensor(part, query[None, :], shard_depths)[0]
+        assert batch.shape == (4, 8)
+        for j, (_, prefix) in enumerate(oracle.shard_profiles(part, query)):
+            k = int(shard_depths[j])
+            assert batch[j, :k].tolist() == prefix[:k]
+            assert not batch[j, k:].any()

@@ -12,7 +12,7 @@ from distknn.realdata import (
     evaluate_real,
     fit_scaling,
     ingest_adult,
-    scale_features,
+    records_to_arrays,
     train_test_split,
 )
 from distknn.simharness import ExperimentConfig
@@ -88,15 +88,16 @@ class TestScaling:
         np.testing.assert_allclose(once, twice)
 
     def test_scale_features_end_to_end(self):
-        records = ingest_adult(FIXTURE)
-        shard, scaling = scale_features(records)
+        feats, labels = records_to_arrays(ingest_adult(FIXTURE))
+        scaling = fit_scaling(feats)
+        shard = Shard(1, apply_scaling(feats, scaling), labels)
         assert shard.dim == 6
         assert shard.features.min() >= 0.0 and shard.features.max() <= 1.0
         assert scaling.mins.shape == (6,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            scale_features([])
+            records_to_arrays([])
 
 
 class TestTrainTestSplit:
