@@ -149,9 +149,12 @@ def cmd_simulate(args) -> int:
         print(f"  {row.classifier:<9s} eps={row.epsilon:<4g} m={row.m:<6d} "
               f"agreement={row.agreement_rate:.4f} (+-{row.mc_stderr:.4f}) "
               f"time={row.mean_runtime_s * 1e3:.2f}ms")
-    if result.failures:
-        print(f"  {len(result.failures)} run(s) failed; see results.json", file=sys.stderr)
     print(f"wrote {outdir / 'results.csv'}")
+    if result.failures:
+        eps, run_idx, message = result.failures[0]
+        print(f"error: {len(result.failures)} run(s) failed; see results.json. "
+              f"First: eps={eps} run={run_idx}: {message}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -312,13 +315,22 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
     grid = np.array([0.0, 0.25, 0.5, 1.0])
     mismatches = 0
     for _ in range(instances):
-        n = int(rng.integers(2, 120))
+        layout = rng.random()
+        # one or two shards big enough that selection leaves the small-block sort
+        n = int(rng.integers(520, 700)) if layout < 0.2 else int(rng.integers(2, 120))
         d = int(rng.integers(1, 17))
         tie_prone = rng.random() < 0.3
         feats = rng.choice(grid, size=(n, d)) if tie_prone else rng.random((n, d))
         data = Shard(1, feats, rng.integers(0, 2, n))
-        m = int(rng.integers(1, min(n, 8) + 1))
-        part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(data, m, rng)
+        if layout < 0.2:
+            part = partition_uniform(data, int(rng.integers(1, 3)), rng)
+        elif layout < 0.45:
+            # many shards: from m ~ sqrt(2n) (most sizes distinct) up to m = n
+            # (nearly all of size 1), so most shards are read at depth 1
+            part = partition_proportional(data, int(rng.integers(int(np.sqrt(n)), n + 1)), rng)
+        else:
+            m = int(rng.integers(1, min(n, 8) + 1))
+            part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(data, m, rng)
         cfg = StoppingConfig(N=n, d=d)
         queries = rng.choice(grid, size=(2, d)) if tie_prone else rng.random((2, d))
         for q, row in zip(queries, query_distance_matrix(part.features, queries)):

@@ -2,8 +2,9 @@
 
 A Partition keeps all shards of one split in two flat arrays, shards laid out
 contiguously in nonincreasing size order. Because equal-sized shards sit next
-to each other, neighbor search vectorizes across whole groups of shards (and
-across query batches) instead of looping shard by shard.
+to each other, neighbor search vectorizes across whole runs of shards that
+share a size and a depth (and across query batches): the Python loop is over
+runs, never over shards.
 
 This is the library's only classification path. Distances come from one
 kernel that adds squared differences column by column, and neighbors are
@@ -30,7 +31,7 @@ __all__ = ["Partition", "query_distance_matrix", "evaluate_query", "evaluate_que
 class Partition:
     """Shards of one dataset stored contiguously, largest shard first."""
 
-    features: np.ndarray  # (N, d) permuted so shard j occupies offsets[j]:offsets[j+1]
+    features: np.ndarray  # (N, d) column-major, permuted so shard j occupies offsets[j]:offsets[j+1]
     labels: np.ndarray  # (N,)
     sizes: np.ndarray  # (m,) nonincreasing
     offsets: np.ndarray  # (m + 1,)
@@ -44,9 +45,21 @@ class Partition:
             raise ValueError("shard sizes must be nonincreasing")
         perm = rng.permutation(data.size)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
+        labels = data.labels[perm]
+        # Gathered straight into column-major order, so that the distance kernel
+        # reads each coordinate contiguously. Coordinate c of point i sits at
+        # i * d + c of the row-major features; turning ``perm`` into those flat
+        # indices in place keeps the gather free of data-sized temporaries
+        # ("clip" only skips numpy's buffered copy of ``out``: all are in range).
+        columns = np.empty((data.dim, data.size))
+        flat = data.features.ravel()
+        perm *= data.dim
+        for c in range(data.dim):
+            np.take(flat, perm, out=columns[c], mode="clip")
+            perm += 1
         return cls(
-            features=data.features[perm],
-            labels=data.labels[perm],
+            features=columns.T,
+            labels=labels,
             sizes=sizes,
             offsets=offsets,
         )
@@ -62,14 +75,18 @@ class Partition:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def size_runs(self):
-        """Yield (first_shard, last_shard_exclusive, size) for equal-size runs."""
-        sizes = self.sizes
-        start = 0
-        for j in range(1, len(sizes) + 1):
-            if j == len(sizes) or sizes[j] != sizes[start]:
-                yield start, j, int(sizes[start])
-                start = j
+    def size_runs(self, shard_depths: np.ndarray | None = None) -> list[tuple[int, int, int]]:
+        """(first_shard, last_shard_exclusive, size) for each run of equal-size shards.
+
+        With ``shard_depths`` a run also ends where the depth changes, so each
+        run has one size and one depth.
+        """
+        change = self.sizes[1:] != self.sizes[:-1]
+        if shard_depths is not None:
+            change |= shard_depths[1:] != shard_depths[:-1]
+        starts = np.concatenate([[0], np.flatnonzero(change) + 1])
+        stops = np.append(starts[1:], len(self.sizes))
+        return list(zip(starts.tolist(), stops.tolist(), self.sizes[starts].tolist()))
 
 
 def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -77,14 +94,21 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
 
     Squared differences are added column by column and then square-rooted, at
     every dimension; the oracle repeats this order, which keeps the two bit
-    for bit equal.
+    for bit equal. The sum is built in the output buffer: the first column's
+    square is written there (0 + x == x exactly), and each later column is
+    subtracted and squared in one reused scratch buffer and then added. Column
+    reads are contiguous when ``features`` is column-major, as a Partition's is.
     """
-    nq = queries.shape[0]
-    acc = np.zeros((nq, features.shape[0]), dtype=np.float64)
-    for c in range(features.shape[1]):
-        diff = queries[:, c, None] - features[:, c]
-        acc += diff * diff
-    return np.sqrt(acc)
+    nq, (n, d) = queries.shape[0], features.shape
+    acc = np.empty((nq, n), dtype=np.float64)
+    diff = np.empty_like(acc) if d > 1 else None
+    for c in range(d):
+        buf = acc if c == 0 else diff
+        np.subtract(queries[:, c, None], features[:, c], out=buf)
+        np.multiply(buf, buf, out=buf)
+        if c:
+            acc += diff
+    return np.sqrt(acc, out=acc)
 
 
 def build_prefix_tensor(
@@ -92,27 +116,33 @@ def build_prefix_tensor(
 ) -> np.ndarray:
     """Label prefix sums for every (query, shard) pair, shape (q, m, kpad).
 
-    ``shard_depths[j]`` is how deep shard j's profile must go; it must be
-    constant within each equal-size run (it always is when derived from shard
-    size). Entries past a shard's depth are zero padding.
+    ``shard_depths[j]`` is how deep shard j's profile must go, in [1, n_j];
+    entries past a shard's depth are zero padding. Neighbors are selected
+    once per run of shards that share a size and a depth, with all of the
+    run's (query, shard) rows in one ``k_smallest_rows`` call.
     """
-    if np.any(shard_depths < 1) or np.any(shard_depths > partition.sizes):
-        raise ValueError("each depth must lie in [1, shard size]")
+    sizes = partition.sizes
+    shard_depths = np.asarray(shard_depths, dtype=np.int64)
+    if shard_depths.shape != sizes.shape:
+        raise ValueError(f"need one depth per shard: {shard_depths.shape} depths for {sizes.size} shards")
+    bad = np.flatnonzero((shard_depths < 1) | (shard_depths > sizes))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"shard {j}: depth {shard_depths[j]} outside [1, shard size {sizes[j]}]")
     nq = queries.shape[0]
-    m = len(partition)
     kpad = int(shard_depths.max())
+    offsets, labels = partition.offsets, partition.labels
     dist = query_distance_matrix(partition.features, queries)
-    out = np.zeros((nq, m, kpad), dtype=np.int64)
-    for first, last, size in partition.size_runs():
+    out = np.zeros((nq, len(partition), kpad), dtype=np.int64)
+    for first, last, size in partition.size_runs(shard_depths):
         depth = int(shard_depths[first])
-        cnt = last - first
-        a = int(partition.offsets[first])
-        b = int(partition.offsets[last])
-        block = dist[:, a:b].reshape(nq * cnt, size)
-        idx = k_smallest_rows(block, depth).reshape(nq, cnt, depth)
-        labs = partition.labels[a:b].reshape(cnt, size)
-        picked = labs[np.arange(cnt)[None, :, None], idx]
-        out[:, first:last, :depth] = np.cumsum(picked, axis=2)
+        a, b = int(offsets[first]), int(offsets[last])
+        idx = k_smallest_rows(dist[:, a:b].reshape(-1, size), depth).reshape(nq, last - first, depth)
+        idx += offsets[first:last, None]  # shard-local to partition-wide index
+        view = out[:, first:last, :depth]
+        view[...] = labels[idx]
+        if depth > 1:
+            np.cumsum(view, axis=2, out=view)
     return out
 
 

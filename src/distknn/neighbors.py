@@ -12,6 +12,10 @@ import numpy as np
 
 __all__ = ["Shard", "k_smallest_rows"]
 
+# Blocks this small are fully sorted: below it a stable argsort costs less
+# than the fixed overhead of the partition path's extra passes.
+SMALL_BLOCK = 1024
+
 
 class Shard:
     """One machine's sub-sample: an ordered, immutable set of labeled points.
@@ -65,22 +69,38 @@ class Shard:
 def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest entries per row, ordered by (value, index).
 
-    ``dist`` has shape (rows, n) with k <= n. Uses partial selection
-    (argpartition) with an explicit fix-up so that ties at the selection
-    boundary are resolved by ascending column index, exactly matching a full
-    stable sort.
+    ``dist`` has shape (rows, n) with 1 <= k <= n; the result, shape
+    (rows, min(k, n)), equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]``.
+    The work follows k, through one of three paths:
+
+    - k == 1: ``argmin``, whose first minimum is the lowest index among ties.
+    - k >= n, or a block of at most ``SMALL_BLOCK`` entries: a full stable
+      argsort, cut to k columns.
+    - otherwise: ``argpartition`` picks k entries per row, whose largest is
+      the row's k-th smallest value t. Only a row where t also occurs outside
+      the pick is ambiguous; such rows are redone by taking every entry below
+      t and then the lowest-index entries equal to t. The k picked entries of
+      every row are then ordered by (value, index).
     """
     rows, n = dist.shape
-    if k >= n:
-        return np.argsort(dist, axis=1, kind="stable")
-    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    thresh = np.take_along_axis(dist, part, axis=1).max(axis=1, keepdims=True)
-    strict = dist < thresh
-    need = k - strict.sum(axis=1, keepdims=True)
-    ties = dist == thresh
-    tie_rank = np.cumsum(ties, axis=1)
-    chosen = strict | (ties & (tie_rank <= need))
-    idx = np.nonzero(chosen)[1].reshape(rows, k)
-    vals = np.take_along_axis(dist, idx, axis=1)
-    order = np.argsort(vals, axis=1, kind="stable")
-    return np.take_along_axis(idx, order, axis=1)
+    if k == 1:
+        return dist.argmin(axis=1, keepdims=True)
+    if k >= n or dist.size <= SMALL_BLOCK:
+        return dist.argsort(axis=1, kind="stable")[:, :k]
+    row = np.arange(rows)[:, None]
+    idx = dist.argpartition(k - 1, axis=1)[:, :k]
+    vals = dist[row, idx]
+    thresh = vals[:, -1:]  # argpartition leaves the k-th smallest value last
+    # every entry outside the pick is >= thresh, so the pick is the (value,
+    # index) top k unless one of them equals thresh: more than k are <= thresh
+    ambiguous = np.flatnonzero((dist <= thresh).sum(axis=1) > k)
+    if ambiguous.size:
+        sub, t = dist[ambiguous], thresh[ambiguous]
+        strict = sub < t
+        ties = sub == t
+        need = k - strict.sum(axis=1, keepdims=True)
+        chosen = strict | (ties & (np.cumsum(ties, axis=1) <= need))
+        fixed = np.nonzero(chosen)[1].reshape(ambiguous.size, k)
+        idx[ambiguous] = fixed
+        vals[ambiguous] = np.take_along_axis(sub, fixed, axis=1)
+    return idx[row, np.lexsort((idx, vals))]

@@ -123,6 +123,28 @@ class TestSimulateCommand:
             tmp_path / "b" / "results.csv"
         )
 
+    def test_failed_runs_are_reported_and_exit_nonzero(self, tmp_path, capsys, monkeypatch):
+        from distknn import simharness
+
+        split = simharness._partition_for
+
+        def failing_above_one_shard(cfg, data, m, rng):
+            if m > 1:
+                raise RuntimeError("shard store unavailable")
+            return split(cfg, data, m, rng)
+
+        monkeypatch.setattr(simharness, "_partition_for", failing_above_one_shard)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--n", "300", "--runs", "3", "--epsilons", "0,0.5",
+                   "--classifiers", "d1nn", "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "3 run(s) failed" in err
+        assert "eps=0.5 run=0: RuntimeError: shard store unavailable" in err
+        # the runs that worked are still written
+        assert [r["epsilon"] for r in csv.DictReader(open(out / "results.csv"))] == ["0.0"]
+        assert len(json.loads((out / "results.json").read_text())["failures"]) == 3
+
     def test_invalid_config_returns_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", "--n", "1", "--output", str(tmp_path / "x")])
         assert rc == 1

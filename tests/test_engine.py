@@ -3,7 +3,7 @@ import pytest
 
 from distknn import oracle
 from distknn.adaptive import StoppingConfig
-from distknn.baselines import ClassifierKind
+from distknn.baselines import ClassifierKind, depths
 from distknn.engine import build_prefix_tensor, evaluate_queries, evaluate_query, query_distance_matrix
 from distknn.neighbors import Shard
 from distknn.simharness import SyntheticModel, generate_sample, partition_proportional, partition_uniform
@@ -106,6 +106,16 @@ def test_worker_count_does_not_change_results(setup):
         np.testing.assert_array_equal(x, y)
 
 
+def plain_runs(sizes, shard_depths):
+    """Runs of equal (size, depth), found one shard at a time."""
+    runs, start = [], 0
+    for j in range(1, len(sizes) + 1):
+        if j == len(sizes) or (sizes[j], shard_depths[j]) != (sizes[start], shard_depths[start]):
+            runs.append((start, j, int(sizes[start])))
+            start = j
+    return runs
+
+
 def test_partition_shard_views(setup):
     rng, data = setup
     part = partition_uniform(data, 7, rng)
@@ -116,6 +126,23 @@ def test_partition_shard_views(setup):
     assert sum(last - first for first, last, _ in runs) == 7
     for first, last, size in runs:
         assert (part.sizes[first:last] == size).all()
+    # proportional splits up to m close to n: at m ~ sqrt(2n) most sizes are
+    # distinct, near m = n nearly all are 1 and most classifiers read depth 1
+    cfg = StoppingConfig(N=data.size, d=3)
+    for m in (7, 34, 120, 590, 600):
+        part = partition_proportional(data, m, rng)
+        assert part.features.flags.f_contiguous
+        ones = np.ones(m, dtype=np.int64)
+        assert part.size_runs() == plain_runs(part.sizes, ones)
+        for shard_depths in (
+            depths(ClassifierKind.DANN, part.sizes, cfg)[-1],
+            rng.integers(1, part.sizes + 1),
+        ):
+            assert part.size_runs(shard_depths) == plain_runs(part.sizes, shard_depths)
+        queries = rng.random((3, 3))
+        for kind in ClassifierKind:
+            got = evaluate_queries(part, queries, kind, cfg)
+            assert list(zip(*(a.tolist() for a in got))) == [oracle.classify(part, q, kind, cfg) for q in queries]
 
 
 def test_query_dimension_validated(setup):

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from partitions import one_shard
+from hypothesis.extra.numpy import arrays
+from partitions import line_partition, one_shard
 
-from distknn import oracle
+from distknn import neighbors, oracle
 from distknn.adaptive import StoppingConfig
 from distknn.baselines import ClassifierKind
 from distknn.engine import Partition, build_prefix_tensor, evaluate_queries, query_distance_matrix
@@ -152,6 +155,74 @@ def test_oracle_equivalence_property(n, seed, tie_prone):
     assert np.all(fast_prefix <= np.arange(1, k + 1))
 
 
+def stable_k(dist, k):
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+# A few repeated values (inf among them) make ties common everywhere in a row,
+# at the selection boundary too. ``small_block`` 0 sends every 1 < k < n call
+# down the argpartition path, which real blocks this small never take.
+@settings(max_examples=300, deadline=None)
+@given(
+    dist=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 30)),
+        elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, np.inf]) | st.floats(0, 2),
+    ),
+    k_frac=st.floats(0, 1),
+    small_block=st.sampled_from([0, neighbors.SMALL_BLOCK]),
+)
+def test_k_smallest_rows_matches_stable_argsort(dist, k_frac, small_block):
+    n = dist.shape[1]
+    with mock.patch.object(neighbors, "SMALL_BLOCK", small_block):
+        for k in (1, 1 + round(k_frac * (n - 1)), n):
+            np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
+
+
+@pytest.mark.parametrize("small_block", [0, neighbors.SMALL_BLOCK])
+@pytest.mark.parametrize(
+    "row, k",
+    [
+        ([0.5] * 8, 3),  # all equal
+        ([1.0, 0.0, 1.0, 1.0, 2.0], 2),  # the boundary value also occurs outside the pick
+        ([1.0, 0.0, 1.0, 2.0, 3.0], 3),  # boundary ties all inside the pick
+        ([np.inf, 0.3, np.inf, 0.1, np.inf], 3),  # inf at the boundary
+        ([np.inf] * 4, 2),
+    ],
+)
+def test_k_smallest_rows_boundary_cases(row, k, small_block):
+    dist = np.array([row, row[::-1]])
+    with mock.patch.object(neighbors, "SMALL_BLOCK", small_block):
+        for kk in (1, k, len(row)):
+            np.testing.assert_array_equal(k_smallest_rows(dist, kk), stable_k(dist, kk))
+
+
+def test_k_smallest_rows_on_large_tied_blocks():
+    # blocks above SMALL_BLOCK with heavy ties: most rows are ambiguous at
+    # the boundary and take the fix-up
+    rng = np.random.default_rng(17)
+    dist = rng.choice([0.0, 0.5, 1.0, np.inf], size=(6, 900))
+    dist[0] = 0.5
+    assert dist.size > neighbors.SMALL_BLOCK
+    for k in (1, 2, 37, 450, 899, 900):
+        np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+def test_kernel_matches_oracle_in_either_layout(order, d):
+    rng = np.random.default_rng(40 + d)
+    feats = rng.random((60, d)) * 10.0 ** rng.integers(-3, 3, size=(60, d))
+    part = one_shard(Shard(1, feats, rng.integers(0, 2, 60)))
+    part.features = np.asarray(part.features, order=order)
+    queries = rng.random((4, d))
+    dist = query_distance_matrix(part.features, queries)
+    np.testing.assert_array_equal(dist, query_distance_matrix(np.ascontiguousarray(feats), queries))
+    for q, row in zip(queries, dist):
+        ref, _ = oracle.shard_profiles(part, q)[0]
+        assert np.sort(row).tolist() == ref
+
+
 class TestTypes:
     def test_labeled_point_validation(self):
         with pytest.raises(ValueError):
@@ -181,6 +252,31 @@ class TestTypes:
             dists, prefix = profile(shard, query, 40)
             assert np.isin(np.diff(prefix, prepend=0), (0, 1)).all()
             assert np.all(np.diff(dists) >= 0) and np.all(dists >= 0)
+
+    def test_depths_may_differ_within_an_equal_size_run(self):
+        # two shards of size 4 read at depths 1 and 3: each must get its own depth
+        part = line_partition([[1, 1, 1, 1], [1, 1, 1, 1]])
+        query = np.zeros(3)
+        batch = build_prefix_tensor(part, query[None, :], np.array([1, 3]))[0]
+        assert batch.tolist() == [[1, 0, 0], [1, 2, 3]]
+        rng = np.random.default_rng(21)
+        sizes = np.array([5, 5, 5, 3, 3])
+        data = Shard(1, rng.random((21, 3)), rng.integers(0, 2, 21))
+        part = Partition.from_shard(data, sizes, rng)
+        shard_depths = np.array([2, 5, 2, 1, 3])
+        query = rng.random(3)
+        batch = build_prefix_tensor(part, query[None, :], shard_depths)[0]
+        for j, (_, prefix) in enumerate(oracle.shard_profiles(part, query)):
+            k = int(shard_depths[j])
+            assert batch[j, :k].tolist() == prefix[:k]
+            assert not batch[j, k:].any()
+
+    def test_bad_depth_names_the_shard(self):
+        part = line_partition([[0, 1, 1], [1, 0]])
+        with pytest.raises(ValueError, match="shard 1: depth 3"):
+            build_prefix_tensor(part, np.zeros((1, 3)), np.array([3, 3]))
+        with pytest.raises(ValueError, match="one depth per shard"):
+            build_prefix_tensor(part, np.zeros((1, 3)), np.array([1]))
 
     def test_profile_batch_roundtrip(self):
         # the padded prefix tensor holds each shard's own profile up to its
