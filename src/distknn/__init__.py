@@ -11,7 +11,6 @@ from .baselines import ClassifierKind, depths
 from .engine import Partition, evaluate_queries, evaluate_query
 from .neighbors import Shard
 from .realdata import (
-    AdultRecord,
     DatasetSplit,
     evaluate_real,
     ingest_adult,
@@ -22,8 +21,6 @@ from .simharness import (
     ExperimentResult,
     ResultRow,
     SyntheticModel,
-    bayes_classify,
-    eta_true,
     generate_sample,
     partition_proportional,
     partition_uniform,

@@ -2,7 +2,8 @@
 classification of CSV data, and a self-test of the search machinery.
 
 Configuration comes from an optional ``key = value`` file; every key has a
-flag of the same name that overrides it. ``--seed``, ``--threads`` and
+flag of the same name that overrides it, and a key the subcommand does not
+read is rejected with its file and line. ``--seed``, ``--threads`` and
 ``--output`` are available on every subcommand. Results land in the output
 directory as results.csv / results.json plus a manifest.json recording the
 effective config and library versions.
@@ -30,7 +31,6 @@ from .realdata import (
     evaluate_real,
     fit_scaling,
     ingest_adult,
-    records_to_arrays,
     train_test_split,
 )
 from .simharness import (
@@ -48,9 +48,9 @@ DATA_DIR_ENV = "DISTKNN_DATA_DIR"
 # ---------------------------------------------------------------------------
 # config file handling
 
-def parse_config_file(path) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment."""
-    values: dict[str, str] = {}
+def parse_config_file(path) -> dict[str, tuple[str, str]]:
+    """Read a flat ``key = value`` file into {key: (value, "file:line")}; '#' starts a comment."""
+    values: dict[str, tuple[str, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -59,7 +59,7 @@ def parse_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
-            values[key.strip().lower().replace("-", "_")] = value.strip()
+            values[key.strip().lower().replace("-", "_")] = (value.strip(), f"{path}:{lineno}")
     return values
 
 
@@ -80,32 +80,42 @@ def _as_name_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.replace(",", " ").split())
 
 
-def _setting(args, file_cfg: dict[str, str], key: str, default, convert):
-    """Flag > config file > default."""
+def _setting(args, file_cfg: dict[str, tuple[str, str]], key: str, default, convert):
+    """Flag > config file > default; the key is taken out of ``file_cfg`` either way."""
     flag_value = getattr(args, key, None)
+    entry = file_cfg.pop(key, None)
     if flag_value is not None:
         return flag_value
-    if key in file_cfg:
-        try:
-            return convert(file_cfg[key])
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from exc
-    return default
+    if entry is None:
+        return default
+    text, where = entry
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: config key {key!r}: {exc}") from exc
 
 
-def build_experiment_config(args, file_cfg: dict[str, str]) -> ExperimentConfig:
-    classifiers = _setting(args, file_cfg, "classifiers", None, _as_name_list)
-    return ExperimentConfig(
+def _reject_unread(file_cfg: dict[str, tuple[str, str]]) -> None:
+    """Fail on the first config key left over once a subcommand has read its settings."""
+    if file_cfg:
+        key, (_, where) = next(iter(file_cfg.items()))
+        raise ValueError(f"{where}: config key {key!r} is not a setting of this subcommand")
+
+
+def build_experiment_config(args, file_cfg: dict[str, tuple[str, str]]) -> ExperimentConfig:
+    cfg = ExperimentConfig(
         N=_setting(args, file_cfg, "n", 20000, int),
         kappa=_setting(args, file_cfg, "kappa", 0.60, float),
         epsilons=_setting(args, file_cfg, "epsilons", tuple(i / 10 for i in range(10)), _as_float_list),
         split=_setting(args, file_cfg, "split", "uniform", str),
         runs=_setting(args, file_cfg, "runs", 500, int),
         seed=_setting(args, file_cfg, "seed", 0, int),
-        classifiers=classifiers if classifiers is not None else tuple(k.value for k in ClassifierKind),
+        classifiers=_setting(args, file_cfg, "classifiers", tuple(k.value for k in ClassifierKind), _as_name_list),
         queries_per_run=_setting(args, file_cfg, "queries_per_run", 1, int),
         include_log_in_bound=_setting(args, file_cfg, "include_log_in_bound", True, _as_bool),
     )
+    _reject_unread(file_cfg)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -176,27 +186,29 @@ def cmd_adult(args) -> int:
         )
         return 1
     file_cfg = parse_config_file(args.config) if args.config else {}
-    records = ingest_adult(path)
-    print(f"adult: {len(records)} records from {path}")
-    feats, labels = records_to_arrays(records)
-    scaling = fit_scaling(feats)
-    full = Shard(1, apply_scaling(feats, scaling), labels)
     seed = _setting(args, file_cfg, "seed", 0, int)
-    split_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xAD,)))
     test_fraction = _setting(args, file_cfg, "test_fraction", 0.2, float)
+    epsilons = _setting(args, file_cfg, "epsilons", tuple(i / 10 for i in range(10)), _as_float_list)
+    split_mode = _setting(args, file_cfg, "split", "proportional", str)
+    classifiers = _setting(args, file_cfg, "classifiers", ("dann", "dnn_qiao", "d1nn"), _as_name_list)
+    include_log = _setting(args, file_cfg, "include_log_in_bound", True, _as_bool)
+    _reject_unread(file_cfg)
+    feats, labels = ingest_adult(path)
+    print(f"adult: {labels.size} records from {path}")
+    # scaled with the whole file's ranges, before the split
+    full = Shard(1, apply_scaling(feats, fit_scaling(feats)), labels)
+    split_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xAD,)))
     split = train_test_split(full, test_fraction, split_rng)
     print(f"adult: train={split.train.size} test={split.test.size}")
-    classifiers = _setting(args, file_cfg, "classifiers", None, _as_name_list)
     cfg = ExperimentConfig(
         N=split.train.size,
         kappa=0.6,  # unused by the real-data path
-        epsilons=_setting(args, file_cfg, "epsilons", tuple(i / 10 for i in range(10)), _as_float_list),
-        split=_setting(args, file_cfg, "split", "proportional", str),
+        epsilons=epsilons,
+        split=split_mode,
         runs=1,
         seed=seed,
-        classifiers=classifiers if classifiers is not None
-        else ("dann", "dnn_qiao", "d1nn"),
-        include_log_in_bound=_setting(args, file_cfg, "include_log_in_bound", True, _as_bool),
+        classifiers=classifiers,
+        include_log_in_bound=include_log,
     )
     result = evaluate_real(split.train, split.test, cfg, workers=args.threads)
     outdir = Path(args.output)
@@ -388,9 +400,16 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    sub.add_argument("--threads", type=int, default=1, help="worker processes")
+    sub.add_argument("--threads", type=_worker_count, default=1, help="worker processes (at least 1)")
     sub.add_argument("--output", default="results", help="output directory")
 
 

@@ -184,10 +184,10 @@ def evaluate_query(
     return int(labels[0]), k1, float(etas[0])
 
 
-def _eval_chunk_worker(payload):
-    features, labels, sizes, offsets, queries, kind_value, cfg_args = payload
-    partition = Partition(features=features, labels=labels, sizes=sizes, offsets=offsets)
-    return _classify_chunk(partition, queries, ClassifierKind(kind_value), StoppingConfig(*cfg_args))
+def _eval_chunk_worker(args):
+    # Module level and not among bench/tracing.py's wrapped layers, so the pool
+    # can pickle it by name even while ``_classify_chunk`` is wrapped.
+    return _classify_chunk(*args)
 
 
 def evaluate_queries(
@@ -201,7 +201,8 @@ def evaluate_queries(
     """Classify many query points; parallelizes over query chunks.
 
     Output is independent of ``workers`` and ``chunk_size``: chunks are pure
-    functions of their inputs and are reassembled in input order. A query row
+    functions of their inputs and are reassembled in input order. At most
+    ``workers`` processes start, and no more than there are chunks. A query row
     with a non-finite coordinate is rejected, naming the first such row
     (0-based).
     """
@@ -216,20 +217,8 @@ def evaluate_queries(
     if workers <= 1 or len(chunks) <= 1:
         parts = [_classify_chunk(partition, c, kind, cfg) for c in chunks]
     else:
-        payloads = [
-            (
-                partition.features,
-                partition.labels,
-                partition.sizes,
-                partition.offsets,
-                c,
-                kind.value,
-                (cfg.N, cfg.d, cfg.include_log_in_bound),
-            )
-            for c in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_eval_chunk_worker, payloads))
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            parts = list(pool.map(_eval_chunk_worker, [(partition, c, kind, cfg) for c in chunks]))
     labels = np.concatenate([p[0] for p in parts])
     k1s = np.concatenate([p[1] for p in parts])
     etas = np.concatenate([p[2] for p in parts])

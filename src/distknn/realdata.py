@@ -4,8 +4,11 @@ The raw file is comma-separated with no header; the six numeric columns age,
 fnlwgt, education-num, capital-gain, capital-loss and hours-per-week form the
 feature vector and the income column maps to 1 for ">50K". A row is dropped
 when any of those used columns carries the "?" missing marker; malformed rows
-are skipped and counted. Features are min-max scaled to [0, 1] with the
-training set's ranges, and test values are clamped into [0, 1].
+are skipped and counted. The census pipeline (``distknn adult``) min-max
+scales the features to [0, 1] with the ranges of the whole file, before the
+train/test split, so every value is already inside [0, 1]; the clamp in
+``apply_scaling`` only acts on ``distknn classify`` query rows that fall
+outside the training file's ranges.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ from .simharness import (
 )
 
 __all__ = [
-    "AdultRecord",
     "DatasetSplit",
     "FeatureScaling",
     "ingest_adult",
-    "records_to_arrays",
     "fit_scaling",
     "apply_scaling",
     "train_test_split",
@@ -55,32 +56,16 @@ _INCOME_COLUMN = 14
 _MISSING = "?"
 
 
-@dataclass(frozen=True)
-class AdultRecord:
-    """Six numeric census features plus the binary income label."""
+def ingest_adult(path) -> tuple[np.ndarray, np.ndarray]:
+    """Load the raw census file as (features, labels), dropping missing/malformed rows.
 
-    age: float
-    fnlwgt: float
-    education_num: float
-    capital_gain: float
-    capital_loss: float
-    hours_per_week: float
-    income_label: int
-
-    def features(self) -> tuple[float, ...]:
-        return (
-            self.age,
-            self.fnlwgt,
-            self.education_num,
-            self.capital_gain,
-            self.capital_loss,
-            self.hours_per_week,
-        )
-
-
-def _parse_adult(path) -> tuple[list[AdultRecord], int]:
-    """Parse the raw file; returns (records, skipped_row_count)."""
-    records: list[AdultRecord] = []
+    Features are the ``_FEATURE_COLUMNS`` in that order, unscaled, and labels
+    are 1 for ">50K". The missing-value rule applies to the used columns only:
+    the "?" marker appears in categorical columns this pipeline never reads,
+    and those rows stay in. A file with no usable row is rejected.
+    """
+    rows: list[list[float]] = []
+    labels: list[int] = []
     skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -111,34 +96,18 @@ def _parse_adult(path) -> tuple[list[AdultRecord], int]:
             if not all(np.isfinite(values)):
                 skipped += 1
                 continue
-            records.append(AdultRecord(*values, income_label=label))
-    return records, skipped
-
-
-def ingest_adult(path) -> list[AdultRecord]:
-    """Load the raw census file, dropping missing/malformed rows.
-
-    The missing-value rule applies to the used columns only: the "?" marker
-    appears in categorical columns this pipeline never reads, and those rows
-    stay in.
-    """
-    records, skipped = _parse_adult(path)
+            rows.append(values)
+            labels.append(label)
     if skipped:
-        logger.info("ingest: kept %d records, skipped %d rows", len(records), skipped)
-    return records
-
-
-def records_to_arrays(records: list[AdultRecord]) -> tuple[np.ndarray, np.ndarray]:
-    if not records:
-        raise ValueError("no records")
-    feats = np.array([r.features() for r in records], dtype=np.float64)
-    labels = np.array([r.income_label for r in records], dtype=np.int64)
-    return feats, labels
+        logger.info("ingest: kept %d records, skipped %d rows", len(rows), skipped)
+    if not rows:
+        raise ValueError(f"{path}: no usable census rows")
+    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class FeatureScaling:
-    """Per-column min-max parameters fitted on the training set."""
+    """Per-column min-max parameters of the rows they were fitted on."""
 
     mins: np.ndarray
     maxs: np.ndarray

@@ -25,7 +25,6 @@ from distknn.realdata import (
     evaluate_real,
     fit_scaling,
     ingest_adult,
-    records_to_arrays,
     train_test_split,
 )
 from distknn.simharness import (
@@ -292,9 +291,8 @@ def test_criterion_8_adult_pipeline():
             "place it at data/adult.data (or set DISTKNN_DATA_DIR) to run this "
             "criterion; see README."
         )
-    records = ingest_adult(path)
-    assert len(records) == 32561, f"expected 32561 records, got {len(records)}"
-    feats, labels = records_to_arrays(records)
+    feats, labels = ingest_adult(path)
+    assert labels.size == 32561, f"expected 32561 records, got {labels.size}"
     scaling = fit_scaling(feats)
     full = Shard(1, apply_scaling(feats, scaling), labels)
     split = train_test_split(full, 0.2, np.random.default_rng(np.random.SeedSequence(MAIN_SEED)))
@@ -385,9 +383,8 @@ def test_adult_machinery_on_surrogate_data(tmp_path):
                 f"{age[i]}, Private, {fnlwgt[i]}, HS-grad, {edu[i]}, Never-married, Sales, "
                 f"Not-in-family, White, Male, {gain[i]}, {loss[i]}, {hours[i]}, United-States, {income}\n"
             )
-    records = ingest_adult(path)
-    assert len(records) == n
-    feats, labs = records_to_arrays(records)
+    feats, labs = ingest_adult(path)
+    assert labs.size == n
     full = Shard(1, apply_scaling(feats, fit_scaling(feats)), labs)
     split = train_test_split(full, 0.2, np.random.default_rng(1))
     assert split.train.size == int(np.ceil(n * 0.8))

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from distknn import simharness
 from distknn.cli import (
     build_experiment_config,
     build_parser,
@@ -36,8 +39,8 @@ class TestConfigFile:
             """,
         )
         cfg = parse_config_file(path)
-        assert cfg["n"] == "1234"
-        assert cfg["split"] == "proportional"
+        assert cfg["n"] == ("1234", f"{path}:3")
+        assert cfg["split"] == ("proportional", f"{path}:6")
 
     def test_malformed_line_rejected(self, tmp_path):
         path = write_config(tmp_path, "runs 7\n")
@@ -45,11 +48,30 @@ class TestConfigFile:
             parse_config_file(path)
 
     def test_flags_override_file(self, tmp_path):
-        path = write_config(tmp_path, "n = 1000\nrups = 1\n")
+        path = write_config(tmp_path, "n = 1000\n")
         parser = build_parser()
         args = parser.parse_args(["simulate", "--config", str(path), "--n", "555"])
         cfg = build_experiment_config(args, parse_config_file(path))
         assert cfg.N == 555
+
+    def test_unread_key_rejected_with_its_line(self, tmp_path):
+        path = write_config(tmp_path, "n = 1000\nrups = 1\n")
+        args = build_parser().parse_args(["simulate", "--config", str(path), "--n", "555"])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: config key 'rups'")):
+            build_experiment_config(args, parse_config_file(path))
+
+    def test_unread_keys_fail_the_command(self, tmp_path, capsys):
+        path = write_config(tmp_path, "n = 300\nepsilon = 0.9\nruns = 2\nrunz = 50\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 1
+        assert f"{path}:2: config key 'epsilon'" in capsys.readouterr().err
+        assert not out.exists()
+        # the simulation grid's keys are not settings of the census pipeline
+        desk = Path(__file__).resolve().parent.parent / "configs" / "sim_desk.cfg"
+        fixture = Path(__file__).parent / "data" / "adult_sample.data"
+        assert main(["adult", "--config", str(desk), "--data", str(fixture), "--output", str(out)]) == 1
+        assert f"{desk}:2: config key 'n'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_file_values_used_when_no_flag(self, tmp_path):
         path = write_config(
@@ -66,7 +88,7 @@ class TestConfigFile:
         path = write_config(tmp_path, "include_log_in_bound = maybe\n")
         parser = build_parser()
         args = parser.parse_args(["simulate", "--config", str(path)])
-        with pytest.raises(ValueError, match="include_log_in_bound"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: config key 'include_log_in_bound'")):
             build_experiment_config(args, parse_config_file(path))
 
 
@@ -144,6 +166,32 @@ class TestSimulateCommand:
         # the runs that worked are still written
         assert [r["epsilon"] for r in csv.DictReader(open(out / "results.csv"))] == ["0.0"]
         assert len(json.loads((out / "results.json").read_text())["failures"]) == 3
+
+    def test_every_run_failing_still_writes_results(self, tmp_path, capsys, monkeypatch):
+        def failing(cfg, data, m, rng):
+            raise RuntimeError("shard store unavailable")
+
+        monkeypatch.setattr(simharness, "_partition_for", failing)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--n", "300", "--runs", "2", "--epsilons", "0,0.5",
+                   "--classifiers", "d1nn", "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "4 run(s) failed" in err
+        assert "Traceback" not in err
+        blob = json.loads((out / "results.json").read_text())
+        assert blob["rows"] == []
+        assert [f[:2] for f in blob["failures"]] == [[0.0, 0], [0.0, 1], [0.5, 0], [0.5, 1]]
+        header = ",".join(f.name for f in dataclasses.fields(simharness.ResultRow))
+        assert (out / "results.csv").read_text() == header + "\n"
+
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        for command in (["simulate"], ["selftest"], ["adult"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--threads", "0", "--output", str(tmp_path / "x")])
+            assert exc.value.code == 2
+            assert "argument --threads: must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_config_returns_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", "--n", "1", "--output", str(tmp_path / "x")])

@@ -1,12 +1,21 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from distknn import oracle
+from distknn import engine, oracle, simharness
 from distknn.adaptive import StoppingConfig
 from distknn.baselines import ClassifierKind, depths
 from distknn.engine import build_prefix_tensor, evaluate_queries, evaluate_query, query_distance_matrix
 from distknn.neighbors import Shard
-from distknn.simharness import SyntheticModel, generate_sample, partition_proportional, partition_uniform
+from distknn.simharness import (
+    ExperimentConfig,
+    SyntheticModel,
+    generate_sample,
+    partition_proportional,
+    partition_uniform,
+    run_experiment,
+)
 
 TIE_GRID = np.array([0.0, 0.25, 0.5, 1.0])
 
@@ -104,6 +113,41 @@ def test_worker_count_does_not_change_results(setup):
     b = evaluate_queries(part, queries, ClassifierKind.DANN, cfg, workers=4, chunk_size=7)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
+
+
+def test_pools_start_no_more_processes_than_tasks(setup, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and runs the tasks here, after the pickle
+        round trip that a process pool makes; starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [pickle.loads(pickle.dumps(fn))(pickle.loads(pickle.dumps(item))) for item in items]
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simharness, "ProcessPoolExecutor", RecordingPool)
+    rng, data = setup
+    cfg = StoppingConfig(N=data.size, d=3)
+    part = partition_proportional(data, 5, rng)
+    assert pickle.loads(pickle.dumps(part)).features.flags.f_contiguous
+    queries = rng.random((10, 3))
+    for kind in ClassifierKind:
+        pooled = evaluate_queries(part, queries, kind, cfg, workers=64, chunk_size=4)
+        for x, y in zip(pooled, evaluate_queries(part, queries, kind, cfg)):
+            np.testing.assert_array_equal(x, y)
+    grid = ExperimentConfig(N=200, kappa=0.6, epsilons=(0.0, 0.5), runs=1, classifiers=("d1nn",))
+    assert len(run_experiment(grid, workers=64).rows) == 2
+    assert started == [3] * len(ClassifierKind) + [2]  # 3 query chunks; 2 runs
 
 
 def plain_runs(sizes, shard_depths):

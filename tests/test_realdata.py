@@ -1,3 +1,4 @@
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -6,51 +7,54 @@ import pytest
 from distknn.baselines import ClassifierKind
 from distknn.neighbors import Shard
 from distknn.realdata import (
-    AdultRecord,
-    _parse_adult,
     apply_scaling,
     evaluate_real,
     fit_scaling,
     ingest_adult,
-    records_to_arrays,
     train_test_split,
 )
 from distknn.simharness import ExperimentConfig
 
 FIXTURE = Path(__file__).parent / "data" / "adult_sample.data"
+ROW = "40, Private, 100, HS-grad, 9, Never-married, Sales, Husband, White, Male, 0, 0, 40, United-States, >50K\n"
+FNLWGT = 1  # feature column of fnlwgt
 
 
 class TestIngest:
-    def test_fixture_counts(self):
+    def test_fixture_counts(self, caplog):
         # 16 lines: 13 clean, 1 "?" in a used column, 1 short row, 1 bad number
-        records, skipped = _parse_adult(FIXTURE)
-        assert len(records) == 13
-        assert skipped == 3
+        with caplog.at_level(logging.INFO, logger="distknn.realdata"):
+            feats, labels = ingest_adult(FIXTURE)
+        assert feats.shape == (13, 6)
+        assert labels.shape == (13,)
+        assert "kept 13 records, skipped 3 rows" in caplog.text
 
     def test_missing_marker_in_unused_column_kept(self):
-        records = ingest_adult(FIXTURE)
+        feats, _ = ingest_adult(FIXTURE)
         # the row with "?" workclass survives: only the six used columns and
         # the label are checked for the marker
-        assert any(r.fnlwgt == 280464 for r in records)
+        assert 280464 in feats[:, FNLWGT]
 
     def test_missing_marker_in_used_column_dropped(self):
-        records = ingest_adult(FIXTURE)
-        assert not any(r.fnlwgt == 122272 for r in records)
+        feats, _ = ingest_adult(FIXTURE)
+        assert 122272 not in feats[:, FNLWGT]
 
     def test_label_mapping_and_trailing_period(self):
-        records = ingest_adult(FIXTURE)
-        by_fnlwgt = {r.fnlwgt: r for r in records}
-        assert by_fnlwgt[77516].income_label == 0
-        assert by_fnlwgt[209642].income_label == 1
-        assert by_fnlwgt[141297].income_label == 1  # ">50K." variant
+        feats, labels = ingest_adult(FIXTURE)
+        by_fnlwgt = dict(zip(feats[:, FNLWGT].tolist(), labels.tolist()))
+        assert by_fnlwgt[77516] == 0
+        assert by_fnlwgt[209642] == 1
+        assert by_fnlwgt[141297] == 1  # ">50K." variant
 
     def test_single_valid_row(self, tmp_path):
-        row = "40, Private, 100, HS-grad, 9, Never-married, Sales, Husband, White, Male, 0, 0, 40, United-States, >50K\n"
         path = tmp_path / "one.data"
-        path.write_text(row)
-        records = ingest_adult(path)
-        assert len(records) == 1
-        assert records[0] == AdultRecord(40, 100, 9, 0, 0, 40, 1)
+        path.write_text(ROW)
+        feats, labels = ingest_adult(path)
+        # age, fnlwgt, education-num, capital-gain, capital-loss, hours-per-week
+        assert feats.tolist() == [[40.0, 100.0, 9.0, 0.0, 0.0, 40.0]]
+        assert feats.dtype == np.float64
+        assert labels.tolist() == [1]
+        assert labels.dtype == np.int64
 
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -59,7 +63,8 @@ class TestIngest:
     def test_ingestion_deterministic_order(self):
         a = ingest_adult(FIXTURE)
         b = ingest_adult(FIXTURE)
-        assert a == b
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 class TestScaling:
@@ -88,16 +93,21 @@ class TestScaling:
         np.testing.assert_allclose(once, twice)
 
     def test_scale_features_end_to_end(self):
-        feats, labels = records_to_arrays(ingest_adult(FIXTURE))
+        feats, labels = ingest_adult(FIXTURE)
         scaling = fit_scaling(feats)
         shard = Shard(1, apply_scaling(feats, scaling), labels)
         assert shard.dim == 6
         assert shard.features.min() >= 0.0 and shard.features.max() <= 1.0
         assert scaling.mins.shape == (6,)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            records_to_arrays([])
+    def test_empty_rejected(self, tmp_path):
+        # a file whose every row is skipped has nothing to scale
+        path = tmp_path / "bad.data"
+        path.write_text(ROW.replace(">50K", "?") + "1, 2, 3\n")
+        with pytest.raises(ValueError, match="no usable census rows"):
+            ingest_adult(path)
+        with pytest.raises(ValueError, match="empty"):
+            fit_scaling(np.empty((0, 6)))
 
 
 class TestTrainTestSplit:

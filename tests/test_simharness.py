@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 
@@ -7,10 +9,9 @@ import pytest
 from distknn.baselines import ClassifierKind
 from distknn.simharness import (
     ExperimentConfig,
+    ResultRow,
     SyntheticModel,
-    bayes_classify,
     eta_batch,
-    eta_true,
     generate_sample,
     partition_proportional,
     partition_uniform,
@@ -19,18 +20,22 @@ from distknn.simharness import (
 )
 
 
+def eta_at(x, model):
+    return eta_batch(np.asarray(x, dtype=np.float64)[None, :], model)[0]
+
+
 class TestEtaTrue:
     def test_corner_point_hits_floor(self):
         for kappa in (0.55, 0.60, 0.65):
-            assert eta_true(np.ones(3), SyntheticModel(kappa)) == pytest.approx(kappa, abs=1e-12)
+            assert eta_at(np.ones(3), SyntheticModel(kappa)) == pytest.approx(kappa, abs=1e-12)
 
     def test_mid_radius_linear_value(self):
         # |x| = sqrt(3)/2 at x = (0.5, 0.5, 0.5), so the slope term is 5/6
-        val = eta_true(np.full(3, 0.5), SyntheticModel(0.55))
+        val = eta_at(np.full(3, 0.5), SyntheticModel(0.55))
         assert val == pytest.approx(5 / 6, abs=1e-12)
 
     def test_origin_clipped_to_one(self):
-        assert eta_true(np.zeros(3), SyntheticModel(0.55)) == 1.0
+        assert eta_at(np.zeros(3), SyntheticModel(0.55)) == 1.0
 
     def test_kappa_validated(self):
         with pytest.raises(ValueError):
@@ -38,23 +43,20 @@ class TestEtaTrue:
         with pytest.raises(ValueError):
             SyntheticModel(1.2)
 
-    def test_dimension_validated(self):
-        with pytest.raises(ValueError):
-            eta_true(np.zeros(2), SyntheticModel(0.6))
-
 
 class TestBayesClassify:
+    """The oracle rule 1{eta(x) >= 1/2} that the grid scores against."""
+
     def test_always_one_above_half(self):
         rng = np.random.default_rng(0)
         for kappa in (0.55, 0.65):
-            model = SyntheticModel(kappa)
-            assert all(bayes_classify(rng.random(3), model) == 1 for _ in range(50))
+            assert np.all(eta_batch(rng.random((50, 3)), SyntheticModel(kappa)) >= 0.5)
 
     def test_boundary_with_low_floor(self):
         # sub-1/2 floor exercises the indicator: at the far corner eta = 0.3
         model = SyntheticModel(0.3)
-        assert bayes_classify(np.ones(3), model) == 0
-        assert bayes_classify(np.zeros(3), model) == 1
+        assert eta_at(np.ones(3), model) < 0.5
+        assert eta_at(np.zeros(3), model) >= 0.5
 
 
 def grid_mean_eta(kappa, cells=160):
@@ -195,6 +197,7 @@ class TestExperimentConfig:
     def test_round_trip_dict(self):
         cfg = ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0, 0.5), runs=3, seed=9)
         d = cfg.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert d["epsilons"] == [0.0, 0.5]
         assert d["classifiers"] == ["dann", "dann_nes", "dnn_qiao", "d1nn"]
 
@@ -258,9 +261,21 @@ class TestRunExperiment:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("classifier,epsilon,m,")
         assert len(lines) == 1 + len(res.rows)
+        with open(csv_path, newline="") as fh:
+            header, *cells = csv.reader(fh)
+        names = [f.name for f in dataclasses.fields(ResultRow)]
+        assert header == names
+        assert any(row[names.index("k1_min")] == "" for row in cells)  # d1nn has no k1
+        for row, r in zip(cells, res.rows):
+            for name, cell in zip(names, row):
+                value = getattr(r, name)
+                if value is None:
+                    assert cell == ""
+                else:
+                    assert type(value)(cell) == value, name  # floats read back exactly
         blob = json.loads(json_path.read_text())
         assert blob["config"]["N"] == 400
-        assert len(blob["rows"]) == len(res.rows)
+        assert blob["rows"] == [dataclasses.asdict(r) for r in res.rows]
 
     def test_queries_per_run_multiplies_samples(self):
         cfg = self.small_cfg(runs=4, queries_per_run=3, epsilons=(0.0,))
@@ -274,4 +289,3 @@ class TestRunExperiment:
         model = SyntheticModel(0.55)
         pts = rng.random((2000, 3))
         assert np.all(eta_batch(pts, model) >= 0.55)
-        assert all(bayes_classify(p, model) == 1 for p in pts[:100])
