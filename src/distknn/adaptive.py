@@ -81,11 +81,25 @@ def scan_first_crossing(
     (shape (..., cap)), and the crossed flag, broadcast over leading axes.
     """
     cap, m = kj.shape
-    gathered = prefix[..., np.arange(m)[:, None], kj.T - 1]  # (..., m, cap)
-    counts = gathered.sum(axis=-2)  # (..., cap)
-    total = kj.sum(axis=1)  # (cap,)
+    kpad = prefix.shape[-1]
+    if kj.max() > kpad:
+        raise IndexError(f"depth {kj.max()} is past the profiles' end at {kpad}")
+    flat = prefix.reshape(*prefix.shape[:-2], m * kpad)
+    if m == 1:
+        total = kj[:, 0]
+        counts = np.take(flat, total - 1, axis=-1)  # (..., cap)
+    else:
+        # step b reads shard j's prefix at flat index (kj[b, j] - 1) + j * kpad;
+        # laid out (m, cap), both sums below run over whole contiguous rows
+        at = np.ascontiguousarray(kj.T)
+        total = at.sum(axis=0)  # (cap,)
+        at += np.arange(-1, m * kpad - 1, kpad)[:, None]
+        counts = np.take(flat, at, axis=-1).sum(axis=-2)  # (..., cap)
     eta = counts / total
-    r = np.sqrt(2.0 * total) * np.abs(eta - 0.5)
+    r = eta - 0.5  # r = |eta - 1/2| sqrt(2 total), in place
+    np.abs(r, out=r)
+    scale = 2.0 * total
+    r *= np.sqrt(scale, out=scale)
     crossed_steps = r > threshold
     any_crossed = crossed_steps.any(axis=-1)
     first = np.argmax(crossed_steps, axis=-1)

@@ -3,10 +3,11 @@ classification of CSV data, and a self-test of the search machinery.
 
 Configuration comes from an optional ``key = value`` file; every key has a
 flag of the same name that overrides it, and a key the subcommand does not
-read is rejected with its file and line. ``--seed``, ``--threads`` and
-``--output`` are available on every subcommand. Results land in the output
-directory as results.csv / results.json plus a manifest.json recording the
-effective config and library versions.
+read is rejected with its file and line, and so is a repeated key.
+``--seed`` is available on every subcommand, ``--threads`` and ``--output`` on
+all but ``selftest``. Results land in the output directory as results.csv /
+results.json plus a manifest.json recording the effective config and library
+versions.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ DATA_DIR_ENV = "DISTKNN_DATA_DIR"
 # config file handling
 
 def parse_config_file(path) -> dict[str, tuple[str, str]]:
-    """Read a flat ``key = value`` file into {key: (value, "file:line")}; '#' starts a comment."""
+    """Read a flat ``key = value`` file into {key: (value, "file:line")}; '#' starts a comment.
+
+    A key may appear once: a repeat is rejected, naming both lines.
+    """
     values: dict[str, tuple[str, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -59,7 +63,11 @@ def parse_config_file(path) -> dict[str, tuple[str, str]]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
-            values[key.strip().lower().replace("-", "_")] = (value.strip(), f"{path}:{lineno}")
+            key = key.strip().lower().replace("-", "_")
+            where = f"{path}:{lineno}"
+            if key in values:
+                raise ValueError(f"{where}: config key {key!r} is already set at {values[key][1]}")
+            values[key] = (value.strip(), where)
     return values
 
 
@@ -328,14 +336,19 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
     mismatches = 0
     for _ in range(instances):
         layout = rng.random()
-        # one or two shards big enough that selection leaves the small-block sort
-        n = int(rng.integers(520, 700)) if layout < 0.2 else int(rng.integers(2, 120))
+        # big enough that the blocks of two queries leave the small-block sort
+        big = layout < 0.2
+        n = int(rng.integers(520, 700)) if big else int(rng.integers(2, 120))
         d = int(rng.integers(1, 17))
-        tie_prone = rng.random() < 0.3
+        tie_prone = rng.random() < (0.5 if big else 0.3)
         feats = rng.choice(grid, size=(n, d)) if tie_prone else rng.random((n, d))
         data = Shard(1, feats, rng.integers(0, 2, n))
-        if layout < 0.2:
+        if layout < 0.1:
+            # one or two shards: full sorts of rows far wider than SORT_WIDTH
             part = partition_uniform(data, int(rng.integers(1, 3)), rng)
+        elif big:
+            # 8 to 24 equal shards: full sorts of rows on either side of SORT_WIDTH
+            part = partition_uniform(data, int(rng.integers(8, 25)), rng)
         elif layout < 0.45:
             # many shards: from m ~ sqrt(2n) (most sizes distinct) up to m = n
             # (nearly all of size 1), so most shards are read at depth 1
@@ -345,9 +358,13 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
             part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(data, m, rng)
         cfg = StoppingConfig(N=n, d=d)
         queries = rng.choice(grid, size=(2, d)) if tie_prone else rng.random((2, d))
-        for q, row in zip(queries, query_distance_matrix(part.features, queries)):
-            for j, (ref, _) in enumerate(oracle.shard_profiles(part, q)):
+        # every shard's whole profile: the neighbor order itself, not just the
+        # walk's outcome, which a reorder inside a tie group rarely changes
+        full = build_prefix_tensor(part, queries, part.sizes)
+        for q, row, got in zip(queries, query_distance_matrix(part.features, queries), full):
+            for j, (ref, prefix) in enumerate(oracle.shard_profiles(part, q)):
                 mismatches += np.sort(row[part.offsets[j] : part.offsets[j + 1]]).tolist() != ref
+                mismatches += got[j, : len(prefix)].tolist() != prefix
         for kind in ClassifierKind:
             got = list(zip(*(a.tolist() for a in evaluate_queries(part, queries, kind, cfg))))
             if got != [oracle.classify(part, q, kind, cfg) for q in queries]:
@@ -407,8 +424,12 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+
+
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+    _add_seed_flag(sub)
     sub.add_argument("--threads", type=_worker_count, default=1, help="worker processes (at least 1)")
     sub.add_argument("--output", default="results", help="output directory")
 
@@ -463,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = subs.add_parser("selftest", help="oracle-equivalence and audit checks")
     selftest.add_argument("--instances", type=int, default=200)
-    _add_common_flags(selftest)
+    _add_seed_flag(selftest)  # single process, writes nothing
     selftest.set_defaults(func=cmd_selftest)
 
     return parser

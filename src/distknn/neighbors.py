@@ -16,6 +16,10 @@ __all__ = ["Shard", "k_smallest_rows"]
 # than the fixed overhead of the partition path's extra passes.
 SMALL_BLOCK = 1024
 
+# Full sorts of rows at least this wide take the unstable (SIMD) argsort and a
+# tie check; below it the stable argsort is as fast or faster.
+SORT_WIDTH = 32
+
 
 class Shard:
     """One machine's sub-sample: an ordered, immutable set of labeled points.
@@ -43,7 +47,7 @@ class Shard:
             raise ValueError("labels must be a vector matching the point count")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
-        if not np.isin(labs, (0, 1)).all():
+        if labs.min() < 0 or labs.max() > 1:
             raise ValueError("labels must be 0 or 1")
         feats.setflags(write=False)
         labs.setflags(write=False)
@@ -71,11 +75,13 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
 
     ``dist`` has shape (rows, n) with 1 <= k <= n; the result, shape
     (rows, min(k, n)), equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]``.
-    The work follows k, through one of three paths:
+    The work follows k, through one of four paths:
 
     - k == 1: ``argmin``, whose first minimum is the lowest index among ties.
-    - k >= n, or a block of at most ``SMALL_BLOCK`` entries: a full stable
-      argsort, cut to k columns.
+    - a block of at most ``SMALL_BLOCK`` entries, or k >= n on rows narrower
+      than ``SORT_WIDTH``: a full stable argsort, cut to k columns.
+    - k >= n on wider rows: ``_sorted_rows``, an unstable argsort that re-sorts
+      only the rows holding equal values.
     - otherwise: ``argpartition`` picks k entries per row, whose largest is
       the row's k-th smallest value t. Only a row where t also occurs outside
       the pick is ambiguous; such rows are redone by taking every entry below
@@ -85,8 +91,10 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     rows, n = dist.shape
     if k == 1:
         return dist.argmin(axis=1, keepdims=True)
-    if k >= n or dist.size <= SMALL_BLOCK:
+    if dist.size <= SMALL_BLOCK or (k >= n and n < SORT_WIDTH):
         return dist.argsort(axis=1, kind="stable")[:, :k]
+    if k >= n:
+        return _sorted_rows(dist)
     row = np.arange(rows)[:, None]
     idx = dist.argpartition(k - 1, axis=1)[:, :k]
     vals = dist[row, idx]
@@ -104,3 +112,19 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
         idx[ambiguous] = fixed
         vals[ambiguous] = np.take_along_axis(sub, fixed, axis=1)
     return idx[row, np.lexsort((idx, vals))]
+
+
+def _sorted_rows(dist: np.ndarray) -> np.ndarray:
+    """``np.argsort(dist, axis=1, kind="stable")``, through the unstable argsort.
+
+    A row whose sorted values hold no two equal neighbours has distinct
+    values, so its sorted order is unique and is already the (value, index)
+    order. Only rows with equal adjacent values (``inf == inf`` counts) are
+    sorted again, stably.
+    """
+    order = dist.argsort(axis=1)
+    vals = np.take_along_axis(dist, order, axis=1)
+    tied = np.flatnonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = dist[tied].argsort(axis=1, kind="stable")
+    return order

@@ -69,8 +69,13 @@ class SyntheticModel:
 
 
 def eta_batch(points: np.ndarray, model: SyntheticModel) -> np.ndarray:
-    """Vectorized eta over rows of ``points``."""
-    norms = np.sqrt((points * points).sum(axis=-1))
+    """Vectorized eta over rows of ``points``, shape (..., 3)."""
+    x, y, z = np.moveaxis(points, -1, 0)
+    # (x^2 + y^2) + z^2, column by column: the order of a numpy row sum
+    norms = x * x
+    norms += y * y
+    norms += z * z
+    np.sqrt(norms, out=norms)
     linear = (5.0 / 3.0) * (1.0 - norms / _SQRT3)
     return np.minimum(1.0, np.maximum(linear, model.kappa))
 

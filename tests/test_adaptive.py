@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distknn import oracle
 from distknn.adaptive import (
     StoppingConfig,
     depth_matrix,
@@ -192,6 +193,13 @@ class TestAdaptiveSelect:
         with pytest.raises(IndexError):
             walk([[1] * 29], [100], cfg)
 
+    def test_shallow_profile_of_a_later_shard_rejected(self):
+        # with m > 1 the scan reads all shards through one flat index: a depth
+        # past the padded end must not run on into the next shard's profile
+        prefix = np.ones((1, 2, 3), dtype=np.int64)
+        with pytest.raises(IndexError):
+            scan_first_crossing(prefix, np.array([[4, 1]]), np.inf)
+
     def test_unsorted_sizes_rejected(self):
         data = Shard(1, np.zeros((30, 3)), np.zeros(30, dtype=int))
         with pytest.raises(ValueError, match="nonincreasing"):
@@ -246,3 +254,23 @@ def test_first_crossing_matches_sequential_replay():
         assert crossed is crossed_ref
         assert k1_hat <= cap
         assert ks_hat.tolist() == [min(-(-k1_hat * int(nj) // int(sizes[0])), int(nj)) for nj in sizes]
+
+
+@pytest.mark.parametrize("sizes", [[57], [40, 31, 31, 9, 1]])
+def test_full_walk_matches_oracle_steps_for_each_query_row(sizes):
+    # the whole k1 = 1 .. n_1 walk, as dann_nes scans it, for three query rows
+    # at once; eta is compared bit for bit with the oracle's scalar steps
+    rng = np.random.default_rng(len(sizes))
+    sizes = np.array(sizes)
+    kj = depth_matrix(int(sizes[0]), sizes)
+    label_rows = [[(rng.random(n) < p).astype(int) for n in sizes] for p in (0.5, 0.8, 0.97)]
+    prefix = np.concatenate([prefix_tensor(rows) for rows in label_rows])
+    for threshold in (0.5, 2.0, 4.0, math.inf):
+        stop, eta, crossed = scan_first_crossing(prefix, kj, threshold)
+        assert stop.shape == crossed.shape == (3,) and eta.shape == (3, sizes[0])
+        for q, rows in enumerate(label_rows):
+            steps = list(oracle.walk_steps([np.cumsum(r).tolist() for r in rows], sizes.tolist()))
+            assert eta[q].tolist() == [e for _, e, _ in steps]
+            first = next((k1 - 1 for k1, _, r in steps if r > threshold), None)
+            assert bool(crossed[q]) is (first is not None)
+            assert stop[q] == (sizes[0] - 1 if first is None else first)

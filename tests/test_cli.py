@@ -73,6 +73,13 @@ class TestConfigFile:
         assert f"{desk}:2: config key 'n'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_key_rejected_with_both_lines(self, tmp_path, capsys):
+        path = write_config(tmp_path, "n = 300\nruns = 2\nN = 400\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 1
+        assert f"{path}:3: config key 'n' is already set at {path}:1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_values_used_when_no_flag(self, tmp_path):
         path = write_config(
             tmp_path, "n = 444\nkappa=0.65\nepsilons=0.2\nruns=3\nclassifiers=d1nn\n"
@@ -186,7 +193,7 @@ class TestSimulateCommand:
         assert (out / "results.csv").read_text() == header + "\n"
 
     def test_threads_below_one_rejected(self, tmp_path, capsys):
-        for command in (["simulate"], ["selftest"], ["adult"]):
+        for command in (["simulate"], ["adult"]):
             with pytest.raises(SystemExit) as exc:
                 main(command + ["--threads", "0", "--output", str(tmp_path / "x")])
             assert exc.value.code == 2
@@ -303,6 +310,17 @@ class TestClassifyCommand:
                    "--label-col", "target", "--output", str(tmp_path / "o")])
         assert rc == 1
         assert "label column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--threads", "3"], ["--output", "somewhere"]])
+def test_selftest_rejects_flags_it_would_ignore(flag, tmp_path, monkeypatch, capsys):
+    # selftest runs in one process and writes no file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--instances", "2"] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_selftest_function_and_command(capsys):

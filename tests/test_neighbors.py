@@ -208,6 +208,75 @@ def test_k_smallest_rows_on_large_tied_blocks():
         np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
 
 
+# Full sorts of rows at least SORT_WIDTH wide take the unstable argsort, and
+# only rows with equal adjacent sorted values are sorted again. Rows drawn from
+# a few repeated values (inf among them) are tied; ``clean`` swaps some rows
+# for distinct values, so one block mixes both. ``SMALL_BLOCK`` 0 sends these
+# small blocks down the path that real blocks reach only above 1024 entries.
+@settings(max_examples=200, deadline=None)
+@given(
+    dist=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(neighbors.SORT_WIDTH, 3 * neighbors.SORT_WIDTH)),
+        elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, np.inf]) | st.floats(0, 2),
+    ),
+    clean=st.lists(st.booleans(), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_full_sort_of_wide_rows_matches_stable_argsort(dist, clean, seed):
+    rng = np.random.default_rng(seed)
+    rows, n = dist.shape
+    for i in range(rows):
+        if clean[i]:
+            dist[i] = rng.permutation(n) + rng.random()
+    with mock.patch.object(neighbors, "SMALL_BLOCK", 0):
+        np.testing.assert_array_equal(k_smallest_rows(dist, n), stable_k(dist, n))
+
+
+def wide_rows(n):
+    """Rows of width n that are clean but for one kind of equal values each."""
+    rng = np.random.default_rng(n)
+    base = rng.permutation(n) / n + 0.125
+    rows = [base.copy() for _ in range(8)]
+    rows[1][:] = 0.5  # all equal
+    rows[2][[3, n - 2]] = 0.0  # one tie, at the front of the sorted row
+    rows[3][[0, n - 1]] = 2.0  # one tie, at the back
+    rows[4][[1, 5]] = np.inf  # two infs
+    rows[5][::2] = np.inf  # many infs
+    rows[6][:] = np.inf
+    rows[7][[2, 9]] = rows[7][17]  # a three-way tie in the middle
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [neighbors.SORT_WIDTH, 70, 300])
+def test_full_sort_of_wide_rows_boundary_cases(n):
+    block = wide_rows(n)
+    dist = np.concatenate([block, block[::-1, ::-1]] * (neighbors.SMALL_BLOCK // block.size + 1))
+    assert dist.size > neighbors.SMALL_BLOCK
+    np.testing.assert_array_equal(k_smallest_rows(dist, n), stable_k(dist, n))
+    # the fixed rows are the ones with equal values, and they are fixed in place
+    np.testing.assert_array_equal(neighbors._sorted_rows(block), stable_k(block, n))
+
+
+def test_full_sort_paths_by_width_and_block_size():
+    # clean rows: the unstable path gives the same result, so the path taken
+    # is seen through a spy on it
+    width, small = neighbors.SORT_WIDTH, neighbors.SMALL_BLOCK
+    rng = np.random.default_rng(29)
+    cases = [
+        ((small // (width - 1) + 1, width - 1), False),  # narrow rows
+        ((small // width + 1, width), True),  # rows exactly at the cut-off
+        ((small // 64, 64), False),  # a wide block of exactly SMALL_BLOCK entries
+        ((small // 64 + 1, 64), True),
+        ((1, 20000), True),
+    ]
+    for shape, unstable in cases:
+        dist = rng.random(shape)
+        with mock.patch.object(neighbors, "_sorted_rows", wraps=neighbors._sorted_rows) as spy:
+            np.testing.assert_array_equal(k_smallest_rows(dist, shape[1]), stable_k(dist, shape[1]))
+        assert spy.called is unstable, shape
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("d", [1, 2, 5, 9])
 def test_kernel_matches_oracle_in_either_layout(order, d):

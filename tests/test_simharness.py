@@ -37,6 +37,31 @@ class TestEtaTrue:
     def test_origin_clipped_to_one(self):
         assert eta_at(np.zeros(3), SyntheticModel(0.55)) == 1.0
 
+    def test_matches_the_row_sum_form_bit_for_bit(self):
+        # eta_batch adds the squared coordinates column by column; pin it to
+        # the row-sum expression on random points, on grid points and on points
+        # at the radii where eta reaches 1, 1/2 and the floor
+        def row_sum_eta(points, model):
+            norms = np.sqrt((points * points).sum(axis=-1))
+            return np.minimum(1.0, np.maximum((5.0 / 3.0) * (1.0 - norms / math.sqrt(3.0)), model.kappa))
+
+        rng = np.random.default_rng(31)
+        model = SyntheticModel(0.3)
+        directions = np.abs(rng.normal(size=(3000, 3)))
+        directions /= np.sqrt((directions**2).sum(axis=1, keepdims=True))
+        radii = math.sqrt(3.0) * np.array([0.4, 0.7, 0.82])  # eta = 1, 1/2, kappa
+        shell = (directions[:, None, :] * radii[:, None]).reshape(-1, 3)
+        points = np.concatenate([
+            rng.random((100_000, 3)),
+            rng.choice([0.0, 0.25, 0.5, 1.0], size=(500, 3)),
+            shell,
+            np.nextafter(shell, 0.0),
+            np.nextafter(shell, 2.0),
+        ])
+        np.testing.assert_array_equal(eta_batch(points, model), row_sum_eta(points, model))
+        stacked = points[:6000].reshape(4, 1500, 3)
+        np.testing.assert_array_equal(eta_batch(stacked, model), row_sum_eta(stacked, model))
+
     def test_kappa_validated(self):
         with pytest.raises(ValueError):
             SyntheticModel(0.0)
