@@ -82,15 +82,16 @@ def scan_first_crossing(
     """
     cap, m = kj.shape
     kpad = prefix.shape[-1]
-    if kj.max() > kpad:
-        raise IndexError(f"depth {kj.max()} is past the profiles' end at {kpad}")
     flat = prefix.reshape(*prefix.shape[:-2], m * kpad)
     if m == 1:
         total = kj[:, 0]
         counts = np.take(flat, total - 1, axis=-1)  # (..., cap)
     else:
         # step b reads shard j's prefix at flat index (kj[b, j] - 1) + j * kpad;
-        # laid out (m, cap), both sums below run over whole contiguous rows
+        # a depth past kpad would read the next shard's profile, so it is
+        # rejected here. Laid out (m, cap), both sums run over contiguous rows.
+        if kj.max() > kpad:
+            raise IndexError(f"depth {kj.max()} is past the profiles' end at {kpad}")
         at = np.ascontiguousarray(kj.T)
         total = at.sum(axis=0)  # (cap,)
         at += np.arange(-1, m * kpad - 1, kpad)[:, None]
