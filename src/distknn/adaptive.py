@@ -92,7 +92,7 @@ def scan_first_crossing(
         # rejected here. Laid out (m, cap), both sums run over contiguous rows.
         if kj.max() > kpad:
             raise IndexError(f"depth {kj.max()} is past the profiles' end at {kpad}")
-        at = np.ascontiguousarray(kj.T)
+        at = kj.T.copy()  # a copy even where kj.T is already contiguous, as at cap = 1
         total = at.sum(axis=0)  # (cap,)
         at += np.arange(-1, m * kpad - 1, kpad)[:, None]
         counts = np.take(flat, at, axis=-1).sum(axis=-2)  # (..., cap)

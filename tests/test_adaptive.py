@@ -200,6 +200,17 @@ class TestAdaptiveSelect:
         with pytest.raises(IndexError):
             scan_first_crossing(prefix, np.array([[4, 1]]), np.inf)
 
+    def test_scan_leaves_the_depths_unchanged(self):
+        # a single-step or column-major depth matrix has a contiguous transpose,
+        # which the scan must not turn into its flat indices in place
+        prefix = np.cumsum(np.ones((2, 3, 4), dtype=np.int64), axis=-1)
+        for kj in (np.array([[4, 2, 1]]), np.asfortranarray([[1, 1, 1], [2, 2, 1], [4, 3, 2]])):
+            before = kj.copy()
+            first = scan_first_crossing(prefix, kj, 1.0)
+            np.testing.assert_array_equal(kj, before)
+            for a, b in zip(first, scan_first_crossing(prefix, kj, 1.0)):
+                np.testing.assert_array_equal(a, b)
+
     def test_unsorted_sizes_rejected(self):
         data = Shard(1, np.zeros((30, 3)), np.zeros(30, dtype=int))
         with pytest.raises(ValueError, match="nonincreasing"):

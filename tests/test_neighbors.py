@@ -254,7 +254,7 @@ def test_full_sort_of_wide_rows_boundary_cases(n):
     dist = np.concatenate([block, block[::-1, ::-1]] * (neighbors.SMALL_BLOCK // block.size + 1))
     assert dist.size > neighbors.SMALL_BLOCK
     np.testing.assert_array_equal(k_smallest_rows(dist, n), stable_k(dist, n))
-    # the fixed rows are the ones with equal values, and they are fixed in place
+    # and _sorted_rows alone, on a block where every row but the first has ties
     np.testing.assert_array_equal(neighbors._sorted_rows(block), stable_k(block, n))
 
 
