@@ -79,6 +79,7 @@ def scan_first_crossing(
     ``kj`` has shape (cap, m) with 1-based depths per step. Returns 0-based
     stop index (first crossing, else cap-1), the pooled eta at every step
     (shape (..., cap)), and the crossed flag, broadcast over leading axes.
+    A depth past the profiles' end, ``kpad``, raises ``IndexError``.
     """
     cap, m = kj.shape
     kpad = prefix.shape[-1]
