@@ -80,8 +80,8 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     - k == 1: ``argmin``, whose first minimum is the lowest index among ties.
     - a block of at most ``SMALL_BLOCK`` entries, or k >= n on rows narrower
       than ``SORT_WIDTH``: a full stable argsort, cut to k columns.
-    - k >= n on wider rows: ``_sorted_rows``, an unstable argsort that re-sorts
-      only the rows holding equal values.
+    - k >= n on wider rows: ``_sorted_rows``, an unstable argsort that then
+      orders the indices inside each run of equal values.
     - otherwise: ``argpartition`` picks k entries per row, whose largest is
       the row's k-th smallest value t. Only a row where t also occurs outside
       the pick is ambiguous; such rows are redone by taking every entry below
@@ -117,14 +117,28 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
 def _sorted_rows(dist: np.ndarray) -> np.ndarray:
     """``np.argsort(dist, axis=1, kind="stable")``, through the unstable argsort.
 
-    A row whose sorted values hold no two equal neighbours has distinct
-    values, so its sorted order is unique and is already the (value, index)
-    order. Only rows with equal adjacent values (``inf == inf`` counts) are
-    sorted again, stably.
+    Sorted by value alone, the rows are in (value, index) order except inside
+    runs of equal values (``inf == inf`` counts). Only the indices in those
+    runs are put in ascending order, so a row with one pair of equal values
+    costs two more entries to sort, not a second sort of the row.
     """
+    rows, n = dist.shape
     order = dist.argsort(axis=1)
     vals = np.take_along_axis(dist, order, axis=1)
-    tied = np.flatnonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1))
-    if tied.size:
-        order[tied] = dist[tied].argsort(axis=1, kind="stable")
+    tie = np.zeros((rows, n), dtype=bool)  # tie[:, i]: position i equals i - 1
+    np.equal(vals[:, 1:], vals[:, :-1], out=tie[:, 1:])
+    in_run = tie.copy()
+    in_run[:, :-1] |= tie[:, 1:]
+    at = np.flatnonzero(in_run)  # entries of runs, flat over (rows, n)
+    if at.size:
+        # a run opens at each entry unequal to the one before it, and column 0
+        # opens one in every row. Sorting the keys run * n + index orders the
+        # indices inside each run and leaves every run where it is; the keys
+        # stay below (rows * n) * n / 2 + n, within int64 for any block of
+        # fewer than 4e9 entries
+        base = np.cumsum(~tie.reshape(-1)[at]) * n
+        flat = order.reshape(-1)
+        key = base + flat[at]
+        key.sort()
+        flat[at] = key - base
     return order

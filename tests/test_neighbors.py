@@ -209,10 +209,11 @@ def test_k_smallest_rows_on_large_tied_blocks():
 
 
 # Full sorts of rows at least SORT_WIDTH wide take the unstable argsort, and
-# only rows with equal adjacent sorted values are sorted again. Rows drawn from
-# a few repeated values (inf among them) are tied; ``clean`` swaps some rows
-# for distinct values, so one block mixes both. ``SMALL_BLOCK`` 0 sends these
-# small blocks down the path that real blocks reach only above 1024 entries.
+# then only the indices inside runs of equal sorted values are reordered. Rows
+# drawn from a few repeated values (inf among them) are tied; ``clean`` swaps
+# some rows for distinct values, so one block mixes both. ``SMALL_BLOCK`` 0
+# sends these small blocks down the path that real blocks reach only above
+# 1024 entries.
 @settings(max_examples=200, deadline=None)
 @given(
     dist=arrays(
