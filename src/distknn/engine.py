@@ -10,6 +10,11 @@ This is the library's only classification path. Distances come from one
 kernel that adds squared differences column by column, and neighbors are
 ordered by (distance, index within the shard); ``oracle.py`` follows the same
 contract with plain loops, so the two agree bit for bit at every dimension.
+
+Batches are classified in blocks of query rows whose distance matrix stays
+within ``BLOCK_BYTES``, so the temporaries of ``evaluate_queries`` follow that
+budget (or one row, 8 N bytes, if larger), not ``chunk_size`` x N;
+``chunk_size`` only sets how the queries are split into pool tasks.
 """
 
 from __future__ import annotations
@@ -25,6 +30,12 @@ from .baselines import ClassifierKind, depths
 from .neighbors import Shard, k_smallest_rows
 
 __all__ = ["Partition", "query_distance_matrix", "evaluate_query", "evaluate_queries"]
+
+# Byte budget of one block's distance matrix in ``_classify_chunk``. Smaller
+# blocks stay in cache, but each repeats the loop over size runs, which many
+# distinct shard sizes make costly; on census-scale chunks 2 MiB was never
+# slower than one unblocked chunk and within a few percent of the best budget.
+BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -155,18 +166,24 @@ def _classify_chunk(
     """Labels, k1 choices (-1 where not applicable) and etas for a query chunk.
 
     Every classifier is a walk over its depth rows; a fixed-depth classifier
-    has one row and never stops early, so its threshold is infinite.
+    has one row and never stops early, so its threshold is infinite. The depth
+    rows and the threshold are set once per chunk, which is then classified in
+    blocks of rows whose distances take at most ``BLOCK_BYTES`` (one row at
+    least).
     """
     kj = depths(kind, partition.sizes, cfg)
-    prefix = build_prefix_tensor(partition, queries, kj[-1])
     adaptive = kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES)
     threshold = stopping_threshold(cfg) if adaptive else math.inf
-    stop, eta, _ = scan_first_crossing(prefix, kj, threshold)
-    eta_hat = np.take_along_axis(eta, stop[:, None], axis=1)[:, 0]
-    if adaptive:
-        k1_hat = stop.astype(np.int64) + 1
-    else:
-        k1_hat = np.full(queries.shape[0], -1, dtype=np.int64)
+    nq = queries.shape[0]
+    stop = np.empty(nq, dtype=np.int64)
+    eta_hat = np.empty(nq, dtype=np.float64)
+    rows = max(1, BLOCK_BYTES // (8 * partition.total))
+    for i in range(0, nq, rows):
+        prefix = build_prefix_tensor(partition, queries[i : i + rows], kj[-1])
+        block_stop, eta, _ = scan_first_crossing(prefix, kj, threshold)
+        stop[i : i + rows] = block_stop
+        eta_hat[i : i + rows] = np.take_along_axis(eta, block_stop[:, None], axis=1)[:, 0]
+    k1_hat = stop + 1 if adaptive else np.full(nq, -1, dtype=np.int64)
     labels = (eta_hat >= 0.5).astype(np.int64)
     return labels, k1_hat, eta_hat
 
@@ -202,10 +219,14 @@ def evaluate_queries(
 
     Output is independent of ``workers`` and ``chunk_size``: chunks are pure
     functions of their inputs and are reassembled in input order. At most
-    ``workers`` processes start, and no more than there are chunks. A query row
-    with a non-finite coordinate is rejected, naming the first such row
-    (0-based).
+    ``workers`` processes start, and no more than there are chunks.
+    ``chunk_size`` only sets how the queries are split into pool tasks; each
+    chunk is classified in blocks of ``BLOCK_BYTES``. A query row with a
+    non-finite coordinate is rejected, naming the first such row (0-based).
+    No query rows give three empty arrays.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != partition.dim:
         raise ValueError("queries must be (n, d) with the partition's dimension")
@@ -213,7 +234,8 @@ def evaluate_queries(
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"query row {row} is not finite: {queries[row].tolist()}")
-    chunks = [queries[i : i + chunk_size] for i in range(0, queries.shape[0], chunk_size)]
+    # no rows make one empty chunk, so the outputs keep their dtypes
+    chunks = [queries[i : i + chunk_size] for i in range(0, queries.shape[0], chunk_size)] or [queries]
     if workers <= 1 or len(chunks) <= 1:
         parts = [_classify_chunk(partition, c, kind, cfg) for c in chunks]
     else:

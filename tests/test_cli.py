@@ -271,6 +271,16 @@ class TestClassifyCommand:
         for r in rows:
             assert 0.0 <= float(r["eta"]) <= 1.0  # plain decimal, no numpy repr
 
+    def test_header_only_queries_write_header_only_predictions(self, tmp_path):
+        rng = np.random.default_rng(5)
+        train, _ = self.make_files(tmp_path, rng)
+        queries = tmp_path / "none.csv"
+        queries.write_text("x,y\n")
+        out = tmp_path / "out"
+        rc = main(["classify", "--train", str(train), "--queries", str(queries), "--output", str(out)])
+        assert rc == 0
+        assert (out / "predictions.csv").read_text() == "row,predicted_label,eta,k1\n"
+
     def test_missing_feature_column_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         train, _ = self.make_files(tmp_path, rng)

@@ -195,3 +195,88 @@ def test_query_dimension_validated(setup):
     cfg = StoppingConfig(N=data.size, d=3)
     with pytest.raises(ValueError):
         evaluate_queries(part, rng.random((5, 4)), ClassifierKind.DANN, cfg)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("m", [1, 120])
+def test_block_boundaries_match_oracle(setup, monkeypatch, block_rows, m):
+    # a 7-query chunk in blocks of 1 row, and of 3, 3 and 1 rows
+    rng, data = setup
+    cfg = StoppingConfig(N=data.size, d=3)
+    part = partition_proportional(data, m, rng)
+    monkeypatch.setattr(engine, "BLOCK_BYTES", block_rows * 8 * part.total)
+    blocks = []
+
+    def recording_prefix(partition, queries, shard_depths):
+        blocks.append(queries.shape[0])
+        return build_prefix_tensor(partition, queries, shard_depths)
+
+    monkeypatch.setattr(engine, "build_prefix_tensor", recording_prefix)
+    queries = np.concatenate([rng.choice(TIE_GRID, size=(3, 3)), rng.random((4, 3))])
+    for kind in ClassifierKind:
+        blocks.clear()
+        got = evaluate_queries(part, queries, kind, cfg, chunk_size=7)
+        assert blocks == ([1] * 7 if block_rows == 1 else [3, 3, 1])
+        assert list(zip(*(a.tolist() for a in got))) == [oracle.classify(part, q, kind, cfg) for q in queries]
+
+
+@pytest.mark.parametrize("n, budget", [(20000, None), (600, 1000)])
+def test_distance_blocks_stay_within_budget(monkeypatch, n, budget):
+    # the default budget over a 40-query chunk, and a budget below one row
+    rng = np.random.default_rng(77)
+    data = generate_sample(n, SyntheticModel(0.60), rng)
+    part = partition_proportional(data, 4, rng)
+    if budget is not None:
+        monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
+    sizes = []
+
+    def recording_distances(features, queries):
+        out = query_distance_matrix(features, queries)
+        sizes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(engine, "query_distance_matrix", recording_distances)
+    queries = rng.random((40, 3))
+    for kind in ClassifierKind:
+        evaluate_queries(part, queries, kind, StoppingConfig(N=n, d=3))
+    assert len(sizes) > len(ClassifierKind)
+    assert max(sizes) <= max(engine.BLOCK_BYTES, 8 * n)
+
+
+def test_depths_built_once_per_chunk(setup, monkeypatch):
+    rng, data = setup
+    cfg = StoppingConfig(N=data.size, d=3)
+    part = partition_proportional(data, 9, rng)
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 2 * 8 * part.total)  # 2-row blocks
+    calls = []
+
+    def counting_depths(*args):
+        calls.append(args[0])
+        return depths(*args)
+
+    monkeypatch.setattr(engine, "depths", counting_depths)
+    queries = rng.random((20, 3))
+    for kind in ClassifierKind:
+        calls.clear()
+        evaluate_queries(part, queries, kind, cfg, chunk_size=7)
+        assert calls == [kind] * 3  # chunks of 7, 7 and 6 rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_query_set_gives_empty_arrays(setup, workers):
+    rng, data = setup
+    part = partition_uniform(data, 3, rng)
+    cfg = StoppingConfig(N=data.size, d=3)
+    for kind in ClassifierKind:
+        labels, k1s, etas = evaluate_queries(part, np.empty((0, 3)), kind, cfg, workers=workers)
+        assert (labels.shape, k1s.shape, etas.shape) == ((0,), (0,), (0,))
+        assert (labels.dtype, k1s.dtype, etas.dtype) == (np.int64, np.int64, np.float64)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_chunk_size_below_one_rejected(setup, chunk_size):
+    rng, data = setup
+    part = partition_uniform(data, 3, rng)
+    cfg = StoppingConfig(N=data.size, d=3)
+    with pytest.raises(ValueError, match=f"chunk_size must be >= 1, got {chunk_size}"):
+        evaluate_queries(part, rng.random((5, 3)), ClassifierKind.DANN, cfg, chunk_size=chunk_size)
