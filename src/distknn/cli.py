@@ -15,17 +15,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, oracle
 from .adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
 from .baselines import ClassifierKind, depths
-from .engine import build_prefix_tensor, evaluate_queries, query_distance_matrix
+from .engine import build_prefix_tensor, evaluate_queries, query_distance_matrix, query_rows
 from .neighbors import Shard
 from .realdata import (
     apply_scaling,
@@ -88,42 +90,77 @@ def _as_name_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.replace(",", " ").split())
 
 
-def _setting(args, file_cfg: dict[str, tuple[str, str]], key: str, default, convert):
-    """Flag > config file > default; the key is taken out of ``file_cfg`` either way."""
-    flag_value = getattr(args, key, None)
-    entry = file_cfg.pop(key, None)
-    if flag_value is not None:
-        return flag_value
-    if entry is None:
-        return default
-    text, where = entry
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise ValueError(f"{where}: config key {key!r}: {exc}") from exc
+class Setting(NamedTuple):
+    """A subcommand's flag ``--key`` and, where it reads a config file, the key."""
+
+    key: str
+    convert: Callable[[str], object]
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
 
 
-def _reject_unread(file_cfg: dict[str, tuple[str, str]]) -> None:
-    """Fail on the first config key left over once a subcommand has read its settings."""
+SEED = Setting("seed", int, 0, "random seed")
+EPSILONS = Setting("epsilons", _as_float_list, tuple(i / 10 for i in range(10)), "comma list, m = ceil(N^eps)")
+SPLIT = Setting("split", str, "uniform", "shard sizes", ("uniform", "proportional"))
+CLASSIFIERS = Setting("classifiers", _as_name_list, tuple(k.value for k in ClassifierKind), "comma list")
+INCLUDE_LOG = Setting("include_log_in_bound", _as_bool, True, "ln N factor in the stopping bound: true or false")
+
+SIMULATE_SETTINGS = (
+    Setting("n", int, 20000, "total sample size N"),
+    Setting("kappa", float, 0.60, "signal floor in (0, 1]"),
+    EPSILONS,
+    SPLIT,
+    Setting("runs", int, 500, "simulation replications"),
+    SEED,
+    CLASSIFIERS,
+    Setting("queries_per_run", int, 1, "query points per run"),
+    INCLUDE_LOG,
+)
+ADULT_SETTINGS = (
+    SEED,
+    Setting("test_fraction", float, 0.2, "share of the rows held out for testing"),
+    EPSILONS,
+    SPLIT._replace(default="proportional"),
+    CLASSIFIERS._replace(default=("dann", "dnn_qiao", "d1nn")),
+    INCLUDE_LOG,
+)
+CLASSIFY_SETTINGS = (SEED, SPLIT, INCLUDE_LOG)
+
+
+def _add_settings(sub: argparse.ArgumentParser, settings) -> None:
+    for s in settings:
+        shown = ",".join(map(str, s.default)) if isinstance(s.default, tuple) else s.default
+        sub.add_argument("--" + s.key.replace("_", "-"), dest=s.key, type=s.convert, choices=s.choices,
+                         default=None, help=f"{s.help} (default {shown})")
+
+
+def _settings(args, file_cfg: dict[str, tuple[str, str]], settings) -> dict:
+    """{key: value} of each setting: its flag, else ``file_cfg``, else its default.
+
+    Every key of ``file_cfg`` must be one of ``settings``: a key left over is
+    rejected, naming its file:line.
+    """
+    values = {}
+    for s in settings:
+        value = getattr(args, s.key)
+        entry = file_cfg.pop(s.key, None)
+        if value is None and entry is not None:
+            text, where = entry
+            try:
+                value = s.convert(text)
+            except ValueError as exc:
+                raise ValueError(f"{where}: config key {s.key!r}: {exc}") from exc
+        values[s.key] = s.default if value is None else value
     if file_cfg:
         key, (_, where) = next(iter(file_cfg.items()))
         raise ValueError(f"{where}: config key {key!r} is not a setting of this subcommand")
+    return values
 
 
 def build_experiment_config(args, file_cfg: dict[str, tuple[str, str]]) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        N=_setting(args, file_cfg, "n", 20000, int),
-        kappa=_setting(args, file_cfg, "kappa", 0.60, float),
-        epsilons=_setting(args, file_cfg, "epsilons", tuple(i / 10 for i in range(10)), _as_float_list),
-        split=_setting(args, file_cfg, "split", "uniform", str),
-        runs=_setting(args, file_cfg, "runs", 500, int),
-        seed=_setting(args, file_cfg, "seed", 0, int),
-        classifiers=_setting(args, file_cfg, "classifiers", tuple(k.value for k in ClassifierKind), _as_name_list),
-        queries_per_run=_setting(args, file_cfg, "queries_per_run", 1, int),
-        include_log_in_bound=_setting(args, file_cfg, "include_log_in_bound", True, _as_bool),
-    )
-    _reject_unread(file_cfg)
-    return cfg
+    values = _settings(args, file_cfg, SIMULATE_SETTINGS)
+    return ExperimentConfig(N=values.pop("n"), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +180,17 @@ def _manifest(command: str, cfg_dict: dict, seed: int, threads: int) -> dict:
     }
 
 
+def _write_manifest(outdir: Path, manifest: dict) -> None:
+    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+
+
 def write_result_files(result: ExperimentResult, outdir: Path, manifest: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     result.write_csv(outdir / "results.csv")
     result.write_json(outdir / "results.json")
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_manifest(outdir, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +235,8 @@ def cmd_adult(args) -> int:
         )
         return 1
     file_cfg = parse_config_file(args.config) if args.config else {}
-    seed = _setting(args, file_cfg, "seed", 0, int)
-    test_fraction = _setting(args, file_cfg, "test_fraction", 0.2, float)
-    epsilons = _setting(args, file_cfg, "epsilons", tuple(i / 10 for i in range(10)), _as_float_list)
-    split_mode = _setting(args, file_cfg, "split", "proportional", str)
-    classifiers = _setting(args, file_cfg, "classifiers", ("dann", "dnn_qiao", "d1nn"), _as_name_list)
-    include_log = _setting(args, file_cfg, "include_log_in_bound", True, _as_bool)
-    _reject_unread(file_cfg)
+    values = _settings(args, file_cfg, ADULT_SETTINGS)
+    seed, test_fraction = values["seed"], values.pop("test_fraction")
     feats, labels = ingest_adult(path)
     print(f"adult: {labels.size} records from {path}")
     # scaled with the whole file's ranges, before the split
@@ -208,16 +244,7 @@ def cmd_adult(args) -> int:
     split_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xAD,)))
     split = train_test_split(full, test_fraction, split_rng)
     print(f"adult: train={split.train.size} test={split.test.size}")
-    cfg = ExperimentConfig(
-        N=split.train.size,
-        kappa=0.6,  # unused by the real-data path
-        epsilons=epsilons,
-        split=split_mode,
-        runs=1,
-        seed=seed,
-        classifiers=classifiers,
-        include_log_in_bound=include_log,
-    )
+    cfg = ExperimentConfig(N=split.train.size, kappa=0.6, runs=1, **values)  # kappa, runs: unused here
     result = evaluate_real(split.train, split.test, cfg, workers=args.threads)
     outdir = Path(args.output)
     manifest = _manifest("adult", cfg.to_dict(), seed, args.threads)
@@ -234,65 +261,59 @@ def cmd_adult(args) -> int:
     return 0
 
 
-def _read_csv_columns(path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path, columns=None, label_col=None):
+    """(feature columns, features, labels) of a CSV file with a header row.
+
+    A training table names its ``label_col``: its other columns are the
+    features, each a finite number, and each label is 0 or 1. A query table
+    has no labels; its ``columns`` are read in that order. A cell that breaks
+    these rules is an error naming the file, its row (line) and the column.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    return header, rows[1:]
-
-
-def _parse_feature_rows(path, rows, columns, header) -> np.ndarray:
-    idx = [header.index(c) for c in columns]
-    out = np.empty((len(rows), len(columns)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        try:
-            out[i] = [float(row[j]) for j in idx]
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}: row {i + 2}: {exc}") from exc
-    return out
-
-
-def _parse_labels(path, rows, column: int) -> np.ndarray:
-    """Training labels; anything but exactly 0 or 1 is rejected with its line."""
-    out = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        try:
-            value = float(row[column])
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}: row {i + 2}: {exc}") from exc
-        if value not in (0.0, 1.0):
-            raise ValueError(f"{path}: row {i + 2}: label must be 0 or 1, got {row[column]!r}")
-        out[i] = int(value)
-    return out
+    header = [h.strip() for h in rows.pop(0)[1]]
+    if label_col is not None:
+        if label_col not in header:
+            raise ValueError(f"label column {label_col!r} not in {path}")
+        columns = [c for c in header if c != label_col]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValueError(f"{path} lacks feature columns {missing}")
+    named = [(c, header.index(c)) for c in columns + ([label_col] if label_col is not None else [])]
+    cells = np.empty((len(rows), len(named)))
+    for i, (line, row) in enumerate(rows):
+        for j, (name, col) in enumerate(named):
+            text = row[col] if col < len(row) else ""
+            try:
+                value = cells[i, j] = float(text)
+            except ValueError:
+                raise ValueError(f"{path}: row {line}: column {name!r}: {text!r} is not a number") from None
+            if name == label_col and value not in (0.0, 1.0):
+                raise ValueError(f"{path}: row {line}: label must be 0 or 1, got {text!r}")
+            if label_col is not None and not math.isfinite(value):
+                raise ValueError(f"{path}: row {line}: column {name!r} is not finite: {text!r}")
+    labels = cells[:, -1].astype(np.int64) if label_col is not None else None
+    return columns, cells[:, : len(columns)], labels
 
 
 def cmd_classify(args) -> int:
-    header, rows = _read_csv_columns(args.train)
-    if args.label_col not in header:
-        raise ValueError(f"label column {args.label_col!r} not in {args.train}")
-    feature_cols = [c for c in header if c != args.label_col]
-    feats = _parse_feature_rows(args.train, rows, feature_cols, header)
-    labels = _parse_labels(args.train, rows, header.index(args.label_col))
-
-    q_header, q_rows = _read_csv_columns(args.queries)
-    missing = [c for c in feature_cols if c not in q_header]
-    if missing:
-        raise ValueError(f"query file lacks feature columns {missing}")
-    queries_raw = _parse_feature_rows(args.queries, q_rows, feature_cols, q_header)
+    feature_cols, feats, labels = _read_table(args.train, label_col=args.label_col)
+    _, queries_raw, _ = _read_table(args.queries, columns=feature_cols)
+    values = _settings(args, {}, CLASSIFY_SETTINGS)
 
     scaling = fit_scaling(feats)
     train = Shard(1, apply_scaling(feats, scaling), labels)
-    queries = apply_scaling(queries_raw, scaling)
+    # non-finite raw values are rejected here: scaling would clamp an inf into [0, 1]
+    queries = apply_scaling(query_rows(queries_raw, train.dim), scaling)
 
-    m = args.shards if args.shards else shard_count(train.size, args.epsilon)
-    seed = _setting(args, {}, "seed", 0, int)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    part = (partition_uniform if args.split == "uniform" else partition_proportional)(train, m, rng)
+    m = args.shards if args.shards is not None else shard_count(train.size, args.epsilon)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=values["seed"], spawn_key=(1,)))
+    part = (partition_uniform if values["split"] == "uniform" else partition_proportional)(train, m, rng)
     kind = ClassifierKind.parse(args.classifier)
-    stopping = StoppingConfig(N=train.size, d=train.dim, include_log_in_bound=args.include_log_in_bound)
+    stopping = StoppingConfig(N=train.size, d=train.dim, include_log_in_bound=values["include_log_in_bound"])
     labels_out, k1s, etas = evaluate_queries(part, queries, kind, stopping, workers=args.threads)
 
     outdir = Path(args.output)
@@ -303,22 +324,15 @@ def cmd_classify(args) -> int:
         for i in range(labels_out.size):
             k1 = "" if k1s[i] < 0 else int(k1s[i])
             fh.write(f"{i},{int(labels_out[i])},{float(etas[i])!r},{k1}\n")
-    manifest = _manifest(
-        "classify",
-        {
-            "train": str(args.train),
-            "queries": str(args.queries),
-            "classifier": kind.value,
-            "m": m,
-            "split": args.split,
-            "feature_columns": feature_cols,
-        },
-        seed,
-        args.threads,
-    )
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    config = {
+        "train": str(args.train),
+        "queries": str(args.queries),
+        "classifier": kind.value,
+        "m": m,
+        "split": values["split"],
+        "feature_columns": feature_cols,
+    }
+    _write_manifest(outdir, _manifest("classify", config, values["seed"], args.threads))
     print(f"classified {labels_out.size} queries with {kind.value} over m={m} shards")
     print(f"wrote {pred_path}")
     return 0
@@ -406,7 +420,7 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = run_selftest(args.instances, _setting(args, {}, "seed", 0, int))
+    failures = run_selftest(args.instances, _settings(args, {}, (SEED,))["seed"])
     if failures:
         print(f"selftest FAILED with {failures} mismatching checks", file=sys.stderr)
         return 1
@@ -417,20 +431,22 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _worker_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+def _epsilon(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    _add_seed_flag(sub)
-    sub.add_argument("--threads", type=_worker_count, default=1, help="worker processes (at least 1)")
+    sub.add_argument("--threads", type=_at_least_one, default=1, help="worker processes (at least 1)")
     sub.add_argument("--output", default="results", help="output directory")
 
 
@@ -444,28 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run the synthetic benchmark grid")
     sim.add_argument("--config", help="key = value config file")
-    sim.add_argument("--n", type=int, default=None, help="total sample size N")
-    sim.add_argument("--kappa", type=float, default=None, help="signal floor in (0, 1]")
-    sim.add_argument("--epsilons", type=_as_float_list, default=None, help="comma list, m = ceil(N^eps)")
-    sim.add_argument("--split", choices=["uniform", "proportional"], default=None)
-    sim.add_argument("--runs", type=int, default=None, help="simulation replications")
-    sim.add_argument("--classifiers", type=_as_name_list, default=None,
-                     help="comma list from dann,dann_nes,dnn_qiao,d1nn")
-    sim.add_argument("--queries-per-run", dest="queries_per_run", type=int, default=None)
-    sim.add_argument("--include-log-in-bound", dest="include_log_in_bound",
-                     type=_as_bool, default=None, metavar="BOOL")
+    _add_settings(sim, SIMULATE_SETTINGS)
     _add_common_flags(sim)
     sim.set_defaults(func=cmd_simulate)
 
     adult = subs.add_parser("adult", help="run the census-income pipeline")
     adult.add_argument("--config", help="key = value config file")
     adult.add_argument("--data", help=f"path to adult.data (default ${DATA_DIR_ENV}/adult.data)")
-    adult.add_argument("--epsilons", type=_as_float_list, default=None)
-    adult.add_argument("--split", choices=["uniform", "proportional"], default=None)
-    adult.add_argument("--classifiers", type=_as_name_list, default=None)
-    adult.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    adult.add_argument("--include-log-in-bound", dest="include_log_in_bound",
-                       type=_as_bool, default=None, metavar="BOOL")
+    _add_settings(adult, ADULT_SETTINGS)
     _add_common_flags(adult)
     adult.set_defaults(func=cmd_adult)
 
@@ -474,17 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--queries", required=True, help="CSV with the same feature columns")
     cls.add_argument("--label-col", default="label")
     cls.add_argument("--classifier", default="dann")
-    cls.add_argument("--shards", type=int, default=None, help="explicit shard count m")
-    cls.add_argument("--epsilon", type=float, default=0.0, help="m = ceil(N^eps) when --shards is absent")
-    cls.add_argument("--split", choices=["uniform", "proportional"], default="uniform")
-    cls.add_argument("--include-log-in-bound", dest="include_log_in_bound",
-                     type=_as_bool, default=True, metavar="BOOL")
+    cls.add_argument("--shards", type=_at_least_one, default=None, help="explicit shard count m (at least 1)")
+    cls.add_argument("--epsilon", type=_epsilon, default=0.0, help="m = ceil(N^eps), eps in [0, 1), when --shards is absent")
+    _add_settings(cls, CLASSIFY_SETTINGS)
     _add_common_flags(cls)
     cls.set_defaults(func=cmd_classify)
 
     selftest = subs.add_parser("selftest", help="oracle-equivalence and audit checks")
-    selftest.add_argument("--instances", type=int, default=200)
-    _add_seed_flag(selftest)  # single process, writes nothing
+    selftest.add_argument("--instances", type=_at_least_one, default=200)
+    _add_settings(selftest, (SEED,))  # single process, writes nothing
     selftest.set_defaults(func=cmd_selftest)
 
     return parser

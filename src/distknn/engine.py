@@ -29,7 +29,7 @@ from .adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
 from .baselines import ClassifierKind, depths
 from .neighbors import Shard, k_smallest_rows
 
-__all__ = ["Partition", "query_distance_matrix", "evaluate_query", "evaluate_queries"]
+__all__ = ["Partition", "query_distance_matrix", "query_rows", "evaluate_query", "evaluate_queries"]
 
 # Byte budget of one block's distance matrix in ``_classify_chunk``. Smaller
 # blocks stay in cache, but each repeats the loop over size runs, which many
@@ -193,12 +193,24 @@ def evaluate_query(
     query: np.ndarray,
     kind: ClassifierKind,
     cfg: StoppingConfig,
-) -> tuple[int, int | None, float]:
-    """Classify one query point; returns (label, k1_hat or None, eta)."""
+) -> tuple[int, int, float]:
+    """Classify one query point; returns (label, k1_hat or -1 where not applicable, eta)."""
     q = np.asarray(query, dtype=np.float64)
     labels, k1s, etas = _classify_chunk(partition, q[None, :], kind, cfg)
-    k1 = int(k1s[0]) if k1s[0] >= 0 else None
-    return int(labels[0]), k1, float(etas[0])
+    return int(labels[0]), int(k1s[0]), float(etas[0])
+
+
+def query_rows(queries: np.ndarray, dim: int) -> np.ndarray:
+    """``queries`` as a contiguous float64 (n, ``dim``) array; a row with a
+    non-finite coordinate is rejected, naming the first such row (0-based)."""
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != dim:
+        raise ValueError("queries must be (n, d) with the partition's dimension")
+    bad = ~np.isfinite(queries).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"query row {row} is not finite: {queries[row].tolist()}")
+    return queries
 
 
 def _eval_chunk_worker(args):
@@ -219,29 +231,18 @@ def evaluate_queries(
 
     Output is independent of ``workers`` and ``chunk_size``: chunks are pure
     functions of their inputs and are reassembled in input order. At most
-    ``workers`` processes start, and no more than there are chunks.
-    ``chunk_size`` only sets how the queries are split into pool tasks; each
-    chunk is classified in blocks of ``BLOCK_BYTES``. A query row with a
-    non-finite coordinate is rejected, naming the first such row (0-based).
-    No query rows give three empty arrays.
+    ``workers`` processes start, and no more than there are chunks; one worker
+    or one chunk classifies every row here in one call. ``chunk_size`` only
+    sets the pool's task split; rows are classified in blocks of
+    ``BLOCK_BYTES``. Query rows are checked by ``query_rows``. No query rows
+    give three empty arrays.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != partition.dim:
-        raise ValueError("queries must be (n, d) with the partition's dimension")
-    bad = ~np.isfinite(queries).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"query row {row} is not finite: {queries[row].tolist()}")
-    # no rows make one empty chunk, so the outputs keep their dtypes
-    chunks = [queries[i : i + chunk_size] for i in range(0, queries.shape[0], chunk_size)] or [queries]
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [_classify_chunk(partition, c, kind, cfg) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(_eval_chunk_worker, [(partition, c, kind, cfg) for c in chunks]))
-    labels = np.concatenate([p[0] for p in parts])
-    k1s = np.concatenate([p[1] for p in parts])
-    etas = np.concatenate([p[2] for p in parts])
-    return labels, k1s, etas
+    queries = query_rows(queries, partition.dim)
+    if workers <= 1 or queries.shape[0] <= chunk_size:
+        return _classify_chunk(partition, queries, kind, cfg)
+    chunks = [queries[i : i + chunk_size] for i in range(0, queries.shape[0], chunk_size)]
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        parts = list(pool.map(_eval_chunk_worker, [(partition, c, kind, cfg) for c in chunks]))
+    return tuple(np.concatenate(p) for p in zip(*parts))

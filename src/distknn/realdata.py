@@ -184,5 +184,5 @@ def evaluate_real(
             labels, k1s, _ = evaluate_queries(part, test.features, kind, stopping, workers=workers)
             elapsed = time.perf_counter() - start
             agree = (labels == test.labels).astype(np.int8)
-            result.add_row(kind.value, eps, m, agree, k1s[k1s >= 0], elapsed)
+            result.add_row(kind.value, eps, m, agree, k1s, elapsed)
     return result

@@ -211,8 +211,9 @@ class ExperimentResult:
         """Append one (classifier, epsilon) row and keep its samples.
 
         ``agree`` holds the 0/1 agreement indicators and ``k1s`` the int64 k1
-        choices (empty for the fixed-depth classifiers).
+        choices; the -1 entries of the fixed-depth classifiers are dropped here.
         """
+        k1s = k1s[k1s >= 0]
         rate = float(agree.mean())
         self.rows.append(
             ResultRow(
@@ -295,12 +296,9 @@ def _simulate_run(args: tuple[ExperimentConfig, int, int]):
         for kind in cfg.classifiers:
             start = time.perf_counter()
             labels = np.empty(cfg.queries_per_run, dtype=np.int64)
-            k1s: list[int] = []
+            k1s = np.empty(cfg.queries_per_run, dtype=np.int64)
             for qi in range(cfg.queries_per_run):
-                label, k1, _ = evaluate_query(part, queries[qi], kind, stopping)
-                labels[qi] = label
-                if k1 is not None:
-                    k1s.append(k1)
+                labels[qi], k1s[qi], _ = evaluate_query(part, queries[qi], kind, stopping)
             elapsed = time.perf_counter() - start
             out[kind.value] = ((labels == oracle).astype(np.int8), k1s, elapsed)
         return eps_idx, run_idx, out
@@ -336,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         for name, (agree, run_k1s, elapsed) in payload.items():
             key = (name, eps_idx)
             bits.setdefault(key, []).append(agree)
-            k1s.setdefault(key, []).extend(run_k1s)
+            k1s.setdefault(key, []).append(run_k1s)
             times.setdefault(key, []).append(elapsed)
 
     result = ExperimentResult(config=cfg, rows=[], failures=failures)
@@ -351,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
                 eps,
                 m,
                 np.concatenate(bits[key]),
-                np.array(k1s[key], dtype=np.int64),
+                np.concatenate(k1s[key]),
                 float(np.mean(times[key])),
             )
     return result

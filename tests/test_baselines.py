@@ -76,7 +76,7 @@ class TestDnnQiao:
                 total += k
             expected = 1 if pooled / total >= 0.5 else 0
             label, k1, eta = evaluate_query(line_partition(rows), ORIGIN, ClassifierKind.DNN_QIAO, cfg)
-            assert (label, k1, eta) == (expected, None, pooled / total)
+            assert (label, k1, eta) == (expected, -1, pooled / total)
 
     def test_shallow_profiles_rejected(self):
         # a depth-1 profile cannot serve the depth-16 rule at N=1000

@@ -108,6 +108,122 @@ class TestConfigFile:
             assert json.loads((out / "results.json").read_text())["config"]["seed"] == expected
 
 
+FIXTURE = Path(__file__).parent / "data" / "adult_sample.data"
+
+# Per key: (config-file text, the value it gives, flag text, the value it gives).
+SIMULATE_KEYS = {
+    "n": ("60", 60, "70", 70),
+    "kappa": ("0.55", 0.55, "0.65", 0.65),
+    "epsilons": ("0, 0.2", [0.0, 0.2], "0.1", [0.1]),
+    "split": ("proportional", "proportional", "uniform", "uniform"),
+    "runs": ("2", 2, "3", 3),
+    "seed": ("11", 11, "12", 12),
+    "classifiers": ("d1nn", ["d1nn"], "dnn_qiao,d1nn", ["dnn_qiao", "d1nn"]),
+    "queries_per_run": ("2", 2, "3", 3),
+    "include_log_in_bound": ("false", False, "true", True),
+}
+ADULT_KEYS = {
+    "seed": ("11", 11, "12", 12),
+    "test_fraction": ("0.25", 0.25, "0.3", 0.3),
+    "epsilons": ("0, 0.2", [0.0, 0.2], "0.1", [0.1]),
+    "split": ("uniform", "uniform", "proportional", "proportional"),
+    "classifiers": ("d1nn", ["d1nn"], "dann,d1nn", ["dann", "d1nn"]),
+    "include_log_in_bound": ("false", False, "true", True),
+}
+# Small runs; the key under test replaces its entry here.
+BASE = {
+    "simulate": {"n": "60", "runs": "1", "epsilons": "0", "classifiers": "d1nn"},
+    "adult": {"epsilons": "0", "classifiers": "d1nn"},
+}
+
+# (default, type, choices) of each parsed flag: the flag set that scripts and
+# config files rely on. ``split`` converts with str, which keeps the string as
+# argparse's default type None would.
+PARENT_FLAGS = {
+    "simulate": {
+        "config": (None, None, None),
+        "n": (None, "int", None),
+        "kappa": (None, "float", None),
+        "epsilons": (None, "_as_float_list", None),
+        "split": (None, "str", ("uniform", "proportional")),
+        "runs": (None, "int", None),
+        "classifiers": (None, "_as_name_list", None),
+        "queries_per_run": (None, "int", None),
+        "include_log_in_bound": (None, "_as_bool", None),
+        "seed": (None, "int", None),
+        "threads": (1, "_at_least_one", None),
+        "output": ("results", None, None),
+    },
+    "adult": {
+        "config": (None, None, None),
+        "data": (None, None, None),
+        "epsilons": (None, "_as_float_list", None),
+        "split": (None, "str", ("uniform", "proportional")),
+        "classifiers": (None, "_as_name_list", None),
+        "test_fraction": (None, "float", None),
+        "include_log_in_bound": (None, "_as_bool", None),
+        "seed": (None, "int", None),
+        "threads": (1, "_at_least_one", None),
+        "output": ("results", None, None),
+    },
+}
+
+
+def run_with_settings(tmp_path, command, key, flag_text=None):
+    """Run ``command`` with ``key`` set in a config file, and by its flag if
+    ``flag_text`` is given; returns the manifest's value for the key."""
+    text = SIMULATE_KEYS[key][0] if command == "simulate" else ADULT_KEYS[key][0]
+    values = {**BASE[command], key: text}
+    path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / ("flag" if flag_text else "file")
+    argv = [command, "--config", str(path), "--output", str(out)]
+    if command == "adult":
+        argv += ["--data", str(FIXTURE)]
+    if flag_text is not None:
+        argv += ["--" + key.replace("_", "-"), flag_text]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    if key == "test_fraction":
+        return manifest[key]
+    return manifest["config"]["N" if key == "n" else key]
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "command, key", [("simulate", k) for k in SIMULATE_KEYS] + [("adult", k) for k in ADULT_KEYS]
+    )
+    def test_file_value_reaches_manifest_and_flag_overrides_it(self, tmp_path, command, key):
+        _, from_file, flag_text, from_flag = (SIMULATE_KEYS if command == "simulate" else ADULT_KEYS)[key]
+        assert run_with_settings(tmp_path, command, key) == from_file
+        assert run_with_settings(tmp_path, command, key, flag_text) == from_flag
+
+    @pytest.mark.parametrize("command", ["simulate", "adult"])
+    def test_parsed_flags_unchanged(self, command):
+        subs = next(a for a in build_parser()._actions if a.choices and command in a.choices)
+        got = {
+            a.dest: (a.default, getattr(a.type, "__name__", None), tuple(a.choices) if a.choices else None)
+            for a in subs.choices[command]._actions
+            if a.dest != "help"
+        }
+        assert got == PARENT_FLAGS[command]
+
+    def test_defaults(self, tmp_path):
+        cfg = build_experiment_config(build_parser().parse_args(["simulate"]), {})
+        assert cfg == simharness.ExperimentConfig(
+            N=20000, kappa=0.60, epsilons=tuple(i / 10 for i in range(10)), split="uniform", runs=500,
+            seed=0, classifiers=("dann", "dann_nes", "dnn_qiao", "d1nn"), queries_per_run=1,
+            include_log_in_bound=True,
+        )
+        out = tmp_path / "adult"
+        assert main(["adult", "--data", str(FIXTURE), "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["seed"], manifest["test_fraction"]) == (0, 0.2)
+        config = manifest["config"]
+        assert config["epsilons"] == [i / 10 for i in range(10)]
+        assert (config["split"], config["classifiers"]) == ("proportional", ["dann", "dnn_qiao", "d1nn"])
+        assert config["include_log_in_bound"] is True
+
+
 class TestSimulateCommand:
     def test_end_to_end_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -295,11 +411,44 @@ class TestClassifyCommand:
         rng = np.random.default_rng(3)
         train, _ = self.make_files(tmp_path, rng)
         bad = tmp_path / "bad.csv"
-        bad.write_text("x,y\n0.5,0.5\nnan,0.1\n0.2,0.2\n")
-        rc = main(["classify", "--train", str(train), "--queries", str(bad),
-                   "--output", str(tmp_path / "o")])
-        assert rc == 1
-        assert "query row 1 " in capsys.readouterr().err
+        # inf and -inf must not be clamped into [0, 1] by the scaling
+        for cell in ("nan", "inf", "-inf"):
+            bad.write_text(f"x,y\n0.5,0.5\n{cell},0.1\n0.2,0.2\n")
+            rc = main(["classify", "--train", str(train), "--queries", str(bad),
+                       "--output", str(tmp_path / "o")])
+            assert rc == 1, cell
+            assert "query row 1 is not finite" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_training_feature_names_row_and_column(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        train, queries = self.make_files(tmp_path, rng)
+        lines = train.read_text().splitlines()
+        for cell in ("nan", "inf", "-inf"):
+            train.write_text("\n".join(lines[:3] + [f"0.5,{cell},1"] + lines[4:]) + "\n")
+            rc = main(["classify", "--train", str(train), "--queries", str(queries),
+                       "--output", str(tmp_path / "o")])
+            assert rc == 1, cell
+            assert f"{train}: row 4: column 'y' is not finite: '{cell}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shards", "0"], "argument --shards: must be at least 1, got 0"),
+            (["--epsilon", "1.5"], "argument --epsilon: must be in [0, 1), got 1.5"),
+            (["--epsilon", "-0.5"], "argument --epsilon: must be in [0, 1), got -0.5"),
+        ],
+        ids=["shards-0", "epsilon-1.5", "epsilon-minus-0.5"],
+    )
+    def test_out_of_range_flag_rejected(self, tmp_path, capsys, flags, message):
+        train, queries = self.make_files(tmp_path, np.random.default_rng(7))
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--train", str(train), "--queries", str(queries),
+                  "--output", str(tmp_path / "o")] + flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_fractional_label_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -331,6 +480,13 @@ def test_selftest_rejects_flags_it_would_ignore(flag, tmp_path, monkeypatch, cap
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_selftest_instances_below_one_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--instances", "-3"])
+    assert exc.value.code == 2
+    assert "argument --instances: must be at least 1, got -3" in capsys.readouterr().err
 
 
 def test_selftest_function_and_command(capsys):

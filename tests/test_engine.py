@@ -36,11 +36,7 @@ def test_engine_matches_reference_ops(setup, split, m):
     for kind in ClassifierKind:
         for _ in range(6):
             query = rng.random(3)
-            label, k1, eta = evaluate_query(part, query, kind, cfg)
-            ref_label, ref_k1, ref_eta = oracle.classify(part, query, kind, cfg)
-            assert label == ref_label
-            assert (k1 if k1 is not None else -1) == ref_k1
-            assert eta == ref_eta
+            assert evaluate_query(part, query, kind, cfg) == oracle.classify(part, query, kind, cfg)
 
 
 def test_profile_partition_matches_per_shard_profiles(setup):
@@ -98,10 +94,7 @@ def test_batched_queries_match_single_queries(setup):
     for kind in ClassifierKind:
         labels, k1s, etas = evaluate_queries(part, queries, kind, cfg, chunk_size=10)
         for i in range(queries.shape[0]):
-            label, k1, eta = evaluate_query(part, queries[i], kind, cfg)
-            assert labels[i] == label
-            assert etas[i] == eta
-            assert (k1s[i] if k1s[i] >= 0 else None) == k1
+            assert evaluate_query(part, queries[i], kind, cfg) == (labels[i], k1s[i], etas[i])
 
 
 def test_worker_count_does_not_change_results(setup):
@@ -259,7 +252,7 @@ def test_depths_built_once_per_chunk(setup, monkeypatch):
     for kind in ClassifierKind:
         calls.clear()
         evaluate_queries(part, queries, kind, cfg, chunk_size=7)
-        assert calls == [kind] * 3  # chunks of 7, 7 and 6 rows
+        assert calls == [kind]  # one worker: one call over all 20 rows, not one per chunk of 7
 
 
 @pytest.mark.parametrize("workers", [1, 2])
