@@ -312,7 +312,7 @@ def cmd_classify(args) -> int:
     m = args.shards if args.shards is not None else shard_count(train.size, args.epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=values["seed"], spawn_key=(1,)))
     part = (partition_uniform if values["split"] == "uniform" else partition_proportional)(train, m, rng)
-    kind = ClassifierKind.parse(args.classifier)
+    kind = args.classifier
     stopping = StoppingConfig(N=train.size, d=train.dim, include_log_in_bound=values["include_log_in_bound"])
     labels_out, k1s, etas = evaluate_queries(part, queries, kind, stopping, workers=args.threads)
 
@@ -445,6 +445,13 @@ def _epsilon(text: str) -> float:
     return value
 
 
+def _classifier(text: str) -> ClassifierKind:
+    try:
+        return ClassifierKind.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=_at_least_one, default=1, help="worker processes (at least 1)")
     sub.add_argument("--output", default="results", help="output directory")
@@ -475,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--train", required=True, help="labeled CSV with header")
     cls.add_argument("--queries", required=True, help="CSV with the same feature columns")
     cls.add_argument("--label-col", default="label")
-    cls.add_argument("--classifier", default="dann")
+    cls.add_argument("--classifier", type=_classifier, default="dann",
+                     help=f"one of {', '.join(k.value for k in ClassifierKind)}")
     cls.add_argument("--shards", type=_at_least_one, default=None, help="explicit shard count m (at least 1)")
     cls.add_argument("--epsilon", type=_epsilon, default=0.0, help="m = ceil(N^eps), eps in [0, 1), when --shards is absent")
     _add_settings(cls, CLASSIFY_SETTINGS)

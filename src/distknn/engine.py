@@ -194,9 +194,11 @@ def evaluate_query(
     kind: ClassifierKind,
     cfg: StoppingConfig,
 ) -> tuple[int, int, float]:
-    """Classify one query point; returns (label, k1_hat or -1 where not applicable, eta)."""
-    q = np.asarray(query, dtype=np.float64)
-    labels, k1s, etas = _classify_chunk(partition, q[None, :], kind, cfg)
+    """Classify one query point; returns (label, k1_hat or -1 where not applicable, eta).
+
+    The point is checked by ``query_rows``, as row 0."""
+    q = query_rows(np.asarray(query, dtype=np.float64)[None, :], partition.dim)
+    labels, k1s, etas = _classify_chunk(partition, q, kind, cfg)
     return int(labels[0]), int(k1s[0]), float(etas[0])
 
 

@@ -450,6 +450,22 @@ class TestClassifyCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_classifier_rejected_before_reading(self, tmp_path, capsys):
+        # the name is checked at parse time: the missing training file is never opened
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--train", str(tmp_path / "missing.csv"), "--queries", str(tmp_path / "q.csv"),
+                  "--classifier", "bogus", "--output", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "argument --classifier: unknown classifier 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_classifier_name_folded(self, tmp_path):
+        train, queries = self.make_files(tmp_path, np.random.default_rng(6))
+        rc = main(["classify", "--train", str(train), "--queries", str(queries),
+                   "--classifier", " DANN ", "--output", str(tmp_path / "o")])
+        assert rc == 0
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["classifier"] == "dann"
+
     def test_fractional_label_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         train, queries = self.make_files(tmp_path, rng)

@@ -39,6 +39,16 @@ def test_engine_matches_reference_ops(setup, split, m):
             assert evaluate_query(part, query, kind, cfg) == oracle.classify(part, query, kind, cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_single_nonfinite_query_rejected(bad):
+    data = generate_sample(200, SyntheticModel(0.60), np.random.default_rng(8))
+    part = partition_uniform(data, 3, np.random.default_rng(9))
+    cfg = StoppingConfig(N=data.size, d=3)
+    for kind in ClassifierKind:
+        with pytest.raises(ValueError, match="query row 0 is not finite"):
+            evaluate_query(part, [bad, 0.5, 0.5], kind, cfg)
+
+
 def test_profile_partition_matches_per_shard_profiles(setup):
     rng, data = setup
     part = partition_proportional(data, 9, rng)

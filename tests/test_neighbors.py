@@ -161,7 +161,8 @@ def stable_k(dist, k):
 
 # A few repeated values (inf among them) make ties common everywhere in a row,
 # at the selection boundary too. ``small_block`` 0 sends every 1 < k < n call
-# down the argpartition path, which real blocks this small never take.
+# down the argmin-rounds or the argpartition path (by k), which real blocks
+# this small never take.
 @settings(max_examples=300, deadline=None)
 @given(
     dist=arrays(
@@ -276,6 +277,73 @@ def test_full_sort_paths_by_width_and_block_size():
         with mock.patch.object(neighbors, "_sorted_rows", wraps=neighbors._sorted_rows) as spy:
             np.testing.assert_array_equal(k_smallest_rows(dist, shape[1]), stable_k(dist, shape[1]))
         assert spy.called is unstable, shape
+
+
+# Picks of 2 to ROUNDS_K entries take rounds of argmin. A row whose finite
+# entries run out before k picks makes a round's minimum inf, where argmin may
+# return an entry masked earlier; such rows are redone. ``rounds_k`` 0 sends
+# the same calls down argpartition, a large one sends every k < n to the
+# rounds; ``SMALL_BLOCK`` 0 lets these small blocks reach either.
+@settings(max_examples=300, deadline=None)
+@given(
+    dist=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(2, 40)),
+        elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, np.inf]) | st.floats(0, 2),
+    ),
+    k_frac=st.floats(0, 1),
+    rounds_k=st.sampled_from([0, 64]),
+)
+def test_argmin_rounds_match_stable_argsort(dist, k_frac, rounds_k):
+    n = dist.shape[1]
+    before = dist.copy()
+    with mock.patch.object(neighbors, "SMALL_BLOCK", 0), mock.patch.object(neighbors, "ROUNDS_K", rounds_k):
+        for k in (2, 2 + round(k_frac * (n - 3)), n - 1):
+            if 2 <= k < n:
+                np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
+    np.testing.assert_array_equal(dist, before)
+
+
+def test_argmin_rounds_boundary_rows():
+    n = 40
+    base = np.random.default_rng(31).permutation(n) / n
+    rows = [base.copy() for _ in range(6)]
+    rows[0][:] = np.inf  # every round's minimum is inf
+    rows[1][:] = 0.5  # all tied
+    rows[2][:] = np.inf
+    rows[2][[30, 7, 19]] = [0.2, 0.1, 0.2]  # three finite entries, fewer than k
+    rows[3][[5, 9, 33]] = np.inf  # a few infs, never reached
+    rows[4][::3] = 0.0  # a tie at the minimum
+    block = np.array(rows)
+    dist = np.concatenate([block, block[::-1, ::-1]] * (neighbors.SMALL_BLOCK // block.size + 1))
+    assert dist.size > neighbors.SMALL_BLOCK
+    before = dist.copy()
+    for k in (2, 3, 4, neighbors.ROUNDS_K):
+        with mock.patch.object(neighbors, "_argmin_rounds", wraps=neighbors._argmin_rounds) as spy:
+            np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
+        assert spy.called, k
+    np.testing.assert_array_equal(dist, before)
+
+
+def test_argmin_rounds_path_by_k():
+    # clean rows: every path gives the same result, so the path taken is
+    # seen through spies
+    rounds_k, small = neighbors.ROUNDS_K, neighbors.SMALL_BLOCK
+    rng = np.random.default_rng(37)
+    cases = [
+        ((1, small + 1), 2, True),  # just above SMALL_BLOCK
+        ((small // 64 + 1, 64), rounds_k, True),
+        ((small // 64 + 1, 64), rounds_k + 1, False),  # argpartition
+        ((small // 64, 64), rounds_k, False),  # a block of exactly SMALL_BLOCK entries
+        ((small // rounds_k + 1, rounds_k), rounds_k, False),  # k == n: a full sort
+        ((small // rounds_k + 1, rounds_k + 1), rounds_k, True),  # k == n - 1 on narrow rows
+        ((1, 20000), rounds_k, True),
+    ]
+    for shape, k, rounds in cases:
+        dist = rng.random(shape)
+        with mock.patch.object(neighbors, "_argmin_rounds", wraps=neighbors._argmin_rounds) as spy:
+            np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
+        assert spy.called is rounds, (shape, k)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
