@@ -21,8 +21,9 @@ SMALL_BLOCK = 1024
 SORT_WIDTH = 32
 
 # Picks of 2 to ROUNDS_K entries per row, short of the whole row, take one
-# round of argmin each; past it argpartition's per-row cost is the smaller.
-# The two crossed near k = 12 on rows 53 to 20000 entries wide.
+# round of argmin each; beyond it argpartition's per-row cost is the smaller.
+# Up to 12 the rounds won on blocks with rows 53 to 26049 entries wide; a
+# single 20000-entry row crossed over at k = 13 to 14.
 ROUNDS_K = 12
 
 
