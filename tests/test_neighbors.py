@@ -327,7 +327,7 @@ def test_argmin_rounds_boundary_rows():
 
 def test_argmin_rounds_path_by_k():
     # clean rows: every path gives the same result, so the path taken is
-    # seen through spies
+    # seen through a spy on the rounds
     rounds_k, small = neighbors.ROUNDS_K, neighbors.SMALL_BLOCK
     rng = np.random.default_rng(37)
     cases = [
