@@ -39,6 +39,7 @@ from .realdata import (
 from .simharness import (
     ExperimentConfig,
     ExperimentResult,
+    _partition_for,
     partition_proportional,
     partition_uniform,
     run_experiment,
@@ -90,6 +91,13 @@ def _as_name_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.replace(",", " ").split())
 
 
+def _open_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
 class Setting(NamedTuple):
     """A subcommand's flag ``--key`` and, where it reads a config file, the key."""
 
@@ -119,7 +127,7 @@ SIMULATE_SETTINGS = (
 )
 ADULT_SETTINGS = (
     SEED,
-    Setting("test_fraction", float, 0.2, "share of the rows held out for testing"),
+    Setting("test_fraction", _open_fraction, 0.2, "share of the rows held out for testing, in (0, 1)"),
     EPSILONS,
     SPLIT._replace(default="proportional"),
     CLASSIFIERS._replace(default=("dann", "dnn_qiao", "d1nn")),
@@ -149,7 +157,7 @@ def _settings(args, file_cfg: dict[str, tuple[str, str]], settings) -> dict:
             text, where = entry
             try:
                 value = s.convert(text)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{where}: config key {s.key!r}: {exc}") from exc
         values[s.key] = s.default if value is None else value
     if file_cfg:
@@ -311,7 +319,7 @@ def cmd_classify(args) -> int:
 
     m = args.shards if args.shards is not None else shard_count(train.size, args.epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=values["seed"], spawn_key=(1,)))
-    part = (partition_uniform if values["split"] == "uniform" else partition_proportional)(train, m, rng)
+    part = _partition_for(values["split"], train, m, rng)
     kind = args.classifier
     stopping = StoppingConfig(N=train.size, d=train.dim, include_log_in_bound=values["include_log_in_bound"])
     labels_out, k1s, etas = evaluate_queries(part, queries, kind, stopping, workers=args.threads)

@@ -20,6 +20,8 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,13 +44,6 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 
-DEFAULT_CLASSIFIERS = (
-    ClassifierKind.DANN,
-    ClassifierKind.DANN_NES,
-    ClassifierKind.DNN_QIAO,
-    ClassifierKind.D1NN,
-)
-
 
 @dataclass(frozen=True)
 class SyntheticModel:
@@ -59,13 +54,10 @@ class SyntheticModel:
     """
 
     kappa: float
-    d: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError(f"kappa={self.kappa} outside (0, 1]")
-        if self.d != 3:
-            raise ValueError("the synthetic model is three-dimensional")
 
 
 def eta_batch(points: np.ndarray, model: SyntheticModel) -> np.ndarray:
@@ -144,13 +136,14 @@ class ExperimentConfig:
     split: str = "uniform"
     runs: int = 500
     seed: int = 0
-    classifiers: tuple[ClassifierKind, ...] = DEFAULT_CLASSIFIERS
+    classifiers: tuple[ClassifierKind, ...] = tuple(ClassifierKind)
     queries_per_run: int = 1
     include_log_in_bound: bool = True
 
     def __post_init__(self) -> None:
         if self.N < 2:
             raise ValueError("N must be >= 2")
+        SyntheticModel(self.kappa)  # its range check, before any run
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.queries_per_run < 1:
@@ -163,11 +156,16 @@ class ExperimentConfig:
         for e in eps:
             if not 0.0 <= e < 1.0:
                 raise ValueError(f"epsilon {e} outside [0, 1)")
-        object.__setattr__(self, "epsilons", eps)
         kinds = tuple(k if isinstance(k, ClassifierKind) else ClassifierKind.parse(k)
                       for k in self.classifiers)
         if not kinds:
             raise ValueError("need at least one classifier")
+        # one row per (classifier, epsilon): a key may be listed once, after normalising
+        for what, keys in (("epsilon", eps), ("classifier", [k.value for k in kinds])):
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ValueError(f"{what} {key!r} is listed twice")
+        object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "classifiers", kinds)
 
     def to_dict(self) -> dict:
@@ -265,17 +263,18 @@ class ExperimentResult:
             fh.write("\n")
 
 
-def _partition_for(cfg: ExperimentConfig, data: Shard, m: int, rng: np.random.Generator) -> Partition:
-    if cfg.split == "uniform":
-        return partition_uniform(data, m, rng)
-    return partition_proportional(data, m, rng)
+def _partition_for(split: str, data: Shard, m: int, rng: np.random.Generator) -> Partition:
+    """Split ``data`` into m shards by the split name, 'uniform' or 'proportional'."""
+    # looked up at call time, so a wrapped partition function is the one called
+    return (partition_uniform if split == "uniform" else partition_proportional)(data, m, rng)
 
 
 def _simulate_run(args: tuple[ExperimentConfig, int, int]):
     """One simulation run: fresh sample, one partition, one query batch.
 
-    Returns (eps_idx, run_idx, {classifier: (agree_bits, k1s, elapsed)}) or an
-    error marker; never raises, so a bad run cannot abort the grid.
+    Returns (eps_idx, run_idx, [(agree_bits, k1s, elapsed) per classifier of
+    the config]) or an error marker; never raises, so a bad run cannot abort
+    the grid.
     """
     cfg, eps_idx, run_idx = args
     try:
@@ -284,7 +283,7 @@ def _simulate_run(args: tuple[ExperimentConfig, int, int]):
         model = SyntheticModel(cfg.kappa)
         data = generate_sample(cfg.N, model, rng)
         m = shard_count(cfg.N, eps)
-        part = _partition_for(cfg, data, m, rng)
+        part = _partition_for(cfg.split, data, m, rng)
         queries = rng.random((cfg.queries_per_run, 3))
         oracle = (eta_batch(queries, model) >= 0.5).astype(np.int64)
         stopping = StoppingConfig(N=cfg.N, d=3, include_log_in_bound=cfg.include_log_in_bound)
@@ -292,7 +291,7 @@ def _simulate_run(args: tuple[ExperimentConfig, int, int]):
         # for pulling the fresh partition into cache
         query_distance_matrix(part.features, queries[:1])
         part.labels.sum()
-        out = {}
+        out = []
         for kind in cfg.classifiers:
             start = time.perf_counter()
             labels = np.empty(cfg.queries_per_run, dtype=np.int64)
@@ -300,7 +299,7 @@ def _simulate_run(args: tuple[ExperimentConfig, int, int]):
             for qi in range(cfg.queries_per_run):
                 labels[qi], k1s[qi], _ = evaluate_query(part, queries[qi], kind, stopping)
             elapsed = time.perf_counter() - start
-            out[kind.value] = ((labels == oracle).astype(np.int8), k1s, elapsed)
+            out.append(((labels == oracle).astype(np.int8), k1s, elapsed))
         return eps_idx, run_idx, out
     except Exception as exc:  # recorded, not raised
         return eps_idx, run_idx, f"{type(exc).__name__}: {exc}"
@@ -311,9 +310,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     ``workers`` > 1 distributes runs over at most that many processes, and no
     more than there are runs; results are identical to the single-process run
-    because every run owns an independent seed stream and aggregation is
-    order-independent. A run that raises is listed in ``failures``; if every
-    run does, the result has no rows.
+    because every run owns an independent seed stream and the outcomes come
+    back in task order. A run that raises is listed in ``failures``; an
+    epsilon whose every run does has no rows.
     """
     tasks = [(cfg, ei, ri) for ei in range(len(cfg.epsilons)) for ri in range(cfg.runs)]
     workers = min(workers, len(tasks))
@@ -323,33 +322,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_simulate_run, tasks, chunksize=max(1, len(tasks) // (workers * 8))))
 
-    failures = []
-    bits: dict[tuple[str, int], list] = {}
-    k1s: dict[tuple[str, int], list] = {}
-    times: dict[tuple[str, int], list] = {}
-    for eps_idx, run_idx, payload in outcomes:
-        if isinstance(payload, str):
-            failures.append((cfg.epsilons[eps_idx], run_idx, payload))
-            continue
-        for name, (agree, run_k1s, elapsed) in payload.items():
-            key = (name, eps_idx)
-            bits.setdefault(key, []).append(agree)
-            k1s.setdefault(key, []).append(run_k1s)
-            times.setdefault(key, []).append(elapsed)
-
-    result = ExperimentResult(config=cfg, rows=[], failures=failures)
-    for eps_idx, eps in enumerate(cfg.epsilons):
-        m = shard_count(cfg.N, eps)
-        for kind in cfg.classifiers:
-            key = (kind.value, eps_idx)
-            if key not in bits:
-                continue
-            result.add_row(
-                kind.value,
-                eps,
-                m,
-                np.concatenate(bits[key]),
-                np.concatenate(k1s[key]),
-                float(np.mean(times[key])),
-            )
+    result = ExperimentResult(config=cfg, rows=[])
+    for eps_idx, group in groupby(outcomes, key=itemgetter(0)):
+        eps = cfg.epsilons[eps_idx]
+        payloads = []
+        for _, run_idx, payload in group:
+            if isinstance(payload, str):
+                result.failures.append((eps, run_idx, payload))
+            else:
+                payloads.append(payload)
+        # zip(*payloads) pairs each classifier with its outcome in every run
+        for kind, cells in zip(cfg.classifiers, zip(*payloads)):
+            agree, k1s, times = zip(*cells)
+            result.add_row(kind.value, eps, shard_count(cfg.N, eps), np.concatenate(agree),
+                           np.concatenate(k1s), float(np.mean(times)))
     return result

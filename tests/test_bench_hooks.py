@@ -56,9 +56,12 @@ def test_evaluate_queries_binds_traced_arguments():
     assert {"partition", "queries", "workers", "chunk_size"} <= set(call.arguments)
 
 
-@pytest.mark.parametrize("name", ["grid_uniform", "grid_proportional", "census_batch"])
-def test_workload_prepares_and_runs_a_reduced_round(workloads, name):
-    """``prepare(seed)`` and one round per workload, cut down to a fraction of a second."""
+def reduced_round(workloads, name):
+    """A workload and the inputs of one of its rounds, cut down to a fraction of a second.
+
+    One run, or one query chunk: the pools start no process. Also returns the
+    number of result rows the round gives.
+    """
     from distknn import Shard
 
     workload = workloads.WORKLOADS[name]
@@ -66,13 +69,40 @@ def test_workload_prepares_and_runs_a_reduced_round(workloads, name):
     assert slots
     if isinstance(workload, workloads.GridWorkload):
         inputs = dataclasses.replace(slots[0], runs=1, epsilons=(0.0,))
-        expected_rows = len(inputs.classifiers)
-    else:
-        few = Shard(2, slots[0].test.features[:8], slots[0].test.labels[:8])
-        inputs = workloads.CensusInputs(slots[0].train, few, slots[0].cfg)
-        expected_rows = len(inputs.cfg.classifiers) * len(inputs.cfg.epsilons)
-    # one run, or one query chunk: the pools start no process
+        return workload, inputs, len(inputs.classifiers)
+    few = Shard(2, slots[0].test.features[:8], slots[0].test.labels[:8])
+    inputs = workloads.CensusInputs(slots[0].train, few, slots[0].cfg)
+    return workload, inputs, len(inputs.cfg.classifiers) * len(inputs.cfg.epsilons)
+
+
+WORKLOAD_NAMES = ["grid_uniform", "grid_proportional", "census_batch"]
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_prepares_and_runs_a_reduced_round(workloads, name):
+    """``prepare(seed)`` and one round per workload."""
+    workload, inputs, expected_rows = reduced_round(workloads, name)
     result = workload.run(inputs, workload.workers)
     assert result.failures == []
     assert len(result.rows) == expected_rows
     assert all(0.0 <= row.agreement_rate <= 1.0 for row in result.rows)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_traced_round_reaches_every_layer(tracing, workloads, name):
+    """A traced round times and counts each layer, as a ``--trace 1`` run reads them.
+
+    A partition function bound before the tracer patches it, or a traced
+    function whose arguments changed, fails here rather than only in a traced
+    benchmark run.
+    """
+    workload, inputs, _ = reduced_round(workloads, name)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = workload.run(inputs, 1)
+    assert result.failures == []
+    self_times = tracer.self_times()
+    for span in ("simharness.partition", "engine.distance", "neighbors.select", "engine.gather", "adaptive.scan"):
+        assert self_times.get(span, 0.0) > 0.0, span
+    for count in ("classifications", "distance.elements", "select.elements", "scan.steps"):
+        assert tracer.counts[count] > 0, count

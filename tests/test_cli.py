@@ -160,7 +160,7 @@ PARENT_FLAGS = {
         "epsilons": (None, "_as_float_list", None),
         "split": (None, "str", ("uniform", "proportional")),
         "classifiers": (None, "_as_name_list", None),
-        "test_fraction": (None, "float", None),
+        "test_fraction": (None, "_open_fraction", None),
         "include_log_in_bound": (None, "_as_bool", None),
         "seed": (None, "int", None),
         "threads": (1, "_at_least_one", None),
@@ -321,6 +321,24 @@ class TestSimulateCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kappa", "0"], "error: kappa=0.0 outside (0, 1]"),
+            (["--epsilons", "0,0"], "error: epsilon 0.0 is listed twice"),
+            (["--classifiers", "d1nn,D1NN"], "error: classifier 'd1nn' is listed twice"),
+        ],
+        ids=["kappa-0", "epsilon-twice", "classifier-twice"],
+    )
+    def test_bad_grid_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, flags, message):
+        runs = []
+        monkeypatch.setattr(simharness, "_simulate_run", runs.append)
+        rc = main(["simulate", "--n", "300", "--runs", "2", "--output", str(tmp_path / "x")] + flags)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "x").exists()
+
 
 class TestAdultCommand:
     def test_missing_file_is_reported(self, tmp_path, capsys, monkeypatch):
@@ -354,6 +372,37 @@ class TestAdultCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "adult"
         assert manifest["test_fraction"] == 0.3
+
+
+    def test_repeated_classifier_rejected(self, tmp_path, capsys):
+        fixture = Path(__file__).parent / "data" / "adult_sample.data"
+        rc = main(["adult", "--data", str(fixture), "--classifiers", "dann,dann", "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: classifier 'dann' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2"])
+    def test_test_fraction_flag_outside_open_unit_interval(self, tmp_path, capsys, value):
+        fixture = Path(__file__).parent / "data" / "adult_sample.data"
+        with pytest.raises(SystemExit) as exc:
+            main(["adult", "--data", str(fixture), "--test-fraction", value, "--output", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument --test-fraction: must be in (0, 1), got {float(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_test_fraction_config_value_names_its_line_before_reading(self, tmp_path, capsys, monkeypatch):
+        from distknn import cli
+
+        def unread(path):
+            raise AssertionError("the census file was read")
+
+        monkeypatch.setattr(cli, "ingest_adult", unread)
+        fixture = Path(__file__).parent / "data" / "adult_sample.data"
+        cfg = write_config(tmp_path, "seed = 3\ntest_fraction = 1.5\n")
+        rc = main(["adult", "--data", str(fixture), "--config", str(cfg), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {cfg}:2: config key 'test_fraction': must be in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestClassifyCommand:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,20 @@ class TestExperimentConfig:
             ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0,), split="random")
         with pytest.raises(ValueError):
             ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0,), runs=0)
+        with pytest.raises(ValueError, match=re.escape("kappa=0.0 outside (0, 1]")):
+            ExperimentConfig(N=100, kappa=0.0, epsilons=(0.0,))
+
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("epsilons", (0, 0.0), "epsilon 0.0 is listed twice"),
+            ("classifiers", ("dann", "DANN"), "classifier 'dann' is listed twice"),
+        ],
+        ids=["epsilon", "classifier"],
+    )
+    def test_repeated_key_rejected(self, field, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(N=100, kappa=0.6, **{"epsilons": (0.0,), field: values})
 
     def test_classifier_names_accepted(self):
         cfg = ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0,), classifiers=("dann", "D1NN"))
