@@ -273,10 +273,10 @@ class TestSimulateCommand:
 
         split = simharness._partition_for
 
-        def failing_above_one_shard(cfg, data, m, rng):
+        def failing_above_one_shard(split_name, data, m, rng):
             if m > 1:
                 raise RuntimeError("shard store unavailable")
-            return split(cfg, data, m, rng)
+            return split(split_name, data, m, rng)
 
         monkeypatch.setattr(simharness, "_partition_for", failing_above_one_shard)
         out = tmp_path / "out"
@@ -291,7 +291,7 @@ class TestSimulateCommand:
         assert len(json.loads((out / "results.json").read_text())["failures"]) == 3
 
     def test_every_run_failing_still_writes_results(self, tmp_path, capsys, monkeypatch):
-        def failing(cfg, data, m, rng):
+        def failing(split_name, data, m, rng):
             raise RuntimeError("shard store unavailable")
 
         monkeypatch.setattr(simharness, "_partition_for", failing)
@@ -373,19 +373,16 @@ class TestAdultCommand:
         assert manifest["command"] == "adult"
         assert manifest["test_fraction"] == 0.3
 
-
     def test_repeated_classifier_rejected(self, tmp_path, capsys):
-        fixture = Path(__file__).parent / "data" / "adult_sample.data"
-        rc = main(["adult", "--data", str(fixture), "--classifiers", "dann,dann", "--output", str(tmp_path / "o")])
+        rc = main(["adult", "--data", str(FIXTURE), "--classifiers", "dann,dann", "--output", str(tmp_path / "o")])
         assert rc == 1
         assert "error: classifier 'dann' is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2"])
     def test_test_fraction_flag_outside_open_unit_interval(self, tmp_path, capsys, value):
-        fixture = Path(__file__).parent / "data" / "adult_sample.data"
         with pytest.raises(SystemExit) as exc:
-            main(["adult", "--data", str(fixture), "--test-fraction", value, "--output", str(tmp_path / "o")])
+            main(["adult", "--data", str(FIXTURE), "--test-fraction", value, "--output", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert f"argument --test-fraction: must be in (0, 1), got {float(value)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -397,9 +394,8 @@ class TestAdultCommand:
             raise AssertionError("the census file was read")
 
         monkeypatch.setattr(cli, "ingest_adult", unread)
-        fixture = Path(__file__).parent / "data" / "adult_sample.data"
         cfg = write_config(tmp_path, "seed = 3\ntest_fraction = 1.5\n")
-        rc = main(["adult", "--data", str(fixture), "--config", str(cfg), "--output", str(tmp_path / "o")])
+        rc = main(["adult", "--data", str(FIXTURE), "--config", str(cfg), "--output", str(tmp_path / "o")])
         assert rc == 1
         assert f"error: {cfg}:2: config key 'test_fraction': must be in (0, 1), got 1.5" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
