@@ -40,6 +40,7 @@ from .simharness import (
     ExperimentConfig,
     ExperimentResult,
     _partition_for,
+    grid_keys,
     partition_proportional,
     partition_uniform,
     run_experiment,
@@ -245,6 +246,7 @@ def cmd_adult(args) -> int:
     file_cfg = parse_config_file(args.config) if args.config else {}
     values = _settings(args, file_cfg, ADULT_SETTINGS)
     seed, test_fraction = values["seed"], values.pop("test_fraction")
+    grid_keys(values["epsilons"], values["classifiers"])  # before reading: the config needs N from the split
     feats, labels = ingest_adult(path)
     print(f"adult: {labels.size} records from {path}")
     # scaled with the whole file's ranges, before the split

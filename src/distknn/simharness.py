@@ -126,6 +126,21 @@ def shard_count(N: int, eps: float) -> int:
     return math.ceil(N**eps)
 
 
+def grid_keys(epsilons, classifiers) -> tuple[tuple[float, ...], tuple[ClassifierKind, ...]]:
+    """The epsilons as floats and the classifiers as kinds, each listed once.
+
+    The grid has one row per (classifier, epsilon), so a key listed twice
+    after normalising (``0``/``0.0``, ``dann``/``DANN``) is rejected, naming it.
+    """
+    eps = tuple(float(e) for e in epsilons)
+    kinds = tuple(k if isinstance(k, ClassifierKind) else ClassifierKind.parse(k) for k in classifiers)
+    for what, keys in (("epsilon", eps), ("classifier", [k.value for k in kinds])):
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"{what} {key!r} is listed twice")
+    return eps, kinds
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One grid specification for the synthetic benchmark."""
@@ -150,21 +165,14 @@ class ExperimentConfig:
             raise ValueError("queries_per_run must be >= 1")
         if self.split not in ("uniform", "proportional"):
             raise ValueError(f"split must be 'uniform' or 'proportional', got {self.split!r}")
-        eps = tuple(float(e) for e in self.epsilons)
+        eps, kinds = grid_keys(self.epsilons, self.classifiers)
         if not eps:
             raise ValueError("need at least one epsilon")
         for e in eps:
             if not 0.0 <= e < 1.0:
                 raise ValueError(f"epsilon {e} outside [0, 1)")
-        kinds = tuple(k if isinstance(k, ClassifierKind) else ClassifierKind.parse(k)
-                      for k in self.classifiers)
         if not kinds:
             raise ValueError("need at least one classifier")
-        # one row per (classifier, epsilon): a key may be listed once, after normalising
-        for what, keys in (("epsilon", eps), ("classifier", [k.value for k in kinds])):
-            for i, key in enumerate(keys):
-                if key in keys[:i]:
-                    raise ValueError(f"{what} {key!r} is listed twice")
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "classifiers", kinds)
 

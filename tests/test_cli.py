@@ -379,6 +379,27 @@ class TestAdultCommand:
         assert "error: classifier 'dann' is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--classifiers", "dann,DANN", "error: classifier 'dann' is listed twice"),
+            ("--epsilons", "0.3,0.30", "error: epsilon 0.3 is listed twice"),
+        ],
+    )
+    def test_repeated_key_rejected_before_reading(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        from distknn import cli
+
+        def unread(path):
+            raise AssertionError("the census file was read")
+
+        monkeypatch.setattr(cli, "ingest_adult", unread)
+        rc = main(["adult", "--data", str(FIXTURE), flag, value, "--output", str(tmp_path / "o")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "adult:" not in out
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2"])
     def test_test_fraction_flag_outside_open_unit_interval(self, tmp_path, capsys, value):
         with pytest.raises(SystemExit) as exc:

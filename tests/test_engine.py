@@ -1,4 +1,11 @@
+import ctypes
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,3 +290,67 @@ def test_chunk_size_below_one_rejected(setup, chunk_size):
     cfg = StoppingConfig(N=data.size, d=3)
     with pytest.raises(ValueError, match=f"chunk_size must be >= 1, got {chunk_size}"):
         evaluate_queries(part, rng.random((5, 3)), ClassifierKind.DANN, cfg, chunk_size=chunk_size)
+
+
+# A grid in a fresh interpreter: the warm-up call sizes the heap, the second
+# call counts the minor page faults of its 3 x 3 runs.
+FAULT_COUNT_SCRIPT = """
+import json, resource
+from distknn import ExperimentConfig, run_experiment
+cfg = ExperimentConfig(N=60000, kappa=0.55, epsilons=(0.3, 0.5, 0.6), split="proportional", runs=3, seed=1)
+first = run_experiment(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+second = run_experiment(cfg)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"faults": faults, "csv": [first.to_csv_text(), second.to_csv_text()]}))
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+def _without_runtime(csv_text: str) -> list[list[str]]:
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    col = rows[0].index("mean_runtime_s")
+    return [row[:col] + row[col + 1 :] for row in rows]
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_grid_runs_reuse_their_temporaries():
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_COUNT_SCRIPT], env=env, capture_output=True, text=True, timeout=300, check=True
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    # glibc's default thresholds fault in about 1500 pages per run here
+    assert out["faults"] / 9 < 50
+    first, second = out["csv"]
+    assert _without_runtime(first) == _without_runtime(second)
+
+
+def test_allocator_settings(monkeypatch):
+    lib = mock.NonCallableMock(spec=["mallopt"])
+    monkeypatch.setattr(engine.ctypes, "CDLL", mock.Mock(return_value=lib))
+    engine._keep_temporaries_on_heap()
+    assert lib.mallopt.call_args_list == [
+        mock.call(engine._M_MMAP_THRESHOLD, 2 * engine.BLOCK_BYTES),
+        mock.call(engine._M_TRIM_THRESHOLD, 16 * engine.BLOCK_BYTES),
+        mock.call(engine._M_ARENA_MAX, 1),
+    ]
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError])
+def test_allocator_setting_does_nothing_without_mallopt(monkeypatch, error):
+    # AttributeError: a C library without mallopt; OSError: no C library to load
+    lib = mock.NonCallableMock(spec=[])
+    cdll = mock.Mock(side_effect=OSError("no C library")) if error is OSError else mock.Mock(return_value=lib)
+    monkeypatch.setattr(engine.ctypes, "CDLL", cdll)
+    assert engine._keep_temporaries_on_heap() is None
+    cdll.assert_called_once_with(None)
+    assert lib.mock_calls == []
