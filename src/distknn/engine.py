@@ -50,19 +50,15 @@ _M_ARENA_MAX = -8
 def _keep_temporaries_on_heap() -> None:
     """Serve temporaries up to 2 x ``BLOCK_BYTES`` from one heap that is kept.
 
-    Under glibc's default, self-adjusting thresholds, blocks of 0.1 to 1.5 MB
-    (a grid run's sample, partition, distance row and depth tensors) keep
-    going back to the kernel, as unmapped blocks or as a trimmed heap top, so
-    every run faults them in again one 4 KiB page at a time. Setting either
-    threshold turns the adjustment off, so both are set: blocks up to 4 MiB
-    come from the heap, and freed heap up to 32 MiB stays with the process for
-    the next run. Each thread that allocates would otherwise get an arena of
-    its own that keeps as much; the process pool's feeder thread, which
-    pickles every task, raised the census batch's peak memory by up to 15%
-    that way, so all threads share one arena. The setting is process-wide:
-    it applies to every allocation, not only distknn's, from import on, and
-    forked pool workers inherit it (spawned ones import this module again).
-    Only where memory is placed changes, never a value. Without a C library
+    Under glibc's self-adjusting defaults, each grid run's 0.1-1.5 MB
+    temporaries (sample, partition, distance row, depth tensors) go back to
+    the kernel when freed and fault in again page by page in the next run.
+    Fixed thresholds keep them on the heap, and freed heap up to 32 MiB stays
+    with the process; setting either one turns the adjustment off, so both
+    are set. One arena stops the process pool's feeder thread, which pickles
+    every task, from keeping 32 MiB of its own. The setting is process-wide
+    (every allocation from import on, inherited by forked pool workers) and
+    moves only where memory is placed, never a value. Without a C library
     that exports ``mallopt`` (macOS, Windows) this does nothing.
     """
     try:
