@@ -19,6 +19,7 @@ from .realdata import (
 from .simharness import (
     ExperimentConfig,
     ExperimentResult,
+    GridConfig,
     ResultRow,
     SyntheticModel,
     generate_sample,

@@ -39,8 +39,8 @@ from .realdata import (
 from .simharness import (
     ExperimentConfig,
     ExperimentResult,
+    GridConfig,
     _partition_for,
-    grid_keys,
     partition_proportional,
     partition_uniform,
     run_experiment,
@@ -92,6 +92,13 @@ def _as_name_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.replace(",", " ").split())
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _open_fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -109,7 +116,7 @@ class Setting(NamedTuple):
     choices: tuple[str, ...] | None = None
 
 
-SEED = Setting("seed", int, 0, "random seed")
+SEED = Setting("seed", _non_negative, 0, "random seed, at least 0")
 EPSILONS = Setting("epsilons", _as_float_list, tuple(i / 10 for i in range(10)), "comma list, m = ceil(N^eps)")
 SPLIT = Setting("split", str, "uniform", "shard sizes", ("uniform", "proportional"))
 CLASSIFIERS = Setting("classifiers", _as_name_list, tuple(k.value for k in ClassifierKind), "comma list")
@@ -245,21 +252,22 @@ def cmd_adult(args) -> int:
         return 1
     file_cfg = parse_config_file(args.config) if args.config else {}
     values = _settings(args, file_cfg, ADULT_SETTINGS)
-    seed, test_fraction = values["seed"], values.pop("test_fraction")
-    grid_keys(values["epsilons"], values["classifiers"])  # before reading: the config needs N from the split
+    test_fraction = values.pop("test_fraction")
+    cfg = GridConfig(**values)
     feats, labels = ingest_adult(path)
     print(f"adult: {labels.size} records from {path}")
     # scaled with the whole file's ranges, before the split
     full = Shard(1, apply_scaling(feats, fit_scaling(feats)), labels)
-    split_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xAD,)))
+    split_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0xAD,)))
     split = train_test_split(full, test_fraction, split_rng)
     print(f"adult: train={split.train.size} test={split.test.size}")
-    cfg = ExperimentConfig(N=split.train.size, kappa=0.6, runs=1, **values)  # kappa, runs: unused here
     result = evaluate_real(split.train, split.test, cfg, workers=args.threads)
     outdir = Path(args.output)
-    manifest = _manifest("adult", cfg.to_dict(), seed, args.threads)
+    manifest = _manifest("adult", cfg.to_dict(), cfg.seed, args.threads)
     manifest["data_file"] = str(path)
     manifest["test_fraction"] = test_fraction
+    # m = ceil(N^eps) with N the training row count
+    manifest["train_rows"], manifest["test_rows"] = split.train.size, split.test.size
     write_result_files(result, outdir, manifest)
     majority = float(max(split.test.labels.mean(), 1 - split.test.labels.mean()))
     print(f"  majority-class accuracy: {majority:.4f}")

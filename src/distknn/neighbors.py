@@ -43,8 +43,9 @@ class Shard:
     __slots__ = ("id", "features", "labels")
 
     def __init__(self, shard_id: int, features: np.ndarray, labels: np.ndarray):
-        feats = np.ascontiguousarray(features, dtype=np.float64)
-        labs = np.ascontiguousarray(labels, dtype=np.int64)
+        # views, frozen below, so the caller's own arrays stay writeable
+        feats = np.ascontiguousarray(features, dtype=np.float64).view()
+        labs = np.ascontiguousarray(labels, dtype=np.int64).view()
         if shard_id < 1:
             raise ValueError("shard id must be >= 1")
         if feats.ndim != 2 or feats.shape[0] == 0:

@@ -23,8 +23,8 @@ from .adaptive import StoppingConfig
 from .engine import evaluate_queries
 from .neighbors import Shard
 from .simharness import (
-    ExperimentConfig,
     ExperimentResult,
+    GridConfig,
     partition_proportional,
     partition_uniform,
     shard_count,
@@ -156,7 +156,7 @@ def train_test_split(shard: Shard, test_fraction: float, rng: np.random.Generato
 def evaluate_real(
     train: Shard,
     test: Shard,
-    cfg: ExperimentConfig,
+    cfg: GridConfig,
     workers: int = 1,
 ) -> ExperimentResult:
     """Score every enabled classifier on the test set across the epsilon grid.
@@ -164,8 +164,7 @@ def evaluate_real(
     For each epsilon the training set is partitioned once (m = ceil(N^eps),
     split mode from the config) and every test point is classified. Rows
     report agreement with the true test labels, so the misclassification rate
-    is 1 - agreement_rate. The ``kappa`` and ``runs`` fields of the config are
-    not used here.
+    is 1 - agreement_rate.
     """
     if train.dim != test.dim:
         raise ValueError("train and test dimensions differ")
@@ -175,10 +174,8 @@ def evaluate_real(
     for eps_idx, eps in enumerate(cfg.epsilons):
         m = shard_count(n_train, eps)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(eps_idx,)))
-        if cfg.split == "uniform":
-            part = partition_uniform(train, m, rng)
-        else:
-            part = partition_proportional(train, m, rng)
+        # this module's names, looked up at call time, so the benchmark's tracer can wrap them here
+        part = (partition_uniform if cfg.split == "uniform" else partition_proportional)(train, m, rng)
         for kind in cfg.classifiers:
             start = time.perf_counter()
             labels, k1s, _ = evaluate_queries(part, test.features, kind, stopping, workers=workers)

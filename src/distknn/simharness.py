@@ -32,6 +32,7 @@ from .neighbors import Shard
 
 __all__ = [
     "SyntheticModel",
+    "GridConfig",
     "ExperimentConfig",
     "ResultRow",
     "ExperimentResult",
@@ -126,34 +127,52 @@ def shard_count(N: int, eps: float) -> int:
     return math.ceil(N**eps)
 
 
-def grid_keys(epsilons, classifiers) -> tuple[tuple[float, ...], tuple[ClassifierKind, ...]]:
-    """The epsilons as floats and the classifiers as kinds, each listed once.
+@dataclass(frozen=True, kw_only=True)
+class GridConfig:
+    """The (classifier, epsilon) grid: the settings the synthetic and census grids share.
 
-    The grid has one row per (classifier, epsilon), so a key listed twice
-    after normalising (``0``/``0.0``, ``dann``/``DANN``) is rejected, naming it.
+    Epsilons become floats and classifiers kinds. A key listed twice after
+    normalising (``0``/``0.0``, ``dann``/``DANN``) is rejected, naming it.
     """
-    eps = tuple(float(e) for e in epsilons)
-    kinds = tuple(k if isinstance(k, ClassifierKind) else ClassifierKind.parse(k) for k in classifiers)
-    for what, keys in (("epsilon", eps), ("classifier", [k.value for k in kinds])):
-        for i, key in enumerate(keys):
-            if key in keys[:i]:
-                raise ValueError(f"{what} {key!r} is listed twice")
-    return eps, kinds
+
+    epsilons: tuple[float, ...]
+    split: str = "uniform"
+    seed: int = 0
+    classifiers: tuple[ClassifierKind, ...] = tuple(ClassifierKind)
+    include_log_in_bound: bool = True
+
+    def __post_init__(self) -> None:
+        if self.split not in ("uniform", "proportional"):
+            raise ValueError(f"split must be 'uniform' or 'proportional', got {self.split!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        eps = tuple(float(e) for e in self.epsilons)
+        kinds = tuple(k if isinstance(k, ClassifierKind) else ClassifierKind.parse(k) for k in self.classifiers)
+        for what, keys in (("epsilon", eps), ("classifier", [k.value for k in kinds])):
+            if not keys:
+                raise ValueError(f"need at least one {what}")
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ValueError(f"{what} {key!r} is listed twice")
+        for e in eps:
+            if not 0.0 <= e < 1.0:
+                raise ValueError(f"epsilon {e} outside [0, 1)")
+        object.__setattr__(self, "epsilons", eps)
+        object.__setattr__(self, "classifiers", kinds)
+
+    def to_dict(self) -> dict:
+        """Every field by name, with the epsilons as a list and the classifiers by name."""
+        return {**asdict(self), "epsilons": list(self.epsilons), "classifiers": [k.value for k in self.classifiers]}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One grid specification for the synthetic benchmark."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(GridConfig):
+    """The synthetic benchmark's grid: its sample size, signal floor and runs."""
 
     N: int
     kappa: float
-    epsilons: tuple[float, ...]
-    split: str = "uniform"
     runs: int = 500
-    seed: int = 0
-    classifiers: tuple[ClassifierKind, ...] = tuple(ClassifierKind)
     queries_per_run: int = 1
-    include_log_in_bound: bool = True
 
     def __post_init__(self) -> None:
         if self.N < 2:
@@ -163,22 +182,7 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.queries_per_run < 1:
             raise ValueError("queries_per_run must be >= 1")
-        if self.split not in ("uniform", "proportional"):
-            raise ValueError(f"split must be 'uniform' or 'proportional', got {self.split!r}")
-        eps, kinds = grid_keys(self.epsilons, self.classifiers)
-        if not eps:
-            raise ValueError("need at least one epsilon")
-        for e in eps:
-            if not 0.0 <= e < 1.0:
-                raise ValueError(f"epsilon {e} outside [0, 1)")
-        if not kinds:
-            raise ValueError("need at least one classifier")
-        object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "classifiers", kinds)
-
-    def to_dict(self) -> dict:
-        """Every field by name, with the epsilons as a list and the classifiers by name."""
-        return {**asdict(self), "epsilons": list(self.epsilons), "classifiers": [k.value for k in self.classifiers]}
+        super().__post_init__()
 
 
 @dataclass
@@ -205,7 +209,7 @@ class ExperimentResult:
     paired (same run, same data, same query).
     """
 
-    config: ExperimentConfig
+    config: GridConfig
     rows: list[ResultRow]
     agreement_samples: dict = field(default_factory=dict)
     k1_samples: dict = field(default_factory=dict)

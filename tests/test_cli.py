@@ -15,6 +15,7 @@ from distknn.cli import (
     parse_config_file,
     run_selftest,
 )
+from distknn.simharness import shard_count
 
 
 def write_config(tmp_path, text):
@@ -150,7 +151,7 @@ PARENT_FLAGS = {
         "classifiers": (None, "_as_name_list", None),
         "queries_per_run": (None, "int", None),
         "include_log_in_bound": (None, "_as_bool", None),
-        "seed": (None, "int", None),
+        "seed": (None, "_non_negative", None),
         "threads": (1, "_at_least_one", None),
         "output": ("results", None, None),
     },
@@ -162,7 +163,7 @@ PARENT_FLAGS = {
         "classifiers": (None, "_as_name_list", None),
         "test_fraction": (None, "_open_fraction", None),
         "include_log_in_bound": (None, "_as_bool", None),
-        "seed": (None, "int", None),
+        "seed": (None, "_non_negative", None),
         "threads": (1, "_at_least_one", None),
         "output": ("results", None, None),
     },
@@ -340,6 +341,25 @@ class TestSimulateCommand:
         assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "adult", "classify", "selftest"])
+def test_negative_seed_flag_rejected_by_the_parser(tmp_path, capsys, monkeypatch, command):
+    runs = []
+    monkeypatch.setattr(simharness, "_simulate_run", runs.append)
+    argv = [command, "--seed", "-1"]
+    if command == "adult":
+        argv += ["--data", str(FIXTURE)]
+    if command == "classify":
+        argv += ["--train", str(tmp_path / "t.csv"), "--queries", str(tmp_path / "q.csv")]
+    if command != "selftest":
+        argv += ["--output", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "o").exists()
+
+
 class TestAdultCommand:
     def test_missing_file_is_reported(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("DISTKNN_DATA_DIR", raising=False)
@@ -384,6 +404,11 @@ class TestAdultCommand:
         [
             ("--classifiers", "dann,DANN", "error: classifier 'dann' is listed twice"),
             ("--epsilons", "0.3,0.30", "error: epsilon 0.3 is listed twice"),
+            ("--epsilons", "1.0", "error: epsilon 1.0 outside [0, 1)"),
+            ("--epsilons", "", "error: need at least one epsilon"),
+            # a config file's value; its flag has choices
+            ("--config", "split = diagonal", "error: split must be 'uniform' or 'proportional', got 'diagonal'"),
+            ("--config", "seed = -1", "config key 'seed': must be at least 0, got -1"),
         ],
     )
     def test_repeated_key_rejected_before_reading(self, tmp_path, capsys, monkeypatch, flag, value, message):
@@ -393,12 +418,26 @@ class TestAdultCommand:
             raise AssertionError("the census file was read")
 
         monkeypatch.setattr(cli, "ingest_adult", unread)
+        if flag == "--config":
+            value = str(write_config(tmp_path, value + "\n"))
         rc = main(["adult", "--data", str(FIXTURE), flag, value, "--output", str(tmp_path / "o")])
         assert rc == 1
         out, err = capsys.readouterr()
         assert message in err
         assert "adult:" not in out
         assert not (tmp_path / "o").exists()
+
+    def test_config_block_holds_the_grid_keys_only(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["adult", "--data", str(FIXTURE), "--epsilons", "0,0.5", "--output", str(out)]) == 0
+        grid = ["epsilons", "split", "seed", "classifiers", "include_log_in_bound"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(json.loads((out / "results.json").read_text())["config"]) == grid
+        assert list(manifest["config"]) == grid
+        # the 13 fixture records split 11/2 at the default test fraction
+        assert (manifest["train_rows"], manifest["test_rows"]) == (11, 2)
+        for row in csv.DictReader(open(out / "results.csv")):
+            assert int(row["m"]) == shard_count(manifest["train_rows"], float(row["epsilon"]))
 
     @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2"])
     def test_test_fraction_flag_outside_open_unit_interval(self, tmp_path, capsys, value):

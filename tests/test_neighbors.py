@@ -381,6 +381,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             shard.features[0, 0] = 1.0
 
+    def test_shard_leaves_the_callers_arrays_writeable(self):
+        # contiguous float64/int64 input is not copied, but only the shard's views are frozen
+        feats, labels = np.zeros((2, 3)), np.zeros(2, dtype=np.int64)
+        shard = Shard(1, feats, labels)
+        assert np.shares_memory(shard.features, feats) and np.shares_memory(shard.labels, labels)
+        feats[0, 0] = 2.0
+        labels[0] = 1
+        with pytest.raises(ValueError):
+            shard.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            shard.labels[0] = 0
+
     def test_profile_invariant_validation(self):
         # every profile steps by 0 or 1 label per neighbor and never gets closer
         rng = np.random.default_rng(13)

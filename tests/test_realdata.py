@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from distknn.realdata import (
     ingest_adult,
     train_test_split,
 )
-from distknn.simharness import ExperimentConfig
+from distknn.simharness import ExperimentConfig, GridConfig
 
 FIXTURE = Path(__file__).parent / "data" / "adult_sample.data"
 ROW = "40, Private, 100, HS-grad, 9, Never-married, Sales, Husband, White, Male, 0, 0, 40, United-States, >50K\n"
@@ -212,6 +213,16 @@ class TestEvaluateReal:
         np.testing.assert_array_equal(
             r1.agreement_samples[("dann", 0.2)], r2.agreement_samples[("dann", 0.2)]
         )
+
+    def test_grid_config_gives_the_rows_of_the_synthetic_config(self):
+        rng = np.random.default_rng(10)
+        train = learnable_dataset(400, rng)
+        test = learnable_dataset(60, rng)
+        grid = dict(epsilons=(0.0, 0.5), split="proportional", seed=5, classifiers=("dann", "d1nn"))
+        got = evaluate_real(train, test, GridConfig(**grid))
+        want = evaluate_real(train, test, ExperimentConfig(N=train.size, kappa=0.6, runs=1, **grid))
+        rows = [[dataclasses.replace(r, mean_runtime_s=0.0) for r in res.rows] for res in (got, want)]
+        assert rows[0] == rows[1]
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(9)

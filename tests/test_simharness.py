@@ -10,6 +10,7 @@ import pytest
 from distknn.baselines import ClassifierKind
 from distknn.simharness import (
     ExperimentConfig,
+    GridConfig,
     ResultRow,
     SyntheticModel,
     eta_batch,
@@ -240,6 +241,40 @@ class TestExperimentConfig:
         assert list(d) == [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert d["epsilons"] == [0.0, 0.5]
         assert d["classifiers"] == ["dann", "dann_nes", "dnn_qiao", "d1nn"]
+
+
+class TestGridConfig:
+    GRID_KEYS = ["epsilons", "split", "seed", "classifiers", "include_log_in_bound"]
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"epsilons": (1.0,)}, "epsilon 1.0 outside [0, 1)"),
+            ({"epsilons": ()}, "need at least one epsilon"),
+            ({"epsilons": (0.0,), "classifiers": ()}, "need at least one classifier"),
+            ({"epsilons": (0.0,), "split": "diagonal"}, "split must be 'uniform' or 'proportional', got 'diagonal'"),
+            ({"epsilons": (0.0,), "seed": -1}, "seed must be >= 0, got -1"),
+        ],
+        ids=["epsilon-range", "no-epsilon", "no-classifier", "split", "negative-seed"],
+    )
+    def test_every_grid_check(self, kw, message):
+        for config in (GridConfig, lambda **k: ExperimentConfig(N=100, kappa=0.6, **k)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                config(**kw)
+
+    def test_keyword_only_and_frozen(self):
+        with pytest.raises(TypeError):
+            GridConfig((0.0,))
+        cfg = GridConfig(epsilons=(0,), classifiers=("DANN",))
+        assert (cfg.epsilons, cfg.classifiers) == ((0.0,), (ClassifierKind.DANN,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+
+    def test_dict_holds_the_grid_keys_only(self):
+        assert list(GridConfig(epsilons=(0.0,)).to_dict()) == self.GRID_KEYS
+        # the synthetic config adds its own four after the grid's
+        extra = list(ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0,)).to_dict())[len(self.GRID_KEYS):]
+        assert extra == ["N", "kappa", "runs", "queries_per_run"]
 
 
 class TestRunExperiment:
