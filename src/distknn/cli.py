@@ -154,8 +154,10 @@ def _add_settings(sub: argparse.ArgumentParser, settings) -> None:
 def _settings(args, file_cfg: dict[str, tuple[str, str]], settings) -> dict:
     """{key: value} of each setting: its flag, else ``file_cfg``, else its default.
 
+    A file value is converted and checked against the setting's choices here,
+    as argparse does for a flag; a bad one is rejected naming its file:line.
     Every key of ``file_cfg`` must be one of ``settings``: a key left over is
-    rejected, naming its file:line.
+    rejected, naming its file:line too.
     """
     values = {}
     for s in settings:
@@ -165,6 +167,8 @@ def _settings(args, file_cfg: dict[str, tuple[str, str]], settings) -> dict:
             text, where = entry
             try:
                 value = s.convert(text)
+                if s.choices is not None and value not in s.choices:
+                    raise ValueError(f"must be {' or '.join(map(repr, s.choices))}, got {value!r}")
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{where}: config key {s.key!r}: {exc}") from exc
         values[s.key] = s.default if value is None else value

@@ -4,7 +4,11 @@ A Partition keeps all shards of one split in two flat arrays, shards laid out
 contiguously in nonincreasing size order. Because equal-sized shards sit next
 to each other, neighbor search vectorizes across whole runs of shards that
 share a size and a depth (and across query batches): the Python loop is over
-runs, never over shards.
+runs, never over shards. Where those runs are many per query row, as on a
+proportional split's middle epsilons, the profiles instead come from one sort
+of each whole distance row with no Python loop; that sort costs the same at
+any depth, so it is taken only where the profiles are deep enough to use a fair
+share of it (``SEGMENT_RUNS_PER_ROW``, ``SEGMENT_DEPTH_RATIO``).
 
 This is the library's only classification path. Distances come from one
 kernel that adds squared differences column by column, and neighbors are
@@ -36,10 +40,24 @@ from .neighbors import Shard, k_smallest_rows
 __all__ = ["Partition", "query_distance_matrix", "query_rows", "evaluate_query", "evaluate_queries"]
 
 # Byte budget of one block's distance matrix in ``_classify_chunk``. Smaller
-# blocks stay in cache, but each repeats the loop over size runs, which many
-# distinct shard sizes make costly; on census-scale chunks 2 MiB was never
-# slower than one unblocked chunk and within a few percent of the best budget.
+# blocks stay in cache, but each repeats the run loop of ``_run_profiles``,
+# which many distinct shard sizes make costly; on census-scale chunks 2 MiB was
+# never slower than one unblocked chunk and within a few percent of the best
+# budget.
 BLOCK_BYTES = 2 << 20
+
+# ``build_prefix_tensor`` sorts whole rows (``_segmented_profiles``) where a
+# block has at least SEGMENT_RUNS_PER_ROW runs of equal (size, depth) shards
+# per query row and SEGMENT_DEPTH_RATIO x the summed profile depth reaches N.
+# Both strategies timed against each other on one query row, N = 60000, d = 3,
+# proportional split (2-core Xeon): the sort took 3.5-4.5 ms at any depth, and
+# beat the run loop only for dann and dann_nes at 82-245 runs (eps 0.4-0.6;
+# e.g. dann 8.3 -> 4.6 ms at 245 runs), not at 28 runs or fewer (dann 2.3 ->
+# 4.0 ms) nor for dnn_qiao and d1nn, whose depths sum to N / 81 or less (1.9 ->
+# 4.3 ms at 162 runs). On census-scale blocks (10 rows, N = 26049, d = 6, at
+# most 116 runs) the run loop won at every eps.
+SEGMENT_RUNS_PER_ROW = 64
+SEGMENT_DEPTH_RATIO = 64
 
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -164,9 +182,17 @@ def build_prefix_tensor(
     """Label prefix sums for every (query, shard) pair, shape (q, m, kpad).
 
     ``shard_depths[j]`` is how deep shard j's profile must go, in [1, n_j];
-    entries past a shard's depth are zero padding. Neighbors are selected
-    once per run of shards that share a size and a depth, with all of the
-    run's (query, shard) rows in one ``k_smallest_rows`` call.
+    entries past a shard's depth are zero padding. The profiles come from
+    one of two strategies: the run loop (``_run_profiles``), which selects
+    neighbors once per run of shards that share a size and a depth, with all
+    of the run's (query, shard) rows in one ``k_smallest_rows`` call, or one
+    full sort of each query row (``_segmented_profiles``). The loop pays a
+    fixed Python cost per run; the sort pays for every entry of the row,
+    however few of them the profiles read. So the sort is taken only where
+    the runs are many per query row (``SEGMENT_RUNS_PER_ROW``) and the
+    profiles deep enough (``SEGMENT_DEPTH_RATIO``): without the depth
+    condition, ``d1nn`` and ``dnn_qiao``, one or a few neighbors per shard,
+    would sort whole rows. Both give the same tensor.
     """
     sizes = partition.sizes
     shard_depths = np.asarray(shard_depths, dtype=np.int64)
@@ -177,11 +203,24 @@ def build_prefix_tensor(
         j = int(bad[0])
         raise ValueError(f"shard {j}: depth {shard_depths[j]} outside [1, shard size {sizes[j]}]")
     nq = queries.shape[0]
-    kpad = int(shard_depths.max())
-    offsets, labels = partition.offsets, partition.labels
     dist = query_distance_matrix(partition.features, queries)
-    out = np.zeros((nq, len(partition), kpad), dtype=np.int64)
-    for first, last, size in partition.size_runs(shard_depths):
+    out = np.zeros((nq, len(partition), int(shard_depths.max())), dtype=np.int64)
+    runs = partition.size_runs(shard_depths)
+    deep = SEGMENT_DEPTH_RATIO * int(shard_depths.sum()) >= partition.total
+    if deep and len(runs) >= SEGMENT_RUNS_PER_ROW * nq:
+        _segmented_profiles(partition, dist, shard_depths, out)
+    else:
+        _run_profiles(partition, dist, shard_depths, runs, out)
+    return out
+
+
+def _run_profiles(
+    partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, runs: list[tuple[int, int, int]], out: np.ndarray
+) -> None:
+    """Fill ``out`` one run of equal (size, depth) shards at a time."""
+    nq = dist.shape[0]
+    offsets, labels = partition.offsets, partition.labels
+    for first, last, size in runs:
         depth = int(shard_depths[first])
         a, b = int(offsets[first]), int(offsets[last])
         idx = k_smallest_rows(dist[:, a:b].reshape(-1, size), depth).reshape(nq, last - first, depth)
@@ -190,7 +229,36 @@ def build_prefix_tensor(
         view[...] = labels[idx]
         if depth > 1:
             np.cumsum(view, axis=2, out=view)
-    return out
+
+
+def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` from one sort of each whole distance row.
+
+    Sorted in (distance, partition-wide index) order, a row holds each shard's
+    points in (distance, index within the shard) order, since a shard's
+    indices are consecutive. A stable argsort of the shard ids then lays the
+    row out shard by shard, each shard at its own offsets, and one cumulative
+    sum of the labels in that order gives every profile: shard j's count at
+    depth t + 1 is the sum at ``offsets[j] + t`` minus the sum before
+    ``offsets[j]``.
+    """
+    nq, n = dist.shape
+    m, kpad = out.shape[1:]
+    # each point's key is 2 x its shard id + its label: one gather in sorted
+    # order brings both, and int16 keys take numpy's radix sort
+    key = np.repeat(np.arange(m, dtype=np.int16 if m < 1 << 14 else np.int32) << 1, partition.sizes)
+    key |= partition.labels.astype(key.dtype)
+    key = key[k_smallest_rows(dist, n)]
+    by_shard = (key >> 1).argsort(axis=1, kind="stable")
+    by_shard += np.arange(0, nq * n, n)[:, None]  # flat index into ``key``
+    sums = np.zeros((nq, n + 1), dtype=np.int64)  # sums[:, p + 1]: labels at positions 0..p
+    np.cumsum(key.reshape(-1)[by_shard] & 1, axis=1, out=sums[:, 1:])
+    # the entries t < shard_depths[j] of every shard j; shard numbers are
+    # int64, as j * kpad reaches m * kpad, which can pass an int16's range
+    shard = np.repeat(np.arange(m, dtype=np.int64), shard_depths)
+    step = np.arange(shard.size) - np.repeat(np.cumsum(shard_depths) - shard_depths, shard_depths)
+    start = partition.offsets[shard]
+    out.reshape(nq, m * kpad)[:, shard * kpad + step] = sums[:, start + step + 1] - sums[:, start]
 
 
 def _classify_chunk(

@@ -106,3 +106,49 @@ def test_traced_round_reaches_every_layer(tracing, workloads, name):
         assert self_times.get(span, 0.0) > 0.0, span
     for count in ("classifications", "distance.elements", "select.elements", "scan.steps"):
         assert tracer.counts[count] > 0, count
+
+
+def test_traced_round_takes_the_segmented_sort(tracing, workloads, monkeypatch):
+    """A traced ``grid_proportional`` run at eps = 0.5, where dann and dann_nes sort whole rows.
+
+    m = 245 shards of nearly as many sizes; the reduced rounds above run at
+    eps = 0 (one shard) and never reach that strategy. The counts must equal
+    what the traced functions returned.
+    """
+    from distknn import engine
+
+    workload = workloads.WORKLOADS["grid_proportional"]
+    inputs = dataclasses.replace(workload.prepare(1)[0], runs=1, epsilons=(0.5,))
+    sorted_rows, prefix_bytes, steps, useful = [], [], [], []
+
+    def spy(name, record):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            result = fn(*args)
+            record(args, result)
+            return result
+
+        monkeypatch.setattr(engine, name, wrapper)
+
+    def on_scan(args, result):
+        stop = result[0]
+        steps.append(args[1].shape[0] * stop.size)
+        useful.append(int(stop.sum()) + stop.size)
+
+    spy("_segmented_profiles", lambda args, result: sorted_rows.append(args[1].shape[0]))
+    spy("build_prefix_tensor", lambda args, result: prefix_bytes.append(result.nbytes))
+    spy("scan_first_crossing", on_scan)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = workload.run(inputs, 1)
+    assert result.failures == []
+    assert sorted_rows == [1, 1]  # dann and dann_nes, one query each
+    self_times = tracer.self_times()
+    for span in ("engine.gather", "neighbors.select"):
+        assert self_times.get(span, 0.0) > 0.0, span
+    assert tracer.counts["classifications"] == len(inputs.classifiers)
+    assert tracer.counts["select.elements"] == len(inputs.classifiers) * inputs.N
+    assert tracer.counts["gather.prefix_bytes"] == max(prefix_bytes) > 0
+    assert tracer.counts["scan.steps"] == sum(steps) > 0
+    assert tracer.counts["scan.useful_steps"] == sum(useful) > 0

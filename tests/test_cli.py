@@ -100,6 +100,16 @@ class TestConfigFile:
             build_experiment_config(args, parse_config_file(path))
 
 
+    @pytest.mark.parametrize("command", ["simulate", "adult"])
+    def test_value_outside_choices_names_its_line(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, "seed = 3\nsplit = diagonal\n")
+        out = tmp_path / "out"
+        extra = ["--data", str(FIXTURE)] if command == "adult" else []
+        assert main([command, "--config", str(path), "--output", str(out), *extra]) == 1
+        message = f"error: {path}:2: config key 'split': must be 'uniform' or 'proportional', got 'diagonal'"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_seed_reaches_manifest(self, tmp_path):
         path = write_config(tmp_path, "seed = 12345\nn = 200\nruns = 2\nepsilons = 0\nclassifiers = d1nn\n")
         for extra, expected in (([], 12345), (["--seed", "7"], 7)):
@@ -407,7 +417,7 @@ class TestAdultCommand:
             ("--epsilons", "1.0", "error: epsilon 1.0 outside [0, 1)"),
             ("--epsilons", "", "error: need at least one epsilon"),
             # a config file's value; its flag has choices
-            ("--config", "split = diagonal", "error: split must be 'uniform' or 'proportional', got 'diagonal'"),
+            ("--config", "split = diagonal", "config key 'split': must be 'uniform' or 'proportional', got 'diagonal'"),
             ("--config", "seed = -1", "config key 'seed': must be at least 0, got -1"),
         ],
     )

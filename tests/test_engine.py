@@ -22,6 +22,7 @@ from distknn.simharness import (
     partition_proportional,
     partition_uniform,
     run_experiment,
+    shard_count,
 )
 
 TIE_GRID = np.array([0.0, 0.25, 0.5, 1.0])
@@ -228,6 +229,100 @@ def test_block_boundaries_match_oracle(setup, monkeypatch, block_rows, m):
         got = evaluate_queries(part, queries, kind, cfg, chunk_size=7)
         assert blocks == ([1] * 7 if block_rows == 1 else [3, 3, 1])
         assert list(zip(*(a.tolist() for a in got))) == [oracle.classify(part, q, kind, cfg) for q in queries]
+
+
+@pytest.fixture
+def strategies(monkeypatch):
+    """Names of the profile strategies that ``build_prefix_tensor`` calls, in order."""
+    taken = []
+    for name in ("_run_profiles", "_segmented_profiles"):
+
+        def spy(*args, _fn=getattr(engine, name), _name=name):
+            taken.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(engine, name, spy)
+    return taken
+
+
+def many_runs_partition(d, seed):
+    """20000 tie-prone lattice points in 200 proportional shards.
+
+    Its 199 distinct sizes are 199 runs, enough for the segmented sort in
+    blocks of up to 3 rows, and with n_1 = 199, m x n_1 passes 32767, so an
+    int16 shard number times kpad would wrap.
+    """
+    rng = np.random.default_rng(seed)
+    n = 20000
+    data = Shard(1, rng.choice(TIE_GRID, size=(n, d)), rng.integers(0, 2, n))
+    return partition_proportional(data, 200, rng), rng
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["full", "limited"])
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_segmented_profiles_match_oracle(strategies, d, limited):
+    part, rng = many_runs_partition(d, 2000 + d)
+    shard_depths = part.sizes.copy()
+    if limited:
+        shard_depths = np.minimum(part.sizes, 5)
+        shard_depths[0] = part.sizes[0]  # keeps kpad at n_1
+    kpad = int(shard_depths.max())
+    assert len(part) * kpad > 32767
+    queries = np.concatenate([rng.choice(TIE_GRID, size=(2, d)), rng.random((1, d))])
+    expected = np.zeros((3, len(part), kpad), dtype=np.int64)  # zero past each shard's depth
+    for i, q in enumerate(queries):
+        for j, (_, ref) in enumerate(oracle.shard_profiles(part, q)):
+            expected[i, j, : shard_depths[j]] = ref[: shard_depths[j]]
+    np.testing.assert_array_equal(build_prefix_tensor(part, queries, shard_depths), expected)
+    for q, profiles in zip(queries, expected):
+        np.testing.assert_array_equal(build_prefix_tensor(part, q[None, :], shard_depths)[0], profiles)
+    assert strategies == ["_segmented_profiles"] * 4  # one block of 3 rows, then 3 of 1
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_segmented_classification_matches_oracle(monkeypatch, strategies, d):
+    part, rng = many_runs_partition(d, 3000 + d)
+    cfg = StoppingConfig(N=part.total, d=d)
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * part.total)  # 3-row blocks
+    queries = np.concatenate([rng.choice(TIE_GRID, size=(2, d)), rng.random((1, d))])
+    for kind in ClassifierKind:
+        strategies.clear()
+        expected = [oracle.classify(part, q, kind, cfg) for q in queries]
+        got = evaluate_queries(part, queries, kind, cfg)
+        assert list(zip(*(a.tolist() for a in got))) == expected, kind
+        assert [evaluate_query(part, q, kind, cfg) for q in queries] == expected, kind
+        if kind is ClassifierKind.DANN_NES:
+            assert strategies == ["_segmented_profiles"] * 4
+
+
+def test_prefix_strategy_follows_runs_and_depths(monkeypatch, strategies):
+    # the N = 20000 grid's partitions at eps = 0.5 (m = 142): a uniform split
+    # has one size, a proportional one 142; there only the deep profiles of
+    # dann and dann_nes take the sort, and give the run loop's tensor
+    rng = np.random.default_rng(41)
+    n = 20000
+    data = generate_sample(n, SyntheticModel(0.60), rng)
+    cfg = StoppingConfig(N=n, d=3)
+    query = rng.random((1, 3))
+    taken = {}
+    for split in (partition_uniform, partition_proportional):
+        part = split(data, shard_count(n, 0.5), rng)
+        for kind in ClassifierKind:
+            shard_depths = depths(kind, part.sizes, cfg)[-1]
+            strategies.clear()
+            got = build_prefix_tensor(part, query, shard_depths)
+            taken[split.__name__, kind.value] = strategies[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "SEGMENT_RUNS_PER_ROW", len(part) + 1)  # the run loop
+                np.testing.assert_array_equal(got, build_prefix_tensor(part, query, shard_depths))
+    loop, sort = "_run_profiles", "_segmented_profiles"
+    assert taken == {
+        **{("partition_uniform", kind.value): loop for kind in ClassifierKind},
+        ("partition_proportional", "dann"): sort,
+        ("partition_proportional", "dann_nes"): sort,
+        ("partition_proportional", "dnn_qiao"): loop,
+        ("partition_proportional", "d1nn"): loop,
+    }
 
 
 @pytest.mark.parametrize("n, budget", [(20000, None), (600, 1000)])

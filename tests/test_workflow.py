@@ -1,4 +1,4 @@
-"""The CI workflow runs the same commands as ROADMAP.md's tier-1 line, then the benchmark."""
+"""The CI workflow runs the same commands as ROADMAP.md's tier-1 line, then the benchmark, untraced and traced."""
 
 import json
 import re
@@ -18,11 +18,13 @@ def test_workflow_runs_tier1_and_selftest():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[:3] == ['pip install -e ".[test]"', tier1, "distknn selftest --instances 200"]
-    # then one short run of every benchmark workload, failing unless its oracle check passed
+    # then one short run of every benchmark workload, and one traced run of
+    # each, failing unless its oracle check passed
     workloads = " ".join(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
     assert runs[3:] == [
         f"for workload in {workloads}; do\n"
-        '  python3 bench/run.py --workload "$workload" --seed 1 --seconds 1'
+        f'  python3 bench/run.py --workload "$workload" --seed 1 --seconds 1{trace}'
         """ | tail -n 1 | grep -F '"correct": true' || exit 1\n"""
         "done\n"
+        for trace in ("", " --trace 1")
     ]
