@@ -374,9 +374,17 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
         layout = rng.random()
         # big enough that the blocks of two queries leave the small-block sort
         big = layout < 0.2
-        n = int(rng.integers(520, 700)) if big else int(rng.integers(2, 120))
+        # about sqrt(2n) >= 64 proportional shards of as many sizes: one row at
+        # a time, the profiles take the candidate sort (SEGMENT_RUNS_PER_ROW)
+        wide = layout >= 0.95
+        if big:
+            n = int(rng.integers(520, 700))
+        elif wide:
+            n = int(rng.integers(2100, 3001))
+        else:
+            n = int(rng.integers(2, 120))
         d = int(rng.integers(1, 17))
-        tie_prone = rng.random() < (0.5 if big else 0.3)
+        tie_prone = wide or rng.random() < (0.5 if big else 0.3)
         feats = rng.choice(grid, size=(n, d)) if tie_prone else rng.random((n, d))
         data = Shard(1, feats, rng.integers(0, 2, n))
         if layout < 0.1:
@@ -385,6 +393,8 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
         elif big:
             # 8 to 24 equal shards: full sorts of rows on either side of SORT_WIDTH
             part = partition_uniform(data, int(rng.integers(8, 25)), rng)
+        elif wide:
+            part = partition_proportional(data, math.isqrt(2 * n), rng)
         elif layout < 0.45:
             # many shards: from m ~ sqrt(2n) (most sizes distinct) up to m = n
             # (nearly all of size 1), so most shards are read at depth 1
@@ -394,15 +404,16 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
             part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(data, m, rng)
         cfg = StoppingConfig(N=n, d=d)
         queries = rng.choice(grid, size=(2, d)) if tie_prone else rng.random((2, d))
+        blocks = np.split(queries, 2) if wide else [queries]
         # every shard's whole profile: the neighbor order itself, not just the
         # walk's outcome, which a reorder inside a tie group rarely changes
-        full = build_prefix_tensor(part, queries, part.sizes)
+        full = np.concatenate([build_prefix_tensor(part, block, part.sizes) for block in blocks])
         for q, row, got in zip(queries, query_distance_matrix(part.features, queries), full):
             for j, (ref, prefix) in enumerate(oracle.shard_profiles(part, q)):
                 mismatches += np.sort(row[part.offsets[j] : part.offsets[j + 1]]).tolist() != ref
                 mismatches += got[j, : len(prefix)].tolist() != prefix
         for kind in ClassifierKind:
-            got = list(zip(*(a.tolist() for a in evaluate_queries(part, queries, kind, cfg))))
+            got = [r for block in blocks for r in zip(*(a.tolist() for a in evaluate_queries(part, block, kind, cfg)))]
             if got != [oracle.classify(part, q, kind, cfg) for q in queries]:
                 mismatches += 1
     failures += mismatches

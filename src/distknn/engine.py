@@ -5,10 +5,11 @@ contiguously in nonincreasing size order. Because equal-sized shards sit next
 to each other, neighbor search vectorizes across whole runs of shards that
 share a size and a depth (and across query batches): the Python loop is over
 runs, never over shards. Where those runs are many per query row, as on a
-proportional split's middle epsilons, the profiles instead come from one sort
-of each whole distance row with no Python loop; that sort costs the same at
-any depth, so it is taken only where the profiles are deep enough to use a fair
-share of it (``SEGMENT_RUNS_PER_ROW``, ``SEGMENT_DEPTH_RATIO``).
+proportional split's middle epsilons (``SEGMENT_RUNS_PER_ROW``), the profiles
+instead come from one sort of each distance row's candidates with no Python
+loop over runs: every point at or below the row's K-th smallest distance, K a
+fixed multiple of the summed depths (``CANDIDATE_FACTOR``), and every point of
+a shard short of its depth there.
 
 This is the library's only classification path. Distances come from one
 kernel that adds squared differences column by column, and neighbors are
@@ -46,18 +47,22 @@ __all__ = ["Partition", "query_distance_matrix", "query_rows", "evaluate_query",
 # budget.
 BLOCK_BYTES = 2 << 20
 
-# ``build_prefix_tensor`` sorts whole rows (``_segmented_profiles``) where a
-# block has at least SEGMENT_RUNS_PER_ROW runs of equal (size, depth) shards
-# per query row and SEGMENT_DEPTH_RATIO x the summed profile depth reaches N.
-# Both strategies timed against each other on one query row, N = 60000, d = 3,
-# proportional split (2-core Xeon): the sort took 3.5-4.5 ms at any depth, and
-# beat the run loop only for dann and dann_nes at 82-245 runs (eps 0.4-0.6;
-# e.g. dann 8.3 -> 4.6 ms at 245 runs), not at 28 runs or fewer (dann 2.3 ->
-# 4.0 ms) nor for dnn_qiao and d1nn, whose depths sum to N / 81 or less (1.9 ->
-# 4.3 ms at 162 runs). On census-scale blocks (10 rows, N = 26049, d = 6, at
-# most 116 runs) the run loop won at every eps.
+# ``build_prefix_tensor`` sorts each row's candidates (``_segmented_profiles``)
+# where a block has at least SEGMENT_RUNS_PER_ROW runs of equal (size, depth)
+# shards per query row. A row's candidates are cut at its K-th smallest
+# distance, K = CANDIDATE_FACTOR x the summed profile depth, so the sort's cost
+# follows the depths, not N, while the run loop's grows with the runs.
+# Census-scale blocks (10 rows, N = 26049, d = 6, at most 116 runs) stay below
+# the rule; there the loop beat a sort of whole rows at every eps.
+# Medians of build_prefix_tensor with its distances, one query row, N = 60000,
+# d = 3, proportional split, eps 0.4-0.6 (82-245 runs), 2-core Xeon:
+# - dann 0.96-1.39 ms, against 2.6-3.7 ms for a sort of the whole row;
+# - dnn_qiao 1.03-1.27 and d1nn 1.00-1.27 ms, against the run loop's 1.59-2.80
+#   and 0.96-2.21 ms;
+# - factor 2 gave dann 1.01-1.29 ms but dnn_qiao and d1nn 1.07-1.35 ms, factor
+#   8 gave 1.22-1.52 and 0.86-1.26 ms, and factor 4 1.12-1.24 and 0.87-1.22 ms.
 SEGMENT_RUNS_PER_ROW = 64
-SEGMENT_DEPTH_RATIO = 64
+CANDIDATE_FACTOR = 4
 
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -186,13 +191,10 @@ def build_prefix_tensor(
     one of two strategies: the run loop (``_run_profiles``), which selects
     neighbors once per run of shards that share a size and a depth, with all
     of the run's (query, shard) rows in one ``k_smallest_rows`` call, or one
-    full sort of each query row (``_segmented_profiles``). The loop pays a
-    fixed Python cost per run; the sort pays for every entry of the row,
-    however few of them the profiles read. So the sort is taken only where
-    the runs are many per query row (``SEGMENT_RUNS_PER_ROW``) and the
-    profiles deep enough (``SEGMENT_DEPTH_RATIO``): without the depth
-    condition, ``d1nn`` and ``dnn_qiao``, one or a few neighbors per shard,
-    would sort whole rows. Both give the same tensor.
+    sort of each query row's candidates (``_segmented_profiles``). The loop
+    pays a fixed Python cost per run; the sort pays for a number of entries
+    that follows the summed depths. So the sort is taken where the runs are
+    many per query row (``SEGMENT_RUNS_PER_ROW``). Both give the same tensor.
     """
     sizes = partition.sizes
     shard_depths = np.asarray(shard_depths, dtype=np.int64)
@@ -206,8 +208,7 @@ def build_prefix_tensor(
     dist = query_distance_matrix(partition.features, queries)
     out = np.zeros((nq, len(partition), int(shard_depths.max())), dtype=np.int64)
     runs = partition.size_runs(shard_depths)
-    deep = SEGMENT_DEPTH_RATIO * int(shard_depths.sum()) >= partition.total
-    if deep and len(runs) >= SEGMENT_RUNS_PER_ROW * nq:
+    if len(runs) >= SEGMENT_RUNS_PER_ROW * nq:
         _segmented_profiles(partition, dist, shard_depths, out)
     else:
         _run_profiles(partition, dist, shard_depths, runs, out)
@@ -232,33 +233,59 @@ def _run_profiles(
 
 
 def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` from one sort of each whole distance row.
+    """Fill ``out`` from one sort of each row's candidates.
 
-    Sorted in (distance, partition-wide index) order, a row holds each shard's
-    points in (distance, index within the shard) order, since a shard's
-    indices are consecutive. A stable argsort of the shard ids then lays the
-    row out shard by shard, each shard at its own offsets, and one cumulative
-    sum of the labels in that order gives every profile: shard j's count at
-    depth t + 1 is the sum at ``offsets[j] + t`` minus the sum before
-    ``offsets[j]``.
+    A row's candidates are every point at or below its K-th smallest distance
+    (the cut), K = ``rank`` = ``CANDIDATE_FACTOR`` x the summed depths, and
+    every point of a shard with fewer than its depth at or below the cut.
+    That keeps each shard's first ``shard_depths[j]`` entries in (distance,
+    index) order: a shard kept whole has them all, and any other shard has
+    at least its depth of points at or below the cut, so its entry at that
+    depth is at or below the cut too, and ``<=`` keeps every point that ties
+    with the cut, whatever its index. Where K reaches the row's length, the
+    whole row is the candidate set, with no mask.
+
+    The candidates are in index order, so sorting them by (distance,
+    position) puts them in (distance, partition-wide index) order, which
+    holds each shard's points in (distance, index within the shard) order,
+    since a shard's indices are consecutive. A stable argsort of the shard ids
+    then lays them out shard by shard, and one cumulative sum of the labels in
+    that order gives every profile: shard j's count at depth t + 1 is the sum
+    at ``start[j] + t`` minus the sum before ``start[j]``, where ``start[j]``
+    counts the candidates of the shards before j.
     """
     nq, n = dist.shape
     m, kpad = out.shape[1:]
+    sizes, offsets = partition.sizes, partition.offsets
     # each point's key is 2 x its shard id + its label: one gather in sorted
     # order brings both, and int16 keys take numpy's radix sort
-    key = np.repeat(np.arange(m, dtype=np.int16 if m < 1 << 14 else np.int32) << 1, partition.sizes)
+    key = np.repeat(np.arange(m, dtype=np.int16 if m < 1 << 14 else np.int32) << 1, sizes)
     key |= partition.labels.astype(key.dtype)
-    key = key[k_smallest_rows(dist, n)]
-    by_shard = (key >> 1).argsort(axis=1, kind="stable")
-    by_shard += np.arange(0, nq * n, n)[:, None]  # flat index into ``key``
-    sums = np.zeros((nq, n + 1), dtype=np.int64)  # sums[:, p + 1]: labels at positions 0..p
-    np.cumsum(key.reshape(-1)[by_shard] & 1, axis=1, out=sums[:, 1:])
     # the entries t < shard_depths[j] of every shard j; shard numbers are
     # int64, as j * kpad reaches m * kpad, which can pass an int16's range
     shard = np.repeat(np.arange(m, dtype=np.int64), shard_depths)
     step = np.arange(shard.size) - np.repeat(np.cumsum(shard_depths) - shard_depths, shard_depths)
-    start = partition.offsets[shard]
-    out.reshape(nq, m * kpad)[:, shard * kpad + step] = sums[:, start + step + 1] - sums[:, start]
+    flat_out = out.reshape(nq, m * kpad)
+    rank = CANDIDATE_FACTOR * int(shard_depths.sum())
+    if rank < n:
+        keep = dist <= np.partition(dist, rank - 1, axis=1)[:, rank - 1 : rank]
+        count = np.add.reduceat(keep, offsets[:-1], axis=1, dtype=np.int64)  # (nq, m) at or below the cut
+        short = count < shard_depths
+        keep |= np.repeat(short, sizes, axis=1)
+        count = np.where(short, sizes, count)
+        starts = np.cumsum(count, axis=1) - count
+    for i in range(nq):
+        if rank < n:
+            cand = np.flatnonzero(keep[i])
+            row_key = key[cand[k_smallest_rows(dist[i, cand][None, :], cand.size)[0]]]
+            start = starts[i, shard]
+        else:
+            row_key = key[k_smallest_rows(dist[i, None], n)[0]]
+            start = offsets[shard]
+        grouped = row_key[(row_key >> 1).argsort(kind="stable")]
+        sums = np.zeros(grouped.size + 1, dtype=np.int64)  # sums[p + 1]: labels at positions 0..p
+        np.cumsum(grouped & 1, out=sums[1:])
+        flat_out[i, shard * kpad + step] = sums[start + step + 1] - sums[start]
 
 
 def _classify_chunk(

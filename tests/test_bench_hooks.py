@@ -109,17 +109,18 @@ def test_traced_round_reaches_every_layer(tracing, workloads, name):
 
 
 def test_traced_round_takes_the_segmented_sort(tracing, workloads, monkeypatch):
-    """A traced ``grid_proportional`` run at eps = 0.5, where dann and dann_nes sort whole rows.
+    """A traced ``grid_proportional`` run at eps = 0.5, where every classifier sorts each row's candidates.
 
     m = 245 shards of nearly as many sizes; the reduced rounds above run at
     eps = 0 (one shard) and never reach that strategy. The counts must equal
-    what the traced functions returned.
+    what the traced functions returned: ``select.elements`` is the sum of the
+    candidate rows that ``k_smallest_rows`` was given, not m x N.
     """
     from distknn import engine
 
     workload = workloads.WORKLOADS["grid_proportional"]
     inputs = dataclasses.replace(workload.prepare(1)[0], runs=1, epsilons=(0.5,))
-    sorted_rows, prefix_bytes, steps, useful = [], [], [], []
+    sorted_rows, selected, prefix_bytes, steps, useful = [], [], [], [], []
 
     def spy(name, record):
         fn = getattr(engine, name)
@@ -137,18 +138,20 @@ def test_traced_round_takes_the_segmented_sort(tracing, workloads, monkeypatch):
         useful.append(int(stop.sum()) + stop.size)
 
     spy("_segmented_profiles", lambda args, result: sorted_rows.append(args[1].shape[0]))
+    spy("k_smallest_rows", lambda args, result: selected.append(args[0].size))
     spy("build_prefix_tensor", lambda args, result: prefix_bytes.append(result.nbytes))
     spy("scan_first_crossing", on_scan)
     tracer = tracing.Tracer()
     with tracer.installed():
         result = workload.run(inputs, 1)
     assert result.failures == []
-    assert sorted_rows == [1, 1]  # dann and dann_nes, one query each
+    assert sorted_rows == [1, 1, 1, 1]  # each classifier, one query each
     self_times = tracer.self_times()
     for span in ("engine.gather", "neighbors.select"):
         assert self_times.get(span, 0.0) > 0.0, span
     assert tracer.counts["classifications"] == len(inputs.classifiers)
-    assert tracer.counts["select.elements"] == len(inputs.classifiers) * inputs.N
+    assert len(selected) == len(inputs.classifiers)  # one sort of one row's candidates each
+    assert tracer.counts["select.elements"] == sum(selected)
     assert tracer.counts["gather.prefix_bytes"] == max(prefix_bytes) > 0
     assert tracer.counts["scan.steps"] == sum(steps) > 0
     assert tracer.counts["scan.useful_steps"] == sum(useful) > 0

@@ -624,3 +624,22 @@ def test_selftest_function_and_command(capsys):
     assert run_selftest(instances=40, seed=0) == 0
     assert main(["selftest", "--instances", "30"]) == 0
     assert "selftest passed" in capsys.readouterr().out
+
+
+def test_selftest_reaches_both_profile_strategies(monkeypatch):
+    """CI's ``selftest --instances 200`` (seed 0) checks the run loop and the
+    candidate sort, the latter both cut and over whole rows."""
+    from distknn import engine
+
+    taken = []
+    for name in ("_run_profiles", "_segmented_profiles"):
+
+        def spy(partition, dist, shard_depths, *rest, _fn=getattr(engine, name), _name=name):
+            taken.append((_name, int(shard_depths.sum()), dist.shape[1]))
+            return _fn(partition, dist, shard_depths, *rest)
+
+        monkeypatch.setattr(engine, name, spy)
+    assert run_selftest(instances=200, seed=0, verbose=False) == 0
+    assert any(name == "_run_profiles" for name, _, _ in taken)
+    cut = {engine.CANDIDATE_FACTOR * depth < n for name, depth, n in taken if name == "_segmented_profiles"}
+    assert cut == {True, False}

@@ -297,8 +297,9 @@ def test_segmented_classification_matches_oracle(monkeypatch, strategies, d):
 
 def test_prefix_strategy_follows_runs_and_depths(monkeypatch, strategies):
     # the N = 20000 grid's partitions at eps = 0.5 (m = 142): a uniform split
-    # has one size, a proportional one 142; there only the deep profiles of
-    # dann and dann_nes take the sort, and give the run loop's tensor
+    # has one size, a proportional one 142; there every classifier takes the
+    # candidate sort, whose cost follows the depths, and gives the run loop's
+    # tensor
     rng = np.random.default_rng(41)
     n = 20000
     data = generate_sample(n, SyntheticModel(0.60), rng)
@@ -318,11 +319,106 @@ def test_prefix_strategy_follows_runs_and_depths(monkeypatch, strategies):
     loop, sort = "_run_profiles", "_segmented_profiles"
     assert taken == {
         **{("partition_uniform", kind.value): loop for kind in ClassifierKind},
-        ("partition_proportional", "dann"): sort,
-        ("partition_proportional", "dann_nes"): sort,
-        ("partition_proportional", "dnn_qiao"): loop,
-        ("partition_proportional", "d1nn"): loop,
+        **{("partition_proportional", kind.value): sort for kind in ClassifierKind},
     }
+
+
+def rule_candidates(part, row, shard_depths):
+    """One distance row's candidates by the cut's rule, from a full sort of the row.
+
+    Returns (kept points, short shards, the cut), the cut ``None`` where
+    K = ``CANDIDATE_FACTOR`` x the summed depths reaches the row's length.
+    """
+    k = engine.CANDIDATE_FACTOR * int(shard_depths.sum())
+    if k >= row.size:
+        return np.ones(row.size, dtype=bool), np.zeros(len(part), dtype=bool), None
+    cut = np.sort(row)[k - 1]
+    shard_of = np.repeat(np.arange(len(part)), part.sizes)
+    short = np.bincount(shard_of, weights=row <= cut, minlength=len(part)) < shard_depths
+    return (row <= cut) | short[shard_of], short, cut
+
+
+def cut_case(case, d):
+    """(partition, query rows, depths) of one case of the cut.
+
+    The query rows are the first lattice points for which the case's premise
+    holds, and the test fails if fewer are found.
+    """
+    part, rng = many_runs_partition(d, 4000 + d)
+    # dann's depths at d = 3 whatever the data's dimension: 1 to 7 a shard,
+    # K = 2812, well short of N
+    shard_depths = depths(ClassifierKind.DANN, part.sizes, StoppingConfig(N=part.total, d=3))[-1]
+    far = len(part) // 2
+    if case == "whole":
+        shard_depths = np.maximum(part.sizes // 3, 1)  # K >= N, yet short of full depth
+    elif case == "far":
+        part.features[part.offsets[far] : part.offsets[far + 1]] += 10.0  # lattice points lie in [0, 1]^d
+    elif case == "d1nn":
+        shard_depths = np.ones(len(part), dtype=np.int64)
+    k = engine.CANDIDATE_FACTOR * int(shard_depths.sum())
+    queries = rng.choice(TIE_GRID, size=(40, d))
+
+    def premise(row, short, cut):
+        if case == "whole":
+            return cut is None and (shard_depths < part.sizes).any()
+        ordered = np.sort(row)
+        # a shard kept by the cut alone whose last needed entry ties with it
+        at_cut = any(
+            np.sort(row[part.offsets[j] : part.offsets[j + 1]])[shard_depths[j] - 1] == cut
+            for j in np.flatnonzero(~short)
+        )
+        # lattice ties straddle rank K, and the proportional split's smallest
+        # shard is short of its depth (and so is the far shard)
+        return ordered[k - 1] == ordered[k] and at_cut and short[-1] and (case != "far" or short[far])
+
+    picked, widened = [], set()
+    for q, row in zip(queries, query_distance_matrix(part.features, queries)):
+        _, short, cut = rule_candidates(part, row, shard_depths)
+        shards = tuple(np.flatnonzero(short))
+        if premise(row, short, cut) and (case != "block" or shards not in widened):  # a block's rows widen different shards
+            picked.append(q)
+            widened.add(shards)
+    nq = 3 if case == "block" else 1
+    assert len(picked) >= nq
+    queries = np.array(picked[:nq])
+    return part, queries, shard_depths
+
+
+@pytest.mark.parametrize("case", ["ties", "far", "d1nn", "whole", "block"])
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_candidate_cut_is_exact(monkeypatch, strategies, case, d):
+    """The candidate sort against the oracle and the run loop, with the candidates pinned.
+
+    ``ties``: dann's depths on lattice data, where the row's K-th distance ties
+    with the next and with a shard's last needed entry, and the proportional
+    split's smallest shard is short of its depth. ``far``: also a middle shard
+    moved away from the query, so none of it is at or below the cut.
+    ``d1nn``: depth 1 everywhere. ``whole``: K >= N, the whole row. ``block``:
+    3-row blocks whose rows widen different shards.
+    """
+    part, queries, shard_depths = cut_case(case, d)
+    rows = query_distance_matrix(part.features, queries)
+    sorted_candidates = []
+
+    def select(dist, k, _fn=engine.k_smallest_rows):
+        sorted_candidates.append(np.sort(dist, axis=1))
+        return _fn(dist, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "k_smallest_rows", select)
+        got = build_prefix_tensor(part, queries, shard_depths)
+    assert strategies == ["_segmented_profiles"]
+    assert len(sorted_candidates) == len(queries)  # one sort per row
+    for row, candidates in zip(rows, sorted_candidates):
+        keep, _, _ = rule_candidates(part, row, shard_depths)
+        np.testing.assert_array_equal(candidates, np.sort(row[keep])[None, :])
+    expected = np.zeros_like(got)  # zero past each shard's depth
+    for i, q in enumerate(queries):
+        for j, (_, ref) in enumerate(oracle.shard_profiles(part, q)):
+            expected[i, j, : shard_depths[j]] = ref[: shard_depths[j]]
+    np.testing.assert_array_equal(got, expected)
+    monkeypatch.setattr(engine, "SEGMENT_RUNS_PER_ROW", len(part) + 1)  # the run loop
+    np.testing.assert_array_equal(build_prefix_tensor(part, queries, shard_depths), expected)
 
 
 @pytest.mark.parametrize("n, budget", [(20000, None), (600, 1000)])
