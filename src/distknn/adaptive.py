@@ -75,28 +75,29 @@ def scan_first_crossing(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate the whole k1 walk and locate the first threshold crossing.
 
-    ``prefix`` has shape (..., m, kpad) and holds per-shard label prefix sums;
-    ``kj`` has shape (cap, m) with 1-based depths per step. Returns 0-based
+    ``kj`` has shape (cap, m) with 1-based depths per step; ``prefix`` has
+    shape (..., sum_j kj[-1, j]): each shard's label prefix sums to its last
+    depth, back to back (``engine.build_prefix_tensor``). Returns the 0-based
     stop index (first crossing, else cap-1), the pooled eta at every step
-    (shape (..., cap)), and the crossed flag, broadcast over leading axes.
-    A depth past the profiles' end, ``kpad``, raises ``IndexError``.
+    (shape (..., cap)) and the crossed flag, broadcast over leading axes.
+    Another length, or a step past the last in a shard, raises ``IndexError``.
     """
     cap, m = kj.shape
-    kpad = prefix.shape[-1]
-    flat = prefix.reshape(*prefix.shape[:-2], m * kpad)
+    last = kj[-1]
+    if prefix.shape[-1] != last.sum():
+        raise IndexError(f"profiles of length {prefix.shape[-1]} do not hold the last step's {last.sum()} entries")
     if m == 1:
         total = kj[:, 0]
-        counts = np.take(flat, total - 1, axis=-1)  # (..., cap)
+        counts = np.take(prefix, total - 1, axis=-1)  # (..., cap); a step past the last raises
     else:
-        # step b reads shard j's prefix at flat index (kj[b, j] - 1) + j * kpad;
-        # a depth past kpad would read the next shard's profile, so it is
-        # rejected here. Laid out (m, cap), both sums run over contiguous rows.
-        if kj.max() > kpad:
-            raise IndexError(f"depth {kj.max()} is past the profiles' end at {kpad}")
         at = kj.T.copy()  # a copy even where kj.T is already contiguous, as at cap = 1
+        if ((at > last[:, None]) if cap > m else (kj > last)).any():  # compared along the longer axis
+            raise IndexError("a step reads some shard deeper than the last step does")
+        # step b reads shard j's prefix at (kj[b, j] - 1) + the depths of the
+        # shards before j. Laid out (m, cap), both sums run over contiguous rows.
         total = at.sum(axis=0)  # (cap,)
-        at += np.arange(-1, m * kpad - 1, kpad)[:, None]
-        counts = np.take(flat, at, axis=-1).sum(axis=-2)  # (..., cap)
+        at += (np.cumsum(last) - last - 1)[:, None]
+        counts = np.take(prefix, at, axis=-1).sum(axis=-2)  # (..., cap)
     eta = counts / total
     r = eta - 0.5  # r = |eta - 1/2| sqrt(2 total), in place
     np.abs(r, out=r)

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, oracle
 from .adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
 from .baselines import ClassifierKind, depths
-from .engine import build_prefix_tensor, evaluate_queries, query_distance_matrix, query_rows
+from .engine import build_prefix_tensor, evaluate_queries, query_distance_matrix
 from .neighbors import Shard
 from .realdata import (
     apply_scaling,
@@ -287,9 +287,9 @@ def _read_table(path, columns=None, label_col=None):
     """(feature columns, features, labels) of a CSV file with a header row.
 
     A training table names its ``label_col``: its other columns are the
-    features, each a finite number, and each label is 0 or 1. A query table
-    has no labels; its ``columns`` are read in that order. A cell that breaks
-    these rules is an error naming the file, its row (line) and the column.
+    features, and each label is 0 or 1. A query table has no labels; its
+    ``columns`` are read in that order. Each feature is a finite number. A cell
+    that breaks these rules is an error naming the file, its row and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -315,7 +315,7 @@ def _read_table(path, columns=None, label_col=None):
                 raise ValueError(f"{path}: row {line}: column {name!r}: {text!r} is not a number") from None
             if name == label_col and value not in (0.0, 1.0):
                 raise ValueError(f"{path}: row {line}: label must be 0 or 1, got {text!r}")
-            if label_col is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{path}: row {line}: column {name!r} is not finite: {text!r}")
     labels = cells[:, -1].astype(np.int64) if label_col is not None else None
     return columns, cells[:, : len(columns)], labels
@@ -328,8 +328,7 @@ def cmd_classify(args) -> int:
 
     scaling = fit_scaling(feats)
     train = Shard(1, apply_scaling(feats, scaling), labels)
-    # non-finite raw values are rejected here: scaling would clamp an inf into [0, 1]
-    queries = apply_scaling(query_rows(queries_raw, train.dim), scaling)
+    queries = apply_scaling(queries_raw, scaling)
 
     m = args.shards if args.shards is not None else shard_count(train.size, args.epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=values["seed"], spawn_key=(1,)))
@@ -349,9 +348,11 @@ def cmd_classify(args) -> int:
     config = {
         "train": str(args.train),
         "queries": str(args.queries),
+        "label_col": args.label_col,
         "classifier": kind.value,
         "m": m,
         "split": values["split"],
+        "include_log_in_bound": values["include_log_in_bound"],
         "feature_columns": feature_cols,
     }
     _write_manifest(outdir, _manifest("classify", config, values["seed"], args.threads))
@@ -411,7 +412,7 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
         for q, row, got in zip(queries, query_distance_matrix(part.features, queries), full):
             for j, (ref, prefix) in enumerate(oracle.shard_profiles(part, q)):
                 mismatches += np.sort(row[part.offsets[j] : part.offsets[j + 1]]).tolist() != ref
-                mismatches += got[j, : len(prefix)].tolist() != prefix
+                mismatches += got[part.offsets[j] : part.offsets[j + 1]].tolist() != prefix
         for kind in ClassifierKind:
             got = [r for block in blocks for r in zip(*(a.tolist() for a in evaluate_queries(part, block, kind, cfg)))]
             if got != [oracle.classify(part, q, kind, cfg) for q in queries]:

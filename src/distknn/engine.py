@@ -6,10 +6,8 @@ to each other, neighbor search vectorizes across whole runs of shards that
 share a size and a depth (and across query batches): the Python loop is over
 runs, never over shards. Where those runs are many per query row, as on a
 proportional split's middle epsilons (``SEGMENT_RUNS_PER_ROW``), the profiles
-instead come from one sort of each distance row's candidates with no Python
-loop over runs: every point at or below the row's K-th smallest distance, K a
-fixed multiple of the summed depths (``CANDIDATE_FACTOR``), and every point of
-a shard short of its depth there.
+instead come from one sort of each distance row's candidates. Either way, a
+query's profiles are one row: the shards' label prefix sums back to back.
 
 This is the library's only classification path. Distances come from one
 kernel that adds squared differences column by column, and neighbors are
@@ -184,17 +182,17 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
 def build_prefix_tensor(
     partition: Partition, queries: np.ndarray, shard_depths: np.ndarray
 ) -> np.ndarray:
-    """Label prefix sums for every (query, shard) pair, shape (q, m, kpad).
+    """Every shard's label prefix sums back to back, one row per query: shape (q, sum_j k_j).
 
-    ``shard_depths[j]`` is how deep shard j's profile must go, in [1, n_j];
-    entries past a shard's depth are zero padding. The profiles come from
-    one of two strategies: the run loop (``_run_profiles``), which selects
-    neighbors once per run of shards that share a size and a depth, with all
-    of the run's (query, shard) rows in one ``k_smallest_rows`` call, or one
-    sort of each query row's candidates (``_segmented_profiles``). The loop
-    pays a fixed Python cost per run; the sort pays for a number of entries
-    that follows the summed depths. So the sort is taken where the runs are
-    many per query row (``SEGMENT_RUNS_PER_ROW``). Both give the same tensor.
+    Shard j's k_j = ``shard_depths[j]`` sums, k_j in [1, n_j], start at
+    k_0 + ... + k_{j-1}. They come from one of two strategies: the run loop
+    (``_run_profiles``), which selects neighbors once per run of shards that
+    share a size and a depth, with all of the run's (query, shard) rows in one
+    ``k_smallest_rows`` call, or one sort of each query row's candidates
+    (``_segmented_profiles``). The loop pays a fixed Python cost per run; the
+    sort pays for a number of entries that follows the summed depths. So the
+    sort is taken where the runs are many per query row
+    (``SEGMENT_RUNS_PER_ROW``). Both give the same rows.
     """
     sizes = partition.sizes
     shard_depths = np.asarray(shard_depths, dtype=np.int64)
@@ -206,7 +204,7 @@ def build_prefix_tensor(
         raise ValueError(f"shard {j}: depth {shard_depths[j]} outside [1, shard size {sizes[j]}]")
     nq = queries.shape[0]
     dist = query_distance_matrix(partition.features, queries)
-    out = np.zeros((nq, len(partition), int(shard_depths.max())), dtype=np.int64)
+    out = np.empty((nq, int(shard_depths.sum())), dtype=np.int64)  # every entry is written
     runs = partition.size_runs(shard_depths)
     if len(runs) >= SEGMENT_RUNS_PER_ROW * nq:
         _segmented_profiles(partition, dist, shard_depths, out)
@@ -218,18 +216,20 @@ def build_prefix_tensor(
 def _run_profiles(
     partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, runs: list[tuple[int, int, int]], out: np.ndarray
 ) -> None:
-    """Fill ``out`` one run of equal (size, depth) shards at a time."""
+    """Fill ``out`` one run of equal (size, depth) shards at a time, a slab of every row."""
     nq = dist.shape[0]
     offsets, labels = partition.offsets, partition.labels
+    start = 0
     for first, last, size in runs:
         depth = int(shard_depths[first])
         a, b = int(offsets[first]), int(offsets[last])
         idx = k_smallest_rows(dist[:, a:b].reshape(-1, size), depth).reshape(nq, last - first, depth)
         idx += offsets[first:last, None]  # shard-local to partition-wide index
-        view = out[:, first:last, :depth]
+        view = out[:, start : start + idx[0].size].reshape(idx.shape)  # a view: splits a contiguous axis
         view[...] = labels[idx]
         if depth > 1:
             np.cumsum(view, axis=2, out=view)
+        start += idx[0].size
 
 
 def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, out: np.ndarray) -> None:
@@ -255,17 +255,14 @@ def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np
     counts the candidates of the shards before j.
     """
     nq, n = dist.shape
-    m, kpad = out.shape[1:]
+    m = len(partition)
     sizes, offsets = partition.sizes, partition.offsets
     # each point's key is 2 x its shard id + its label: one gather in sorted
     # order brings both, and int16 keys take numpy's radix sort
     key = np.repeat(np.arange(m, dtype=np.int16 if m < 1 << 14 else np.int32) << 1, sizes)
     key |= partition.labels.astype(key.dtype)
-    # the entries t < shard_depths[j] of every shard j; shard numbers are
-    # int64, as j * kpad reaches m * kpad, which can pass an int16's range
-    shard = np.repeat(np.arange(m, dtype=np.int64), shard_depths)
-    step = np.arange(shard.size) - np.repeat(np.cumsum(shard_depths) - shard_depths, shard_depths)
-    flat_out = out.reshape(nq, m * kpad)
+    # entry t < shard_depths[j] of shard j, at each position of the output row
+    step = np.arange(out.shape[1]) - np.repeat(np.cumsum(shard_depths) - shard_depths, shard_depths)
     rank = CANDIDATE_FACTOR * int(shard_depths.sum())
     if rank < n:
         keep = dist <= np.partition(dist, rank - 1, axis=1)[:, rank - 1 : rank]
@@ -278,14 +275,14 @@ def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np
         if rank < n:
             cand = np.flatnonzero(keep[i])
             row_key = key[cand[k_smallest_rows(dist[i, cand][None, :], cand.size)[0]]]
-            start = starts[i, shard]
+            start = np.repeat(starts[i], shard_depths)
         else:
             row_key = key[k_smallest_rows(dist[i, None], n)[0]]
-            start = offsets[shard]
+            start = np.repeat(offsets[:-1], shard_depths)
         grouped = row_key[(row_key >> 1).argsort(kind="stable")]
         sums = np.zeros(grouped.size + 1, dtype=np.int64)  # sums[p + 1]: labels at positions 0..p
         np.cumsum(grouped & 1, out=sums[1:])
-        flat_out[i, shard * kpad + step] = sums[start + step + 1] - sums[start]
+        out[i] = sums[start + step + 1] - sums[start]
 
 
 def _classify_chunk(

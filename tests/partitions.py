@@ -1,4 +1,5 @@
-"""Hand-built partitions for tests that need to know the neighbor order exactly."""
+"""Hand-built partitions for tests that need to know the neighbor order exactly,
+and the engine's profile row built from per-shard prefix sums."""
 
 import numpy as np
 
@@ -24,3 +25,9 @@ def line_partition(label_rows, d=3):
     labels = np.concatenate([np.asarray(row, dtype=np.int64) for row in label_rows])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     return Partition(features=feats, labels=labels, sizes=sizes, offsets=offsets)
+
+
+def back_to_back(profiles, depths):
+    """Each shard's prefix sums cut to its depth and laid end to end: the
+    row ``build_prefix_tensor`` writes for one query."""
+    return np.concatenate([np.asarray(p[:k], dtype=np.int64) for p, k in zip(profiles, depths)])

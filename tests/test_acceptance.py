@@ -106,7 +106,7 @@ def test_criterion_1_oracle_equivalence():
         query = rng.random(3)
         dist = query_distance_matrix(shard.features, query[None, :])
         idx = k_smallest_rows(dist, k_max)[0]
-        fast_prefix = build_prefix_tensor(one_shard(shard), query[None, :], np.array([k_max]))[0, 0]
+        fast_prefix = build_prefix_tensor(one_shard(shard), query[None, :], np.array([k_max]))[0]
         slow_dists, slow_prefix = oracle.shard_profiles(one_shard(shard), query)[0]
         np.testing.assert_array_equal(dist[0, idx], slow_dists[:k_max], err_msg=f"instance {i}")
         np.testing.assert_array_equal(fast_prefix, slow_prefix[:k_max], err_msg=f"instance {i}")

@@ -20,12 +20,9 @@ from distknn.neighbors import Shard
 
 
 def prefix_tensor(label_rows):
-    """(1, m, kpad) prefix sums of hand-made label sequences in neighbor order."""
-    kpad = max(len(row) for row in label_rows)
-    out = np.zeros((1, len(label_rows), kpad), dtype=np.int64)
-    for j, row in enumerate(label_rows):
-        out[0, j, : len(row)] = np.cumsum(row)
-    return out
+    """(1, sum of row lengths) prefix sums of hand-made label sequences in
+    neighbor order, laid back to back as the scan reads them."""
+    return np.concatenate([np.cumsum(row, dtype=np.int64) for row in label_rows])[None, :]
 
 
 def walk(label_rows, sizes, cfg, kind=ClassifierKind.DANN):
@@ -194,17 +191,39 @@ class TestAdaptiveSelect:
             walk([[1] * 29], [100], cfg)
 
     def test_shallow_profile_of_a_later_shard_rejected(self):
-        # with m > 1 the scan reads all shards through one flat index: a depth
-        # past the padded end must not run on into the next shard's profile
-        prefix = np.ones((1, 2, 3), dtype=np.int64)
+        # with m > 1 the scan reads all shards through one index into the
+        # back-to-back row: a later shard one entry short of its depth must
+        # not be read past the row's end
+        prefix = prefix_tensor([[1, 1, 1], [1, 1]])
         with pytest.raises(IndexError):
-            scan_first_crossing(prefix, np.array([[4, 1]]), np.inf)
+            scan_first_crossing(prefix, np.array([[3, 3]]), np.inf)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("kj", [[[2]], [[1, 1], [3, 2]]], ids=["m1", "m2"])
+    def test_profile_length_must_match_the_last_step(self, kj, extra):
+        # one entry short or one entry long, the shards' offsets are unknown
+        prefix = np.ones((2, int(np.sum(kj[-1])) + extra), dtype=np.int64)
+        with pytest.raises(IndexError, match="profiles of length"):
+            scan_first_crossing(prefix, np.array(kj), np.inf)
+
+    @pytest.mark.parametrize(
+        "kj, labels",
+        [([[1, 2], [3, 1]], [[1, 1, 1], [1]]), ([[2], [1]], [[1]]), ([[2, 1], [1, 1]], [[1], [0]])],
+        ids=["m2", "m1", "m2-into-next"],
+    )
+    def test_step_deeper_than_the_last_rejected(self, kj, labels):
+        # step 0 reads a shard at depth 2, past the one entry the last step
+        # keeps of it: the padded scan read 0 there (eta 1/3 at step 0 of the
+        # m2 case); in the back-to-back row that entry is past the row's end,
+        # or (m2-into-next) the next shard's first entry
+        with pytest.raises(IndexError):
+            scan_first_crossing(prefix_tensor(labels), np.array(kj), np.inf)
 
     def test_scan_leaves_the_depths_unchanged(self):
         # a single-step or column-major depth matrix has a contiguous transpose,
         # which the scan must not turn into its flat indices in place
-        prefix = np.cumsum(np.ones((2, 3, 4), dtype=np.int64), axis=-1)
         for kj in (np.array([[4, 2, 1]]), np.asfortranarray([[1, 1, 1], [2, 2, 1], [4, 3, 2]])):
+            prefix = np.concatenate([prefix_tensor([[1] * k for k in kj[-1]])] * 2)
             before = kj.copy()
             first = scan_first_crossing(prefix, kj, 1.0)
             np.testing.assert_array_equal(kj, before)

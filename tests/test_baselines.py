@@ -84,7 +84,7 @@ class TestDnnQiao:
         kj = depths(ClassifierKind.DNN_QIAO, np.array([1000]), cfg)
         assert kj.tolist() == [[16]]
         with pytest.raises(IndexError):
-            scan_first_crossing(np.ones((1, 1, 1), dtype=np.int64), kj, np.inf)
+            scan_first_crossing(np.ones((1, 1), dtype=np.int64), kj, np.inf)
 
 
 class TestD1nn:
@@ -153,7 +153,7 @@ class TestDannNes:
         kj = depths(ClassifierKind.DANN_NES, np.array([10]), cfg)
         assert kj[-1].tolist() == [10]
         with pytest.raises(IndexError):
-            scan_first_crossing(np.ones((1, 1, 3), dtype=np.int64), kj, stopping_threshold(cfg))
+            scan_first_crossing(np.ones((1, 3), dtype=np.int64), kj, stopping_threshold(cfg))
 
 
 def test_kind_parse_roundtrip():

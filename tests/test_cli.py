@@ -526,13 +526,14 @@ class TestClassifyCommand:
         rng = np.random.default_rng(3)
         train, _ = self.make_files(tmp_path, rng)
         bad = tmp_path / "bad.csv"
-        # inf and -inf must not be clamped into [0, 1] by the scaling
+        # inf and -inf must not be clamped into [0, 1] by the scaling; the
+        # reader names the file, line and column, as for the training table
         for cell in ("nan", "inf", "-inf"):
             bad.write_text(f"x,y\n0.5,0.5\n{cell},0.1\n0.2,0.2\n")
             rc = main(["classify", "--train", str(train), "--queries", str(bad),
                        "--output", str(tmp_path / "o")])
             assert rc == 1, cell
-            assert "query row 1 is not finite" in capsys.readouterr().err
+            assert f"{bad}: row 3: column 'x' is not finite: '{cell}'" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -573,6 +574,18 @@ class TestClassifyCommand:
         assert exc.value.code == 2
         assert "argument --classifier: unknown classifier 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_manifest_records_the_bound_and_label_settings(self, tmp_path):
+        # both change what is classified: the log factor moves dann's k1 bound
+        train, queries = self.make_files(tmp_path, np.random.default_rng(9))
+        train.write_text(train.read_text().replace("x,y,label", "x,y,target", 1))
+        for flag, expected in (([], True), (["--include-log-in-bound", "false"], False)):
+            out = tmp_path / f"o{expected}"
+            rc = main(["classify", "--train", str(train), "--queries", str(queries),
+                       "--label-col", "target", "--output", str(out)] + flag)
+            assert rc == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert (config["include_log_in_bound"], config["label_col"]) == (expected, "target")
 
     def test_classifier_name_folded(self, tmp_path):
         train, queries = self.make_files(tmp_path, np.random.default_rng(6))

@@ -9,6 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from partitions import back_to_back
 
 from distknn import engine, oracle, simharness
 from distknn.adaptive import StoppingConfig
@@ -26,6 +29,11 @@ from distknn.simharness import (
 )
 
 TIE_GRID = np.array([0.0, 0.25, 0.5, 1.0])
+
+
+def oracle_row(part, query, shard_depths):
+    """The oracle's per-shard profiles of ``query`` cut to depth and laid end to end."""
+    return back_to_back([ref for _, ref in oracle.shard_profiles(part, query)], shard_depths)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +71,7 @@ def test_profile_partition_matches_per_shard_profiles(setup):
     query = rng.random(3)
     depths = np.minimum(part.sizes, 7)
     batch = build_prefix_tensor(part, query[None, :], depths)[0]
-    for j, (_, ref) in enumerate(oracle.shard_profiles(part, query)):
-        assert batch[j, : depths[j]].tolist() == ref[: depths[j]]
+    assert batch.tolist() == oracle_row(part, query, depths).tolist()
 
 
 def test_profile_partition_handles_ties_like_reference():
@@ -76,8 +83,7 @@ def test_profile_partition_handles_ties_like_reference():
     query = np.array([0.5, 0.5, 0.0])
     depths = np.minimum(part.sizes, 10)
     batch = build_prefix_tensor(part, query[None, :], depths)[0]
-    for j, (_, ref) in enumerate(oracle.shard_profiles(part, query)):
-        assert batch[j, : depths[j]].tolist() == ref[: depths[j]]
+    assert batch.tolist() == oracle_row(part, query, depths).tolist()
 
 
 @pytest.mark.parametrize("split", ["uniform", "proportional"])
@@ -231,6 +237,35 @@ def test_block_boundaries_match_oracle(setup, monkeypatch, block_rows, m):
         assert list(zip(*(a.tolist() for a in got))) == [oracle.classify(part, q, kind, cfg) for q in queries]
 
 
+@given(
+    n=st.integers(1, 300),
+    m=st.integers(1, 40),
+    d=st.integers(1, 4),
+    proportional=st.booleans(),
+    depth_cap=st.integers(1, 60),
+    nq=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_profile_rows_match_oracle_with_either_builder(n, m, d, proportional, depth_cap, nq, seed):
+    # tie-prone lattice data at random depths in [1, n_j]; capped depths put
+    # the candidate sort's rank K = CANDIDATE_FACTOR x the summed depths on
+    # both sides of N
+    rng = np.random.default_rng(seed)
+    data = Shard(1, rng.choice(TIE_GRID, size=(n, d)), rng.integers(0, 2, n))
+    part = (partition_proportional if proportional else partition_uniform)(data, min(m, n), rng)
+    shard_depths = np.minimum(rng.integers(1, part.sizes + 1), depth_cap)
+    queries = rng.choice(TIE_GRID, size=(nq, d))
+    expected = np.array([oracle_row(part, q, shard_depths) for q in queries])
+    # a rule of 0 runs per row takes the candidate sort, and one of more runs
+    # than there are shards the run loop
+    for runs_per_row in (0, len(part) + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "SEGMENT_RUNS_PER_ROW", runs_per_row)
+            got = build_prefix_tensor(part, queries, shard_depths)
+        np.testing.assert_array_equal(got, expected, err_msg=f"SEGMENT_RUNS_PER_ROW = {runs_per_row}")
+
+
 @pytest.fixture
 def strategies(monkeypatch):
     """Names of the profile strategies that ``build_prefix_tensor`` calls, in order."""
@@ -249,8 +284,7 @@ def many_runs_partition(d, seed):
     """20000 tie-prone lattice points in 200 proportional shards.
 
     Its 199 distinct sizes are 199 runs, enough for the segmented sort in
-    blocks of up to 3 rows, and with n_1 = 199, m x n_1 passes 32767, so an
-    int16 shard number times kpad would wrap.
+    blocks of up to 3 rows.
     """
     rng = np.random.default_rng(seed)
     n = 20000
@@ -265,14 +299,9 @@ def test_segmented_profiles_match_oracle(strategies, d, limited):
     shard_depths = part.sizes.copy()
     if limited:
         shard_depths = np.minimum(part.sizes, 5)
-        shard_depths[0] = part.sizes[0]  # keeps kpad at n_1
-    kpad = int(shard_depths.max())
-    assert len(part) * kpad > 32767
+        shard_depths[0] = part.sizes[0]  # one shard read to its end
     queries = np.concatenate([rng.choice(TIE_GRID, size=(2, d)), rng.random((1, d))])
-    expected = np.zeros((3, len(part), kpad), dtype=np.int64)  # zero past each shard's depth
-    for i, q in enumerate(queries):
-        for j, (_, ref) in enumerate(oracle.shard_profiles(part, q)):
-            expected[i, j, : shard_depths[j]] = ref[: shard_depths[j]]
+    expected = np.array([oracle_row(part, q, shard_depths) for q in queries])
     np.testing.assert_array_equal(build_prefix_tensor(part, queries, shard_depths), expected)
     for q, profiles in zip(queries, expected):
         np.testing.assert_array_equal(build_prefix_tensor(part, q[None, :], shard_depths)[0], profiles)
@@ -412,10 +441,7 @@ def test_candidate_cut_is_exact(monkeypatch, strategies, case, d):
     for row, candidates in zip(rows, sorted_candidates):
         keep, _, _ = rule_candidates(part, row, shard_depths)
         np.testing.assert_array_equal(candidates, np.sort(row[keep])[None, :])
-    expected = np.zeros_like(got)  # zero past each shard's depth
-    for i, q in enumerate(queries):
-        for j, (_, ref) in enumerate(oracle.shard_profiles(part, q)):
-            expected[i, j, : shard_depths[j]] = ref[: shard_depths[j]]
+    expected = np.array([oracle_row(part, q, shard_depths) for q in queries])
     np.testing.assert_array_equal(got, expected)
     monkeypatch.setattr(engine, "SEGMENT_RUNS_PER_ROW", len(part) + 1)  # the run loop
     np.testing.assert_array_equal(build_prefix_tensor(part, queries, shard_depths), expected)

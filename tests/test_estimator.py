@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from partitions import line_partition, one_shard
+from partitions import back_to_back, line_partition, one_shard
 
 from distknn.adaptive import StoppingConfig, scan_first_crossing
 from distknn.baselines import ClassifierKind
@@ -14,10 +14,7 @@ from distknn.neighbors import Shard
 
 def pooled_eta(label_rows, ks):
     """Pooled eta at depths ``ks`` over each shard's labels in neighbor order."""
-    kpad = max(len(row) for row in label_rows)
-    prefix = np.zeros((1, len(label_rows), kpad), dtype=np.int64)
-    for j, row in enumerate(label_rows):
-        prefix[0, j, : len(row)] = np.cumsum(row)
+    prefix = back_to_back([np.cumsum(row) for row in label_rows], ks)[None, :]
     _, eta, _ = scan_first_crossing(prefix, np.array([ks]), math.inf)
     return float(eta[0, 0])
 

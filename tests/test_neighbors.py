@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from partitions import line_partition, one_shard
+from partitions import back_to_back, line_partition, one_shard
 
 from distknn import neighbors, oracle
 from distknn.adaptive import StoppingConfig
@@ -27,7 +27,7 @@ def engine_profile(shard, query, k):
     q = np.asarray(query, dtype=np.float64)[None, :]
     dist = query_distance_matrix(shard.features, q)
     idx = k_smallest_rows(dist, k)[0]
-    prefix = build_prefix_tensor(one_shard(shard), q, np.array([k]))[0, 0]
+    prefix = build_prefix_tensor(one_shard(shard), q, np.array([k]))[0]
     return dist[0, idx], prefix
 
 
@@ -408,7 +408,7 @@ class TestTypes:
         part = line_partition([[1, 1, 1, 1], [1, 1, 1, 1]])
         query = np.zeros(3)
         batch = build_prefix_tensor(part, query[None, :], np.array([1, 3]))[0]
-        assert batch.tolist() == [[1, 0, 0], [1, 2, 3]]
+        assert batch.tolist() == [1, 1, 2, 3]
         rng = np.random.default_rng(21)
         sizes = np.array([5, 5, 5, 3, 3])
         data = Shard(1, rng.random((21, 3)), rng.integers(0, 2, 21))
@@ -416,10 +416,8 @@ class TestTypes:
         shard_depths = np.array([2, 5, 2, 1, 3])
         query = rng.random(3)
         batch = build_prefix_tensor(part, query[None, :], shard_depths)[0]
-        for j, (_, prefix) in enumerate(oracle.shard_profiles(part, query)):
-            k = int(shard_depths[j])
-            assert batch[j, :k].tolist() == prefix[:k]
-            assert not batch[j, k:].any()
+        profiles = [prefix for _, prefix in oracle.shard_profiles(part, query)]
+        assert batch.tolist() == back_to_back(profiles, shard_depths).tolist()
 
     def test_bad_depth_names_the_shard(self):
         part = line_partition([[0, 1, 1], [1, 0]])
@@ -429,8 +427,8 @@ class TestTypes:
             build_prefix_tensor(part, np.zeros((1, 3)), np.array([1]))
 
     def test_profile_batch_roundtrip(self):
-        # the padded prefix tensor holds each shard's own profile up to its
-        # depth and zeros past it
+        # the profile row holds each shard's own profile up to its depth,
+        # shard after shard
         rng = np.random.default_rng(7)
         sizes = np.array([11, 8, 5, 3])
         data = Shard(1, rng.random((int(sizes.sum()), 3)), rng.integers(0, 2, int(sizes.sum())))
@@ -438,8 +436,6 @@ class TestTypes:
         query = rng.random(3)
         shard_depths = np.array([7, 8, 2, 3])
         batch = build_prefix_tensor(part, query[None, :], shard_depths)[0]
-        assert batch.shape == (4, 8)
-        for j, (_, prefix) in enumerate(oracle.shard_profiles(part, query)):
-            k = int(shard_depths[j])
-            assert batch[j, :k].tolist() == prefix[:k]
-            assert not batch[j, k:].any()
+        assert batch.shape == (20,)
+        profiles = [prefix for _, prefix in oracle.shard_profiles(part, query)]
+        assert batch.tolist() == back_to_back(profiles, shard_depths).tolist()

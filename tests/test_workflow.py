@@ -1,4 +1,5 @@
-"""The CI workflow runs the same commands as ROADMAP.md's tier-1 line, then the benchmark, untraced and traced."""
+"""The CI workflow runs the same commands as ROADMAP.md's tier-1 line, then the
+benchmark, untraced and traced, and then checks that no step left a file behind."""
 
 import json
 import re
@@ -21,10 +22,13 @@ def test_workflow_runs_tier1_and_selftest():
     # then one short run of every benchmark workload, and one traced run of
     # each, failing unless its oracle check passed
     workloads = " ".join(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
-    assert runs[3:] == [
+    assert runs[3:5] == [
         f"for workload in {workloads}; do\n"
         f'  python3 bench/run.py --workload "$workload" --seed 1 --seconds 1{trace}'
         """ | tail -n 1 | grep -F '"correct": true' || exit 1\n"""
         "done\n"
         for trace in ("", " --trace 1")
     ]
+    # last, a clean tree: no step modified a tracked file or left an untracked
+    # one that .gitignore does not cover
+    assert runs[5:] == ['test -z "$(git status --porcelain)"']
