@@ -6,8 +6,7 @@ standard comparison classifiers, a plain-loop reference oracle, and a
 benchmark harness for synthetic and census-income experiments.
 """
 
-from .adaptive import StoppingConfig, k1_bound, stopping_threshold
-from .baselines import ClassifierKind, depths
+from .adaptive import ClassifierKind, StoppingConfig, depths, k1_bound, stopping_threshold
 from .engine import Partition, evaluate_queries, evaluate_query
 from .neighbors import Shard
 from .realdata import (

@@ -1,10 +1,13 @@
-"""Data-driven choice of per-shard neighbor counts with early stopping.
+"""Each classifier's depth rule, and the adaptive walk's early stopping.
 
-The search walks k1 = 1, 2, ... and slaves every other shard's depth to k1
-through k_j = ceil(k1 * n_j / n_1). At each step the pooled estimate is
-formed and the signal statistic r = sqrt(2 * sum k_j) * |eta - 1/2| is
-compared against sqrt((d + 2) * log N). The walk stops at the first crossing,
-or at the search bound ceil(n_1 * N^(-d/(2+d)) * log N) if no k1 crosses.
+Every classifier pools the fraction of 1-labels over each shard's k_j nearest
+neighbors and differs only in its depths (``depths``). The adaptive walk steps
+k1 = 1, 2, ... and slaves every other shard's depth to k1 through
+k_j = ceil(k1 * n_j / n_1). At each step the statistic
+r = sqrt(2 * sum k_j) * |eta - 1/2| is compared against sqrt((d + 2) * log N).
+``dann`` stops at the first crossing, or at the search bound
+ceil(n_1 * N^(-d/(2+d)) * log N) if no k1 crosses; ``dann_nes`` walks on to
+n_1. The fixed-depth distributed NN and distributed 1-NN take a single step.
 
 The loop is evaluated as a vectorized scan over the whole k1 range followed
 by a first-crossing lookup; this is decision-for-decision identical to the
@@ -16,16 +19,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 __all__ = [
+    "ClassifierKind",
     "StoppingConfig",
     "k1_bound",
     "stopping_threshold",
     "depth_matrix",
+    "depths",
     "scan_first_crossing",
 ]
+
+
+class ClassifierKind(Enum):
+    """The four classifiers exercised by the benchmark harness."""
+
+    DANN = "dann"
+    DANN_NES = "dann_nes"
+    DNN_QIAO = "dnn_qiao"
+    D1NN = "d1nn"
+
+    @classmethod
+    def parse(cls, name: str) -> "ClassifierKind":
+        key = name.strip().lower()
+        for kind in cls:
+            if kind.value == key:
+                return kind
+        raise ValueError(f"unknown classifier {name!r}; expected one of "
+                         f"{[k.value for k in cls]}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +92,32 @@ def depth_matrix(cap: int, sizes: np.ndarray) -> np.ndarray:
     nj = np.asarray(sizes, dtype=np.int64)[None, :]
     n1 = int(sizes[0])
     return np.minimum((k1s * nj + n1 - 1) // n1, nj)
+
+
+def depths(kind: ClassifierKind, sizes: np.ndarray, cfg: StoppingConfig) -> np.ndarray:
+    """Per-step shard depths of a classifier, shape (steps, m).
+
+    Row b holds the depths k_j of step b; the last row is the deepest, so it
+    is how far each shard's neighbor profile must reach. ``sizes`` is sorted
+    nonincreasing. ``dann`` walks k1 = 1 .. min(k1_bound(n_1), n_1) and
+    ``dann_nes`` walks k1 = 1 .. n_1, both with k_j = ceil(k1 n_j / n_1).
+    ``dnn_qiao`` takes one step at k_j = ceil(n_j N^(-d/(2+d))) clamped to
+    [1, n_j], and ``d1nn`` one step at k_j = 1.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n1 = int(sizes[0])
+    if kind is ClassifierKind.DANN:
+        # For very small N at low dimension the bound formula can exceed n_1;
+        # past n_1 every shard is already at full depth, so the walk is cut there.
+        return depth_matrix(min(k1_bound(n1, cfg), n1), sizes)
+    if kind is ClassifierKind.DANN_NES:
+        return depth_matrix(n1, sizes)
+    if kind is ClassifierKind.DNN_QIAO:
+        k = np.ceil(sizes * cfg.N ** (-cfg.d / (2 + cfg.d))).astype(np.int64)
+        return np.clip(k, 1, sizes)[None, :]
+    if kind is ClassifierKind.D1NN:
+        return np.ones((1, sizes.size), dtype=np.int64)
+    raise ValueError(f"unhandled classifier kind {kind!r}")
 
 
 def scan_first_crossing(

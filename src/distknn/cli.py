@@ -25,8 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, oracle
-from .adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
-from .baselines import ClassifierKind, depths
+from .adaptive import ClassifierKind, StoppingConfig, depths, scan_first_crossing, stopping_threshold
 from .engine import build_prefix_tensor, evaluate_queries, query_distance_matrix
 from .neighbors import Shard
 from .realdata import (
@@ -289,7 +288,8 @@ def _read_table(path, columns=None, label_col=None):
     A training table names its ``label_col``: its other columns are the
     features, and each label is 0 or 1. A query table has no labels; its
     ``columns`` are read in that order. Each feature is a finite number. A cell
-    that breaks these rules is an error naming the file, its row and column.
+    that breaks these rules is an error naming the file, its row and column; so
+    is a header name given twice, and a row with more cells than the header.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -297,6 +297,9 @@ def _read_table(path, columns=None, label_col=None):
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in rows.pop(0)[1]]
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}: column {repeated[0]!r} appears more than once in the header")
     if label_col is not None:
         if label_col not in header:
             raise ValueError(f"label column {label_col!r} not in {path}")
@@ -307,6 +310,8 @@ def _read_table(path, columns=None, label_col=None):
     named = [(c, header.index(c)) for c in columns + ([label_col] if label_col is not None else [])]
     cells = np.empty((len(rows), len(named)))
     for i, (line, row) in enumerate(rows):
+        if len(row) > len(header):
+            raise ValueError(f"{path}: row {line}: {len(row)} cells, the header has {len(header)}")
         for j, (name, col) in enumerate(named):
             text = row[col] if col < len(row) else ""
             try:
@@ -373,7 +378,7 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
     mismatches = 0
     for _ in range(instances):
         layout = rng.random()
-        # big enough that the blocks of two queries leave the small-block sort
+        # several hundred points: shards wide enough for every selection path
         big = layout < 0.2
         # about sqrt(2n) >= 64 proportional shards of as many sizes: one row at
         # a time, the profiles take the candidate sort (SEGMENT_RUNS_PER_ROW)

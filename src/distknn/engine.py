@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
-from .baselines import ClassifierKind, depths
+from .adaptive import ClassifierKind, StoppingConfig, depths, scan_first_crossing, stopping_threshold
 from .neighbors import Shard, k_smallest_rows
 
 __all__ = ["Partition", "query_distance_matrix", "query_rows", "evaluate_query", "evaluate_queries"]
@@ -143,15 +142,9 @@ class Partition:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def size_runs(self, shard_depths: np.ndarray | None = None) -> list[tuple[int, int, int]]:
-        """(first_shard, last_shard_exclusive, size) for each run of equal-size shards.
-
-        With ``shard_depths`` a run also ends where the depth changes, so each
-        run has one size and one depth.
-        """
-        change = self.sizes[1:] != self.sizes[:-1]
-        if shard_depths is not None:
-            change |= shard_depths[1:] != shard_depths[:-1]
+    def size_runs(self, shard_depths: np.ndarray) -> list[tuple[int, int, int]]:
+        """(first_shard, last_shard_exclusive, size) for each run of shards of one size and one depth."""
+        change = (self.sizes[1:] != self.sizes[:-1]) | (shard_depths[1:] != shard_depths[:-1])
         starts = np.concatenate([[0], np.flatnonzero(change) + 1])
         stops = np.append(starts[1:], len(self.sizes))
         return list(zip(starts.tolist(), stops.tolist(), self.sizes[starts].tolist()))

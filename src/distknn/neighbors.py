@@ -12,10 +12,6 @@ import numpy as np
 
 __all__ = ["Shard", "k_smallest_rows"]
 
-# Blocks this small are fully sorted: below it a stable argsort costs less
-# than the fixed overhead of the partition path's extra passes.
-SMALL_BLOCK = 1024
-
 # Full sorts of rows at least this wide take the unstable (SIMD) argsort and a
 # tie check; below it the stable argsort is as fast or faster.
 SORT_WIDTH = 32
@@ -45,17 +41,21 @@ class Shard:
     def __init__(self, shard_id: int, features: np.ndarray, labels: np.ndarray):
         # views, frozen below, so the caller's own arrays stay writeable
         feats = np.ascontiguousarray(features, dtype=np.float64).view()
-        labs = np.ascontiguousarray(labels, dtype=np.int64).view()
+        labs = np.asarray(labels)  # checked before the cast, which would round 0.5 to 0
         if shard_id < 1:
             raise ValueError("shard id must be >= 1")
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a nonempty (n, d) array")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be a vector matching the point count")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
-        if labs.min() < 0 or labs.max() > 1:
-            raise ValueError("labels must be 0 or 1")
+        if not np.isfinite(feats).all():
+            row = int(np.argmin(np.isfinite(feats).all(axis=1)))
+            raise ValueError(f"features must be finite: row {row} is {feats[row].tolist()}")
+        bad = (labs != 0) & (labs != 1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"labels must be 0 or 1: row {row} is {labs[row].item()!r}")
+        labs = np.ascontiguousarray(labs, dtype=np.int64).view()
         feats.setflags(write=False)
         labs.setflags(write=False)
         self.id = int(shard_id)
@@ -82,11 +82,11 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
 
     ``dist`` has shape (rows, n) with 1 <= k <= n; the result, shape
     (rows, min(k, n)), equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]``.
-    ``dist`` is left as it was. The work follows k, through one of five paths:
+    ``dist`` is left as it was. The work follows k and the row width n, not
+    the number of rows, through one of five paths:
 
     - k == 1: ``argmin``, whose first minimum is the lowest index among ties.
-    - a block of at most ``SMALL_BLOCK`` entries, or k >= n on rows narrower
-      than ``SORT_WIDTH``: a full stable argsort, cut to k columns.
+    - k >= n on rows narrower than ``SORT_WIDTH``: the stable argsort.
     - k >= n on wider rows: ``_sorted_rows``, an unstable argsort that then
       orders the indices inside each run of equal values.
     - k <= ``ROUNDS_K``: ``_argmin_rounds``, one ``argmin`` per pick.
@@ -99,10 +99,8 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     rows, n = dist.shape
     if k == 1:
         return dist.argmin(axis=1, keepdims=True)
-    if dist.size <= SMALL_BLOCK or (k >= n and n < SORT_WIDTH):
-        return dist.argsort(axis=1, kind="stable")[:, :k]
     if k >= n:
-        return _sorted_rows(dist)
+        return dist.argsort(axis=1, kind="stable") if n < SORT_WIDTH else _sorted_rows(dist)
     if k <= ROUNDS_K:
         return _argmin_rounds(dist, k)
     row = np.arange(rows)[:, None]

@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .adaptive import StoppingConfig, k1_bound, stopping_threshold
-from .baselines import ClassifierKind
+from .adaptive import ClassifierKind, StoppingConfig, k1_bound, stopping_threshold
 
 __all__ = ["shard_profiles", "walk_steps", "classify"]
 

@@ -25,8 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .adaptive import StoppingConfig
-from .baselines import ClassifierKind
+from .adaptive import ClassifierKind, StoppingConfig
 from .engine import Partition, evaluate_query, query_distance_matrix
 from .neighbors import Shard
 

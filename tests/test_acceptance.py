@@ -16,8 +16,7 @@ import pytest
 from partitions import one_shard
 
 from distknn import oracle
-from distknn.adaptive import StoppingConfig, k1_bound, scan_first_crossing, stopping_threshold
-from distknn.baselines import ClassifierKind, depths
+from distknn.adaptive import ClassifierKind, StoppingConfig, depths, k1_bound, scan_first_crossing, stopping_threshold
 from distknn.engine import build_prefix_tensor, query_distance_matrix
 from distknn.neighbors import Shard, k_smallest_rows
 from distknn.realdata import (

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from distknn import oracle
 from distknn.adaptive import (
+    ClassifierKind,
     StoppingConfig,
     depth_matrix,
+    depths,
     k1_bound,
     scan_first_crossing,
     stopping_threshold,
 )
-from distknn.baselines import ClassifierKind, depths
 from distknn.engine import Partition
 from distknn.neighbors import Shard
 

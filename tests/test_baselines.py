@@ -3,8 +3,7 @@ import pytest
 from partitions import line_partition, one_shard
 
 from distknn import oracle
-from distknn.adaptive import StoppingConfig, scan_first_crossing, stopping_threshold
-from distknn.baselines import ClassifierKind, depths
+from distknn.adaptive import ClassifierKind, StoppingConfig, depths, scan_first_crossing, stopping_threshold
 from distknn.engine import build_prefix_tensor, evaluate_query
 from distknn.neighbors import Shard
 

@@ -56,6 +56,20 @@ def test_evaluate_queries_binds_traced_arguments():
     assert {"partition", "queries", "workers", "chunk_size"} <= set(call.arguments)
 
 
+def test_evaluate_queries_returns_three_arrays_of_the_query_count():
+    """``bench/measure.py``'s oracle check unpacks ``labels, k1s, etas = distknn.evaluate_queries(...)``."""
+    import numpy as np
+
+    import distknn
+
+    rng = np.random.default_rng(0)
+    part = distknn.partition_proportional(distknn.Shard(1, rng.random((40, 2)), rng.integers(0, 2, 40)), 3, rng)
+    for kind in distknn.ClassifierKind:
+        result = distknn.evaluate_queries(part, rng.random((5, 2)), kind, distknn.StoppingConfig(N=40, d=2))
+        assert isinstance(result, tuple) and len(result) == 3, kind
+        assert all(isinstance(a, np.ndarray) and a.shape == (5,) for a in result), kind
+
+
 def reduced_round(workloads, name):
     """A workload and the inputs of one of its rounds, cut down to a fraction of a second.
 

@@ -606,6 +606,33 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert "row 4" in err and "0.7" in err
 
+    @pytest.mark.parametrize(
+        "table, text", [("train", "x,x,label\n0.1,0.2,1\n"), ("queries", "y,x,x\n0.5,0.9,0.3\n")], ids=["train", "queries"]
+    )
+    def test_repeated_header_column_rejected(self, tmp_path, capsys, table, text):
+        # a second 'x' would read the first one's cells and never its own
+        files = dict(zip(("train", "queries"), self.make_files(tmp_path, np.random.default_rng(8))))
+        files[table].write_text(text)
+        rc = main(["classify", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                   "--classifier", "d1nn", "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{files[table]}: column 'x' appears more than once in the header" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "table, row, cells", [("train", "1,0,1,7", 4), ("queries", "0.5,0.1,7", 3)], ids=["train", "queries"]
+    )
+    def test_row_longer_than_its_header_rejected(self, tmp_path, capsys, table, row, cells):
+        files = dict(zip(("train", "queries"), self.make_files(tmp_path, np.random.default_rng(8))))
+        lines = files[table].read_text().splitlines()
+        lines[2] = row  # line 3: one cell more than the header names
+        files[table].write_text("\n".join(lines) + "\n")
+        rc = main(["classify", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                   "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{files[table]}: row 3: {cells} cells, the header has {cells - 1}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_label_column_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         train, queries = self.make_files(tmp_path, rng)

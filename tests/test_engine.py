@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from partitions import back_to_back
 
 from distknn import engine, oracle, simharness
-from distknn.adaptive import StoppingConfig
-from distknn.baselines import ClassifierKind, depths
+from distknn.adaptive import ClassifierKind, StoppingConfig, depths
 from distknn.engine import build_prefix_tensor, evaluate_queries, evaluate_query, query_distance_matrix
 from distknn.neighbors import Shard
 from distknn.simharness import (
@@ -183,7 +182,7 @@ def test_partition_shard_views(setup):
     assert len(part) == 7
     assert part.total == data.size
     assert np.diff(part.offsets).tolist() == part.sizes.tolist()
-    runs = list(part.size_runs())
+    runs = part.size_runs(np.ones(7, dtype=np.int64))
     assert sum(last - first for first, last, _ in runs) == 7
     for first, last, size in runs:
         assert (part.sizes[first:last] == size).all()
@@ -194,7 +193,7 @@ def test_partition_shard_views(setup):
         part = partition_proportional(data, m, rng)
         assert part.features.flags.f_contiguous
         ones = np.ones(m, dtype=np.int64)
-        assert part.size_runs() == plain_runs(part.sizes, ones)
+        assert part.size_runs(ones) == plain_runs(part.sizes, ones)
         for shard_depths in (
             depths(ClassifierKind.DANN, part.sizes, cfg)[-1],
             rng.integers(1, part.sizes + 1),

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from partitions import back_to_back, line_partition, one_shard
 
-from distknn.adaptive import StoppingConfig, scan_first_crossing
-from distknn.baselines import ClassifierKind
+from distknn.adaptive import ClassifierKind, StoppingConfig, scan_first_crossing
 from distknn.engine import Partition, build_prefix_tensor, evaluate_query
 from distknn.neighbors import Shard
 

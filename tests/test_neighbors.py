@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 from partitions import back_to_back, line_partition, one_shard
 
 from distknn import neighbors, oracle
-from distknn.adaptive import StoppingConfig
-from distknn.baselines import ClassifierKind
+from distknn.adaptive import ClassifierKind, StoppingConfig
 from distknn.engine import Partition, build_prefix_tensor, evaluate_queries, query_distance_matrix
 from distknn.neighbors import Shard, k_smallest_rows
 
@@ -68,6 +67,20 @@ class TestEuclideanDistance:
         queries = np.array([[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
         with pytest.raises(ValueError, match="query row 1 "):
             evaluate_queries(one_shard(shard), queries, ClassifierKind.D1NN, StoppingConfig(N=2, d=3))
+
+
+class TestShardChecks:
+    # labels are checked before the int64 cast, which would take 0.5 to 0 and 1.7 to 1
+    @pytest.mark.parametrize("label", [0.5, 1.7])
+    def test_fractional_label_rejected_naming_its_row(self, label):
+        with pytest.raises(ValueError, match=rf"^labels must be 0 or 1: row 1 is {label}$"):
+            Shard(1, np.zeros((3, 2)), [0.0, label, 1.0])
+
+    def test_nonfinite_feature_names_its_row(self):
+        feats = np.zeros((3, 2))
+        feats[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^features must be finite: row 2 is \[0.0, nan\]$"):
+            Shard(1, feats, [0, 1, 0])
 
 
 class TestNeighborProfile:
@@ -160,9 +173,8 @@ def stable_k(dist, k):
 
 
 # A few repeated values (inf among them) make ties common everywhere in a row,
-# at the selection boundary too. ``small_block`` 0 sends every 1 < k < n call
-# down the argmin-rounds or the argpartition path (by k), which real blocks
-# this small never take.
+# at the selection boundary too. Every 1 < k < n call takes the argmin-rounds
+# or the argpartition path (by k).
 @settings(max_examples=300, deadline=None)
 @given(
     dist=arrays(
@@ -171,16 +183,16 @@ def stable_k(dist, k):
         elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, np.inf]) | st.floats(0, 2),
     ),
     k_frac=st.floats(0, 1),
-    small_block=st.sampled_from([0, neighbors.SMALL_BLOCK]),
 )
-def test_k_smallest_rows_matches_stable_argsort(dist, k_frac, small_block):
+def test_k_smallest_rows_matches_stable_argsort(dist, k_frac):
     n = dist.shape[1]
-    with mock.patch.object(neighbors, "SMALL_BLOCK", small_block):
-        for k in (1, 1 + round(k_frac * (n - 1)), n):
-            np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
+    for k in (1, 1 + round(k_frac * (n - 1)), n):
+        np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
 
 
-@pytest.mark.parametrize("small_block", [0, neighbors.SMALL_BLOCK])
+# ``rounds_k`` 0 sends the picks short of the row down argpartition, the
+# default to the argmin rounds.
+@pytest.mark.parametrize("rounds_k", [0, neighbors.ROUNDS_K])
 @pytest.mark.parametrize(
     "row, k",
     [
@@ -191,20 +203,18 @@ def test_k_smallest_rows_matches_stable_argsort(dist, k_frac, small_block):
         ([np.inf] * 4, 2),
     ],
 )
-def test_k_smallest_rows_boundary_cases(row, k, small_block):
+def test_k_smallest_rows_boundary_cases(row, k, rounds_k):
     dist = np.array([row, row[::-1]])
-    with mock.patch.object(neighbors, "SMALL_BLOCK", small_block):
+    with mock.patch.object(neighbors, "ROUNDS_K", rounds_k):
         for kk in (1, k, len(row)):
             np.testing.assert_array_equal(k_smallest_rows(dist, kk), stable_k(dist, kk))
 
 
 def test_k_smallest_rows_on_large_tied_blocks():
-    # blocks above SMALL_BLOCK with heavy ties: most rows are ambiguous at
-    # the boundary and take the fix-up
+    # heavy ties: most rows are ambiguous at the boundary and take the fix-up
     rng = np.random.default_rng(17)
     dist = rng.choice([0.0, 0.5, 1.0, np.inf], size=(6, 900))
     dist[0] = 0.5
-    assert dist.size > neighbors.SMALL_BLOCK
     for k in (1, 2, 37, 450, 899, 900):
         np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
 
@@ -212,9 +222,7 @@ def test_k_smallest_rows_on_large_tied_blocks():
 # Full sorts of rows at least SORT_WIDTH wide take the unstable argsort, and
 # then only the indices inside runs of equal sorted values are reordered. Rows
 # drawn from a few repeated values (inf among them) are tied; ``clean`` swaps
-# some rows for distinct values, so one block mixes both. ``SMALL_BLOCK`` 0
-# sends these small blocks down the path that real blocks reach only above
-# 1024 entries.
+# some rows for distinct values, so one block mixes both.
 @settings(max_examples=200, deadline=None)
 @given(
     dist=arrays(
@@ -231,8 +239,7 @@ def test_full_sort_of_wide_rows_matches_stable_argsort(dist, clean, seed):
     for i in range(rows):
         if clean[i]:
             dist[i] = rng.permutation(n) + rng.random()
-    with mock.patch.object(neighbors, "SMALL_BLOCK", 0):
-        np.testing.assert_array_equal(k_smallest_rows(dist, n), stable_k(dist, n))
+    np.testing.assert_array_equal(k_smallest_rows(dist, n), stable_k(dist, n))
 
 
 def wide_rows(n):
@@ -253,8 +260,7 @@ def wide_rows(n):
 @pytest.mark.parametrize("n", [neighbors.SORT_WIDTH, 70, 300])
 def test_full_sort_of_wide_rows_boundary_cases(n):
     block = wide_rows(n)
-    dist = np.concatenate([block, block[::-1, ::-1]] * (neighbors.SMALL_BLOCK // block.size + 1))
-    assert dist.size > neighbors.SMALL_BLOCK
+    dist = np.concatenate([block, block[::-1, ::-1]])
     np.testing.assert_array_equal(k_smallest_rows(dist, n), stable_k(dist, n))
     # and _sorted_rows alone, on a block where every row but the first has ties
     np.testing.assert_array_equal(neighbors._sorted_rows(block), stable_k(block, n))
@@ -262,14 +268,15 @@ def test_full_sort_of_wide_rows_boundary_cases(n):
 
 def test_full_sort_paths_by_width_and_block_size():
     # clean rows: the unstable path gives the same result, so the path taken
-    # is seen through a spy on it
-    width, small = neighbors.SORT_WIDTH, neighbors.SMALL_BLOCK
+    # is seen through a spy on it. Only the row width counts, not the rows.
+    width = neighbors.SORT_WIDTH
     rng = np.random.default_rng(29)
     cases = [
-        ((small // (width - 1) + 1, width - 1), False),  # narrow rows
-        ((small // width + 1, width), True),  # rows exactly at the cut-off
-        ((small // 64, 64), False),  # a wide block of exactly SMALL_BLOCK entries
-        ((small // 64 + 1, 64), True),
+        ((40, width - 1), False),  # narrow rows
+        ((1, width - 1), False),
+        ((40, width), True),  # rows exactly at the cut-off
+        ((1, width), True),
+        ((2, 64), True),
         ((1, 20000), True),
     ]
     for shape, unstable in cases:
@@ -283,7 +290,7 @@ def test_full_sort_paths_by_width_and_block_size():
 # entries run out before k picks makes a round's minimum inf, where argmin may
 # return an entry masked earlier; such rows are redone. ``rounds_k`` 0 sends
 # the same calls down argpartition, a large one sends every k < n to the
-# rounds; ``SMALL_BLOCK`` 0 lets these small blocks reach either.
+# rounds.
 @settings(max_examples=300, deadline=None)
 @given(
     dist=arrays(
@@ -297,7 +304,7 @@ def test_full_sort_paths_by_width_and_block_size():
 def test_argmin_rounds_match_stable_argsort(dist, k_frac, rounds_k):
     n = dist.shape[1]
     before = dist.copy()
-    with mock.patch.object(neighbors, "SMALL_BLOCK", 0), mock.patch.object(neighbors, "ROUNDS_K", rounds_k):
+    with mock.patch.object(neighbors, "ROUNDS_K", rounds_k):
         for k in (2, 2 + round(k_frac * (n - 3)), n - 1):
             if 2 <= k < n:
                 np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
@@ -315,8 +322,7 @@ def test_argmin_rounds_boundary_rows():
     rows[3][[5, 9, 33]] = np.inf  # a few infs, never reached
     rows[4][::3] = 0.0  # a tie at the minimum
     block = np.array(rows)
-    dist = np.concatenate([block, block[::-1, ::-1]] * (neighbors.SMALL_BLOCK // block.size + 1))
-    assert dist.size > neighbors.SMALL_BLOCK
+    dist = np.concatenate([block, block[::-1, ::-1]])
     before = dist.copy()
     for k in (2, 3, 4, neighbors.ROUNDS_K):
         with mock.patch.object(neighbors, "_argmin_rounds", wraps=neighbors._argmin_rounds) as spy:
@@ -328,15 +334,14 @@ def test_argmin_rounds_boundary_rows():
 def test_argmin_rounds_path_by_k():
     # clean rows: every path gives the same result, so the path taken is
     # seen through a spy on the rounds
-    rounds_k, small = neighbors.ROUNDS_K, neighbors.SMALL_BLOCK
+    rounds_k = neighbors.ROUNDS_K
     rng = np.random.default_rng(37)
     cases = [
-        ((1, small + 1), 2, True),  # just above SMALL_BLOCK
-        ((small // 64 + 1, 64), rounds_k, True),
-        ((small // 64 + 1, 64), rounds_k + 1, False),  # argpartition
-        ((small // 64, 64), rounds_k, False),  # a block of exactly SMALL_BLOCK entries
-        ((small // rounds_k + 1, rounds_k), rounds_k, False),  # k == n: a full sort
-        ((small // rounds_k + 1, rounds_k + 1), rounds_k, True),  # k == n - 1 on narrow rows
+        ((1, 3), 2, True),  # a block of 3 entries
+        ((40, 64), rounds_k, True),
+        ((40, 64), rounds_k + 1, False),  # argpartition
+        ((1, rounds_k), rounds_k, False),  # k == n: a full sort
+        ((40, rounds_k + 1), rounds_k, True),  # k == n - 1 on narrow rows
         ((1, 20000), rounds_k, True),
     ]
     for shape, k, rounds in cases:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distknn.baselines import ClassifierKind
+from distknn.adaptive import ClassifierKind
 from distknn.neighbors import Shard
 from distknn.realdata import (
     apply_scaling,
