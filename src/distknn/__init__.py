@@ -7,8 +7,7 @@ benchmark harness for synthetic and census-income experiments.
 """
 
 from .adaptive import ClassifierKind, StoppingConfig, depths, k1_bound, stopping_threshold
-from .engine import Partition, evaluate_queries, evaluate_query
-from .neighbors import Shard
+from .engine import Partition, Shard, evaluate_queries, evaluate_query
 from .realdata import (
     DatasetSplit,
     evaluate_real,

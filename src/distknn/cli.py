@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__, oracle
 from .adaptive import ClassifierKind, StoppingConfig, depths, scan_first_crossing, stopping_threshold
-from .engine import build_prefix_tensor, evaluate_queries, query_distance_matrix
-from .neighbors import Shard
+from .engine import Shard, build_prefix_tensor, evaluate_queries, query_distance_matrix
 from .realdata import (
     apply_scaling,
     evaluate_real,
@@ -304,6 +303,8 @@ def _read_table(path, columns=None, label_col=None):
         if label_col not in header:
             raise ValueError(f"label column {label_col!r} not in {path}")
         columns = [c for c in header if c != label_col]
+        if not columns:
+            raise ValueError(f"{path}: no feature column besides the label column {label_col!r}")
     missing = [c for c in columns if c not in header]
     if missing:
         raise ValueError(f"{path} lacks feature columns {missing}")
@@ -523,8 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--label-col", default="label")
     cls.add_argument("--classifier", type=_classifier, default="dann",
                      help=f"one of {', '.join(k.value for k in ClassifierKind)}")
-    cls.add_argument("--shards", type=_at_least_one, default=None, help="explicit shard count m (at least 1)")
-    cls.add_argument("--epsilon", type=_epsilon, default=0.0, help="m = ceil(N^eps), eps in [0, 1), when --shards is absent")
+    shards = cls.add_mutually_exclusive_group()
+    shards.add_argument("--shards", type=_at_least_one, default=None, help="explicit shard count m (at least 1)")
+    shards.add_argument("--epsilon", type=_epsilon, default=0.0, help="m = ceil(N^eps), eps in [0, 1), when --shards is absent")
     _add_settings(cls, CLASSIFY_SETTINGS)
     _add_common_flags(cls)
     cls.set_defaults(func=cmd_classify)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import StoppingConfig
-from .engine import evaluate_queries
-from .neighbors import Shard
+from .engine import Shard, evaluate_queries
 from .simharness import (
     ExperimentResult,
     GridConfig,

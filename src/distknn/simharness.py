@@ -20,14 +20,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
+from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
 
 from .adaptive import ClassifierKind, StoppingConfig
-from .engine import Partition, evaluate_query, query_distance_matrix
-from .neighbors import Shard
+from .engine import Partition, Shard, evaluate_query, query_distance_matrix
 
 __all__ = [
     "SyntheticModel",
@@ -122,8 +122,15 @@ def partition_proportional(data: Shard, m: int, rng: np.random.Generator) -> Par
 
 
 def shard_count(N: int, eps: float) -> int:
-    """Number of shards m = ceil(N^eps)."""
-    return math.ceil(N**eps)
+    """Number of shards m = ceil(N^eps), with eps read as the decimal it is written as.
+
+    With eps = p/q, q <= 1000, an integer r with r**q == N**p is returned as it is:
+    the float power can land just above r (1024**0.8 is 256.00000000000006).
+    """
+    ratio = Fraction(repr(float(eps)))
+    root = round(N**eps)
+    exact = ratio.denominator <= 1000 and root**ratio.denominator == N**ratio.numerator
+    return root if exact else math.ceil(N**eps)
 
 
 @dataclass(frozen=True, kw_only=True)

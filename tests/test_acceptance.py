@@ -17,8 +17,7 @@ from partitions import one_shard
 
 from distknn import oracle
 from distknn.adaptive import ClassifierKind, StoppingConfig, depths, k1_bound, scan_first_crossing, stopping_threshold
-from distknn.engine import build_prefix_tensor, query_distance_matrix
-from distknn.neighbors import Shard, k_smallest_rows
+from distknn.engine import Shard, build_prefix_tensor, k_smallest_rows, query_distance_matrix
 from distknn.realdata import (
     apply_scaling,
     evaluate_real,

@@ -16,8 +16,7 @@ from distknn.adaptive import (
     scan_first_crossing,
     stopping_threshold,
 )
-from distknn.engine import Partition
-from distknn.neighbors import Shard
+from distknn.engine import Partition, Shard
 
 
 def prefix_tensor(label_rows):

@@ -4,8 +4,7 @@ from partitions import line_partition, one_shard
 
 from distknn import oracle
 from distknn.adaptive import ClassifierKind, StoppingConfig, depths, scan_first_crossing, stopping_threshold
-from distknn.engine import build_prefix_tensor, evaluate_query
-from distknn.neighbors import Shard
+from distknn.engine import Shard, build_prefix_tensor, evaluate_query
 
 ORIGIN = np.zeros(3)
 

@@ -566,6 +566,15 @@ class TestClassifyCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_shards_and_epsilon_together_rejected_before_reading(self, tmp_path, capsys):
+        # either sets m: given both, --epsilon was dropped without a word
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--train", str(tmp_path / "missing.csv"), "--queries", str(tmp_path / "q.csv"),
+                  "--shards", "2", "--epsilon", "0.5", "--output", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "argument --epsilon: not allowed with argument --shards" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_classifier_rejected_before_reading(self, tmp_path, capsys):
         # the name is checked at parse time: the missing training file is never opened
         with pytest.raises(SystemExit) as exc:
@@ -640,6 +649,15 @@ class TestClassifyCommand:
                    "--label-col", "target", "--output", str(tmp_path / "o")])
         assert rc == 1
         assert "label column" in capsys.readouterr().err
+
+    def test_label_only_training_table_rejected(self, tmp_path, capsys):
+        _, queries = self.make_files(tmp_path, np.random.default_rng(1))
+        train = tmp_path / "labels.csv"
+        train.write_text("label\n0\n1\n1\n")
+        rc = main(["classify", "--train", str(train), "--queries", str(queries), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{train}: no feature column besides the label column 'label'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag", [["--threads", "3"], ["--output", "somewhere"]])

@@ -15,8 +15,7 @@ from partitions import back_to_back
 
 from distknn import engine, oracle, simharness
 from distknn.adaptive import ClassifierKind, StoppingConfig, depths
-from distknn.engine import build_prefix_tensor, evaluate_queries, evaluate_query, query_distance_matrix
-from distknn.neighbors import Shard
+from distknn.engine import Shard, build_prefix_tensor, evaluate_queries, evaluate_query, query_distance_matrix
 from distknn.simharness import (
     ExperimentConfig,
     SyntheticModel,

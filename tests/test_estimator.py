@@ -7,8 +7,7 @@ import pytest
 from partitions import back_to_back, line_partition, one_shard
 
 from distknn.adaptive import ClassifierKind, StoppingConfig, scan_first_crossing
-from distknn.engine import Partition, build_prefix_tensor, evaluate_query
-from distknn.neighbors import Shard
+from distknn.engine import Partition, Shard, build_prefix_tensor, evaluate_query
 
 
 def pooled_eta(label_rows, ks):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from partitions import back_to_back, line_partition, one_shard
 
-from distknn import neighbors, oracle
+from distknn import engine, oracle
 from distknn.adaptive import ClassifierKind, StoppingConfig
-from distknn.engine import Partition, build_prefix_tensor, evaluate_queries, query_distance_matrix
-from distknn.neighbors import Shard, k_smallest_rows
+from distknn.engine import Partition, Shard, build_prefix_tensor, evaluate_queries, k_smallest_rows, query_distance_matrix
 
 
 def random_shard(rng, n, d=3, coord_pool=None):
@@ -192,7 +191,7 @@ def test_k_smallest_rows_matches_stable_argsort(dist, k_frac):
 
 # ``rounds_k`` 0 sends the picks short of the row down argpartition, the
 # default to the argmin rounds.
-@pytest.mark.parametrize("rounds_k", [0, neighbors.ROUNDS_K])
+@pytest.mark.parametrize("rounds_k", [0, engine.ROUNDS_K])
 @pytest.mark.parametrize(
     "row, k",
     [
@@ -205,7 +204,7 @@ def test_k_smallest_rows_matches_stable_argsort(dist, k_frac):
 )
 def test_k_smallest_rows_boundary_cases(row, k, rounds_k):
     dist = np.array([row, row[::-1]])
-    with mock.patch.object(neighbors, "ROUNDS_K", rounds_k):
+    with mock.patch.object(engine, "ROUNDS_K", rounds_k):
         for kk in (1, k, len(row)):
             np.testing.assert_array_equal(k_smallest_rows(dist, kk), stable_k(dist, kk))
 
@@ -227,7 +226,7 @@ def test_k_smallest_rows_on_large_tied_blocks():
 @given(
     dist=arrays(
         np.float64,
-        st.tuples(st.integers(1, 6), st.integers(neighbors.SORT_WIDTH, 3 * neighbors.SORT_WIDTH)),
+        st.tuples(st.integers(1, 6), st.integers(engine.SORT_WIDTH, 3 * engine.SORT_WIDTH)),
         elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, np.inf]) | st.floats(0, 2),
     ),
     clean=st.lists(st.booleans(), min_size=6, max_size=6),
@@ -257,19 +256,19 @@ def wide_rows(n):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("n", [neighbors.SORT_WIDTH, 70, 300])
+@pytest.mark.parametrize("n", [engine.SORT_WIDTH, 70, 300])
 def test_full_sort_of_wide_rows_boundary_cases(n):
     block = wide_rows(n)
     dist = np.concatenate([block, block[::-1, ::-1]])
     np.testing.assert_array_equal(k_smallest_rows(dist, n), stable_k(dist, n))
     # and _sorted_rows alone, on a block where every row but the first has ties
-    np.testing.assert_array_equal(neighbors._sorted_rows(block), stable_k(block, n))
+    np.testing.assert_array_equal(engine._sorted_rows(block), stable_k(block, n))
 
 
 def test_full_sort_paths_by_width_and_block_size():
     # clean rows: the unstable path gives the same result, so the path taken
     # is seen through a spy on it. Only the row width counts, not the rows.
-    width = neighbors.SORT_WIDTH
+    width = engine.SORT_WIDTH
     rng = np.random.default_rng(29)
     cases = [
         ((40, width - 1), False),  # narrow rows
@@ -281,7 +280,7 @@ def test_full_sort_paths_by_width_and_block_size():
     ]
     for shape, unstable in cases:
         dist = rng.random(shape)
-        with mock.patch.object(neighbors, "_sorted_rows", wraps=neighbors._sorted_rows) as spy:
+        with mock.patch.object(engine, "_sorted_rows", wraps=engine._sorted_rows) as spy:
             np.testing.assert_array_equal(k_smallest_rows(dist, shape[1]), stable_k(dist, shape[1]))
         assert spy.called is unstable, shape
 
@@ -304,7 +303,7 @@ def test_full_sort_paths_by_width_and_block_size():
 def test_argmin_rounds_match_stable_argsort(dist, k_frac, rounds_k):
     n = dist.shape[1]
     before = dist.copy()
-    with mock.patch.object(neighbors, "ROUNDS_K", rounds_k):
+    with mock.patch.object(engine, "ROUNDS_K", rounds_k):
         for k in (2, 2 + round(k_frac * (n - 3)), n - 1):
             if 2 <= k < n:
                 np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
@@ -324,8 +323,8 @@ def test_argmin_rounds_boundary_rows():
     block = np.array(rows)
     dist = np.concatenate([block, block[::-1, ::-1]])
     before = dist.copy()
-    for k in (2, 3, 4, neighbors.ROUNDS_K):
-        with mock.patch.object(neighbors, "_argmin_rounds", wraps=neighbors._argmin_rounds) as spy:
+    for k in (2, 3, 4, engine.ROUNDS_K):
+        with mock.patch.object(engine, "_argmin_rounds", wraps=engine._argmin_rounds) as spy:
             np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
         assert spy.called, k
     np.testing.assert_array_equal(dist, before)
@@ -334,7 +333,7 @@ def test_argmin_rounds_boundary_rows():
 def test_argmin_rounds_path_by_k():
     # clean rows: every path gives the same result, so the path taken is
     # seen through a spy on the rounds
-    rounds_k = neighbors.ROUNDS_K
+    rounds_k = engine.ROUNDS_K
     rng = np.random.default_rng(37)
     cases = [
         ((1, 3), 2, True),  # a block of 3 entries
@@ -346,7 +345,7 @@ def test_argmin_rounds_path_by_k():
     ]
     for shape, k, rounds in cases:
         dist = rng.random(shape)
-        with mock.patch.object(neighbors, "_argmin_rounds", wraps=neighbors._argmin_rounds) as spy:
+        with mock.patch.object(engine, "_argmin_rounds", wraps=engine._argmin_rounds) as spy:
             np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
         assert spy.called is rounds, (shape, k)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from distknn.adaptive import ClassifierKind
-from distknn.neighbors import Shard
+from distknn.engine import Shard
 from distknn.realdata import (
     apply_scaling,
     evaluate_real,

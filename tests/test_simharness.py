@@ -204,6 +204,19 @@ def test_shard_count():
     assert shard_count(20000, 0.0) == 1
     assert shard_count(20000, 0.5) == 142
     assert shard_count(10, 0.9) == math.ceil(10**0.9)
+    # exact integer powers: the float power lands just above them
+    assert shard_count(1024, 0.8) == 256
+    assert shard_count(3125, 0.2) == 5
+    assert shard_count(32, 0.8) == 16
+    assert shard_count(59049, 0.2) == 9
+
+
+def test_shard_count_matches_integer_arithmetic():
+    # m = ceil(N^(i/10)) is the least m with m**10 >= N**i
+    for N in range(1, 5001):
+        for i in range(10):
+            m = shard_count(N, i / 10)
+            assert m**10 >= N**i and (m - 1) ** 10 < N**i, (N, i / 10, m)
 
 
 class TestExperimentConfig:
