@@ -19,6 +19,7 @@ import math
 import os
 import platform
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -285,10 +286,11 @@ def _read_table(path, columns=None, label_col=None):
     """(feature columns, features, labels) of a CSV file with a header row.
 
     A training table names its ``label_col``: its other columns are the
-    features, and each label is 0 or 1. A query table has no labels; its
-    ``columns`` are read in that order. Each feature is a finite number. A cell
-    that breaks these rules is an error naming the file, its row and column; so
-    is a header name given twice, and a row with more cells than the header.
+    features, and each label is 0 or 1, on at least two data rows. A query
+    table has no labels; its ``columns`` are read in that order. Each feature
+    is a finite number. A cell that breaks these rules is an error naming the
+    file, its row and column; so is a header name given twice, and a row with
+    more cells than the header.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -305,6 +307,8 @@ def _read_table(path, columns=None, label_col=None):
         columns = [c for c in header if c != label_col]
         if not columns:
             raise ValueError(f"{path}: no feature column besides the label column {label_col!r}")
+        if len(rows) < 2:
+            raise ValueError(f"{path}: a training table needs at least 2 data rows, got {len(rows)}")
     missing = [c for c in columns if c not in header]
     if missing:
         raise ValueError(f"{path} lacks feature columns {missing}")
@@ -367,16 +371,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
-    """Check the engine against the plain-loop oracle and audit the stopping rule.
+def run_selftest(instances: int, seed: int) -> int:
+    """Check the engine, and its scan's first crossing, against the plain-loop
+    oracle in one pass over random instances.
 
     Returns the number of failed checks (0 means healthy).
     """
     rng = np.random.default_rng(seed)
-    failures = 0
-
     grid = np.array([0.0, 0.25, 0.5, 1.0])
-    mismatches = 0
+    mismatches = bad_scans = scans = 0
     for _ in range(instances):
         layout = rng.random()
         # several hundred points: shards wide enough for every selection path
@@ -415,48 +418,35 @@ def run_selftest(instances: int, seed: int, verbose: bool = True) -> int:
         # every shard's whole profile: the neighbor order itself, not just the
         # walk's outcome, which a reorder inside a tie group rarely changes
         full = np.concatenate([build_prefix_tensor(part, block, part.sizes) for block in blocks])
-        for q, row, got in zip(queries, query_distance_matrix(part.features, queries), full):
-            for j, (ref, prefix) in enumerate(oracle.shard_profiles(part, q)):
+        refs = [oracle.shard_profiles(part, q) for q in queries]
+        for shards, row, got in zip(refs, query_distance_matrix(part.features, queries), full):
+            for j, (ref, prefix) in enumerate(shards):
                 mismatches += np.sort(row[part.offsets[j] : part.offsets[j + 1]]).tolist() != ref
                 mismatches += got[part.offsets[j] : part.offsets[j + 1]].tolist() != prefix
         for kind in ClassifierKind:
             got = [r for block in blocks for r in zip(*(a.tolist() for a in evaluate_queries(part, block, kind, cfg)))]
             if got != [oracle.classify(part, q, kind, cfg) for q in queries]:
                 mismatches += 1
-    failures += mismatches
-    if verbose:
-        state = "ok" if mismatches == 0 else f"{mismatches} MISMATCHES"
-        print(f"selftest: engine vs plain-loop oracle on {instances} instances: {state}")
-
-    audit_bad = 0
-    audits = max(20, instances // 10)
-    for _ in range(audits):
-        m = int(rng.integers(1, 6))
-        N = int(rng.integers(8 * m, 800))
-        cfg = StoppingConfig(N=N, d=3)
-        data = Shard(1, rng.random((N, 3)), rng.integers(0, 2, N))
-        part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(data, m, rng)
-        query = rng.random(3)
-        kj = depths(ClassifierKind.DANN, part.sizes, cfg)
-        prefix = build_prefix_tensor(part, query[None, :], kj[-1])
-        threshold = stopping_threshold(cfg)
-        stop, _, crossed = scan_first_crossing(prefix, kj, threshold)
-        k1_hat = int(stop[0]) + 1
-        # replay on the oracle's profiles: no crossing before k1_hat, and the
-        # scan's own flag must say whether step k1_hat crossed
-        profiles = [p for _, p in oracle.shard_profiles(part, query)]
-        for k1, _, r in oracle.walk_steps(profiles, [int(n) for n in part.sizes]):
-            if k1 == k1_hat:
-                audit_bad += (r > threshold) != bool(crossed[0])
-                break
-            if r > threshold:
-                audit_bad += 1
-                break
-    failures += audit_bad
-    if verbose:
-        state = "ok" if audit_bad == 0 else f"{audit_bad} BAD WALKS"
-        print(f"selftest: stopping-rule audit on {audits} random searches: {state}")
-    return failures
+        # the scan on the whole profiles cut to each walk's last depths: its stop
+        # and crossed flag against the oracle's statistics, at the paper's
+        # threshold, which random labels almost never cross, and at the walk's
+        # median statistic, which it crosses unless the steps tie
+        for kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES):
+            kj = depths(kind, part.sizes, cfg)
+            cut = np.concatenate([full[:, a : a + k] for a, k in zip(part.offsets[:-1], kj[-1])], axis=1)
+            for shards, row in zip(refs, cut):
+                steps = oracle.walk_steps([p for _, p in shards], part.sizes.tolist())
+                stats = [r for _, _, r in islice(steps, len(kj))]
+                for threshold in (stopping_threshold(cfg), float(np.median(stats))):
+                    stop, _, crossed = scan_first_crossing(row, kj, threshold)
+                    first = next((i for i, r in enumerate(stats) if r > threshold), len(stats) - 1)
+                    bad_scans += (int(stop), bool(crossed)) != (first, stats[first] > threshold)
+                    scans += 1
+    state = "ok" if mismatches == 0 else f"{mismatches} MISMATCHES"
+    print(f"selftest: engine vs plain-loop oracle on {instances} instances: {state}")
+    state = "ok" if bad_scans == 0 else f"{bad_scans} MISMATCHES"
+    print(f"selftest: first crossing vs the oracle's walk on {scans} scans: {state}")
+    return mismatches + bad_scans
 
 
 def cmd_selftest(args) -> int:

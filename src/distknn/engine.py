@@ -37,8 +37,7 @@ import numpy as np
 
 from .adaptive import ClassifierKind, StoppingConfig, depths, scan_first_crossing, stopping_threshold
 
-__all__ = ["Shard", "Partition", "query_distance_matrix", "k_smallest_rows", "query_rows", "evaluate_query",
-           "evaluate_queries"]
+__all__ = ["Shard", "Partition", "query_distance_matrix", "k_smallest_rows", "evaluate_query", "evaluate_queries"]
 
 # Full sorts of rows at least this wide take the unstable (SIMD) argsort and a
 # tie check; below it the stable argsort is as fast or faster.
@@ -128,8 +127,8 @@ class Shard:
         labs = np.asarray(labels)  # checked before the cast, which would round 0.5 to 0
         if shard_id < 1:
             raise ValueError("shard id must be >= 1")
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ValueError("features must be a nonempty (n, d) array")
+        if feats.ndim != 2 or feats.size == 0:
+            raise ValueError(f"features must be a nonempty (n, d) array, got shape {feats.shape}")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be a vector matching the point count")
         if not np.isfinite(feats).all():
@@ -173,6 +172,9 @@ class Partition:
     @classmethod
     def from_shard(cls, data: Shard, sizes: np.ndarray, rng: np.random.Generator) -> "Partition":
         sizes = np.asarray(sizes, dtype=np.int64)
+        bad = np.flatnonzero(sizes < 1)
+        if bad.size:
+            raise ValueError(f"shard {int(bad[0])}: size {sizes[bad[0]]} is below 1")
         if int(sizes.sum()) != data.size:
             raise ValueError("shard sizes must sum to the data size")
         if np.any(np.diff(sizes) > 0):
@@ -226,8 +228,11 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
     square is written there (0 + x == x exactly), and each later column is
     subtracted and squared in one reused scratch buffer and then added. Column
     reads are contiguous when ``features`` is column-major, as a Partition's is.
+    Points with no coordinate (d = 0) are rejected.
     """
     nq, (n, d) = queries.shape[0], features.shape
+    if d == 0:
+        raise ValueError("points need at least one coordinate, got d = 0")
     acc = np.empty((nq, n), dtype=np.float64)
     diff = np.empty_like(acc) if d > 1 else None
     for c in range(d):
@@ -244,8 +249,9 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
 
     ``dist`` has shape (rows, n) with 1 <= k <= n; the result, shape
     (rows, min(k, n)), equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]``.
-    ``dist`` is left as it was. The work follows k and the row width n, not
-    the number of rows, through one of five paths:
+    ``dist`` is left as it was, and a k below 1 raises ``ValueError``. The
+    work follows k and the row width n, not the number of rows, through one
+    of five paths:
 
     - k == 1: ``argmin``, whose first minimum is the lowest index among ties.
     - k >= n on rows narrower than ``SORT_WIDTH``: the stable argsort.
@@ -264,6 +270,8 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     if k >= n:
         return dist.argsort(axis=1, kind="stable") if n < SORT_WIDTH else _sorted_rows(dist)
     if k <= ROUNDS_K:
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         return _argmin_rounds(dist, k)
     row = np.arange(rows)[:, None]
     idx = dist.argpartition(k - 1, axis=1)[:, :k]
@@ -485,23 +493,9 @@ def evaluate_query(
 ) -> tuple[int, int, float]:
     """Classify one query point; returns (label, k1_hat or -1 where not applicable, eta).
 
-    The point is checked by ``query_rows``, as row 0."""
-    q = query_rows(np.asarray(query, dtype=np.float64)[None, :], partition.dim)
-    labels, k1s, etas = _classify_chunk(partition, q, kind, cfg)
+    The point goes through ``evaluate_queries`` as its row 0."""
+    labels, k1s, etas = evaluate_queries(partition, np.asarray(query)[None, :], kind, cfg)
     return int(labels[0]), int(k1s[0]), float(etas[0])
-
-
-def query_rows(queries: np.ndarray, dim: int) -> np.ndarray:
-    """``queries`` as a contiguous float64 (n, ``dim``) array; a row with a
-    non-finite coordinate is rejected, naming the first such row (0-based)."""
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != dim:
-        raise ValueError("queries must be (n, d) with the partition's dimension")
-    bad = ~np.isfinite(queries).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"query row {row} is not finite: {queries[row].tolist()}")
-    return queries
 
 
 def _eval_chunk_worker(args):
@@ -525,12 +519,19 @@ def evaluate_queries(
     ``workers`` processes start, and no more than there are chunks; one worker
     or one chunk classifies every row here in one call. ``chunk_size`` only
     sets the pool's task split; rows are classified in blocks of
-    ``BLOCK_BYTES``. Query rows are checked by ``query_rows``. No query rows
-    give three empty arrays.
+    ``BLOCK_BYTES``. ``queries`` must be (n, d) with the partition's d, and a
+    row with a non-finite coordinate is rejected, naming the first such row
+    (0-based). No query rows give three empty arrays.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    queries = query_rows(queries, partition.dim)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != partition.dim:
+        raise ValueError("queries must be (n, d) with the partition's dimension")
+    bad = ~np.isfinite(queries).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"query row {row} is not finite: {queries[row].tolist()}")
     if workers <= 1 or queries.shape[0] <= chunk_size:
         return _classify_chunk(partition, queries, kind, cfg)
     chunks = [queries[i : i + chunk_size] for i in range(0, queries.shape[0], chunk_size)]

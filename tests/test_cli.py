@@ -659,6 +659,16 @@ class TestClassifyCommand:
         assert f"{train}: no feature column besides the label column 'label'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("body, rows", [("", 0), ("0.5,1\n", 1)], ids=["header-only", "one-row"])
+    def test_training_table_below_two_rows_rejected(self, tmp_path, capsys, body, rows):
+        _, queries = self.make_files(tmp_path, np.random.default_rng(1))
+        train = tmp_path / "short.csv"
+        train.write_text("x,label\n" + body)
+        rc = main(["classify", "--train", str(train), "--queries", str(queries), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{train}: a training table needs at least 2 data rows, got {rows}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("flag", [["--threads", "3"], ["--output", "somewhere"]])
 def test_selftest_rejects_flags_it_would_ignore(flag, tmp_path, monkeypatch, capsys):
@@ -684,6 +694,24 @@ def test_selftest_function_and_command(capsys):
     assert "selftest passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fault", ["inverted-flag", "stop-one-late", "stop-one-early"])
+def test_selftest_catches_a_faulty_scan(monkeypatch, capsys, fault):
+    # the random labels almost never cross the paper's threshold, so a stop
+    # off by one at a crossing shows only at each walk's median statistic
+    from distknn import cli
+
+    def faulty(prefix, kj, threshold, _scan=cli.scan_first_crossing):
+        stop, eta, crossed = _scan(prefix, kj, threshold)
+        if fault == "inverted-flag":
+            return stop, eta, ~crossed
+        shifted = np.clip(stop + (1 if fault == "stop-one-late" else -1), 0, kj.shape[0] - 1)
+        return np.where(crossed, shifted, stop), eta, crossed
+
+    monkeypatch.setattr(cli, "scan_first_crossing", faulty)
+    assert run_selftest(instances=30, seed=0) > 0
+    assert "first crossing vs the oracle's walk on 240 scans: " in capsys.readouterr().out
+
+
 def test_selftest_reaches_both_profile_strategies(monkeypatch):
     """CI's ``selftest --instances 200`` (seed 0) checks the run loop and the
     candidate sort, the latter both cut and over whole rows."""
@@ -697,7 +725,7 @@ def test_selftest_reaches_both_profile_strategies(monkeypatch):
             return _fn(partition, dist, shard_depths, *rest)
 
         monkeypatch.setattr(engine, name, spy)
-    assert run_selftest(instances=200, seed=0, verbose=False) == 0
+    assert run_selftest(instances=200, seed=0) == 0
     assert any(name == "_run_profiles" for name, _, _ in taken)
     cut = {engine.CANDIDATE_FACTOR * depth < n for name, depth, n in taken if name == "_segmented_profiles"}
     assert cut == {True, False}

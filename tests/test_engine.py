@@ -264,6 +264,28 @@ def test_profile_rows_match_oracle_with_either_builder(n, m, d, proportional, de
         np.testing.assert_array_equal(got, expected, err_msg=f"SEGMENT_RUNS_PER_ROW = {runs_per_row}")
 
 
+@pytest.mark.parametrize("n, one_deep", [(70000, True), (20000, False)], ids=["cut", "whole-row"])
+def test_segmented_profiles_with_int32_shard_keys(n, one_deep):
+    # 17000 shards take int32 keys: ids from 2^14 on would overflow int16 ones.
+    # Depth 1 everywhere puts the candidate cut K = CANDIDATE_FACTOR x 17000
+    # below N = 70000; full depths put K above N, where the whole row is the
+    # candidate set
+    rng = np.random.default_rng(n)
+    m = 17000
+    data = Shard(1, rng.choice(TIE_GRID, size=(n, 3)), rng.integers(0, 2, n))
+    part = partition_uniform(data, m, rng)
+    shard_depths = np.ones(m, dtype=np.int64) if one_deep else part.sizes
+    assert (engine.CANDIDATE_FACTOR * int(shard_depths.sum()) < n) == one_deep
+    query = rng.choice(TIE_GRID, size=3)
+    dist = query_distance_matrix(part.features, query[None, :])
+    segmented = np.empty((1, int(shard_depths.sum())), dtype=np.int64)
+    engine._segmented_profiles(part, dist, shard_depths, segmented)
+    looped = np.empty_like(segmented)
+    engine._run_profiles(part, dist, shard_depths, part.size_runs(shard_depths), looped)
+    np.testing.assert_array_equal(segmented, looped)
+    np.testing.assert_array_equal(segmented[0], oracle_row(part, query, shard_depths))
+
+
 @pytest.fixture
 def strategies(monkeypatch):
     """Names of the profile strategies that ``build_prefix_tensor`` calls, in order."""

@@ -61,6 +61,10 @@ class TestEuclideanDistance:
             with pytest.raises(ValueError, match="dimension"):
                 evaluate_queries(one_shard(shard), np.zeros((1, width)), ClassifierKind.DANN, cfg)
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match="d = 0"):
+            query_distance_matrix(np.zeros((5, 0)), np.zeros((2, 0)))
+
     def test_nonfinite_rejected(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
         queries = np.array([[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
@@ -74,6 +78,10 @@ class TestShardChecks:
     def test_fractional_label_rejected_naming_its_row(self, label):
         with pytest.raises(ValueError, match=rf"^labels must be 0 or 1: row 1 is {label}$"):
             Shard(1, np.zeros((3, 2)), [0.0, label, 1.0])
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match=r"nonempty \(n, d\) array, got shape \(4, 0\)"):
+            Shard(1, np.zeros((4, 0)), [0, 1, 0, 1])
 
     def test_nonfinite_feature_names_its_row(self):
         feats = np.zeros((3, 2))
@@ -207,6 +215,12 @@ def test_k_smallest_rows_boundary_cases(row, k, rounds_k):
     with mock.patch.object(engine, "ROUNDS_K", rounds_k):
         for kk in (1, k, len(row)):
             np.testing.assert_array_equal(k_smallest_rows(dist, kk), stable_k(dist, kk))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_smallest_rows_k_below_one_rejected(k):
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        k_smallest_rows(np.zeros((2, 5)), k)
 
 
 def test_k_smallest_rows_on_large_tied_blocks():
@@ -429,6 +443,12 @@ class TestTypes:
             build_prefix_tensor(part, np.zeros((1, 3)), np.array([3, 3]))
         with pytest.raises(ValueError, match="one depth per shard"):
             build_prefix_tensor(part, np.zeros((1, 3)), np.array([1]))
+
+    @pytest.mark.parametrize("sizes, size", [([6, 0], 0), ([7, -1], -1)])
+    def test_shard_sizes_below_one_rejected(self, sizes, size):
+        data = Shard(1, np.zeros((6, 3)), np.zeros(6, dtype=int))
+        with pytest.raises(ValueError, match=f"shard 1: size {size} is below 1"):
+            Partition.from_shard(data, sizes, np.random.default_rng(0))
 
     def test_profile_batch_roundtrip(self):
         # the profile row holds each shard's own profile up to its depth,
