@@ -185,7 +185,8 @@ def build_experiment_config(args, file_cfg: dict[str, tuple[str, str]]) -> Exper
 # ---------------------------------------------------------------------------
 # outputs
 
-def _manifest(command: str, cfg_dict: dict, seed: int, threads: int) -> dict:
+def _manifest(command: str, cfg_dict: dict, seed: int, threads: int, **extra) -> dict:
+    """The manifest of one command; ``extra`` keys follow ``versions`` in order."""
     return {
         "command": command,
         "seed": seed,
@@ -196,20 +197,19 @@ def _manifest(command: str, cfg_dict: dict, seed: int, threads: int) -> dict:
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
+        **extra,
     }
 
 
-def _write_manifest(outdir: Path, manifest: dict) -> None:
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def write_result_files(result: ExperimentResult, outdir: Path, manifest: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    result.write_csv(outdir / "results.csv")
-    result.write_json(outdir / "results.json")
-    _write_manifest(outdir, manifest)
+    (outdir / "results.csv").write_text(result.to_csv_text(), encoding="utf-8")
+    _write_json(outdir / "results.json", result.to_json_obj())
+    _write_json(outdir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +266,9 @@ def cmd_adult(args) -> int:
     print(f"adult: train={split.train.size} test={split.test.size}")
     result = evaluate_real(split.train, split.test, cfg, workers=args.threads)
     outdir = Path(args.output)
-    manifest = _manifest("adult", cfg.to_dict(), cfg.seed, args.threads)
-    manifest["data_file"] = str(path)
-    manifest["test_fraction"] = test_fraction
     # m = ceil(N^eps) with N the training row count
-    manifest["train_rows"], manifest["test_rows"] = split.train.size, split.test.size
+    manifest = _manifest("adult", cfg.to_dict(), cfg.seed, args.threads, data_file=str(path),
+                         test_fraction=test_fraction, train_rows=split.train.size, test_rows=split.test.size)
     write_result_files(result, outdir, manifest)
     majority = float(max(split.test.labels.mean(), 1 - split.test.labels.mean()))
     print(f"  majority-class accuracy: {majority:.4f}")
@@ -365,7 +363,7 @@ def cmd_classify(args) -> int:
         "include_log_in_bound": values["include_log_in_bound"],
         "feature_columns": feature_cols,
     }
-    _write_manifest(outdir, _manifest("classify", config, values["seed"], args.threads))
+    _write_json(outdir / "manifest.json", _manifest("classify", config, values["seed"], args.threads))
     print(f"classified {labels_out.size} queries with {kind.value} over m={m} shards")
     print(f"wrote {pred_path}")
     return 0
@@ -379,7 +377,7 @@ def run_selftest(instances: int, seed: int) -> int:
     """
     rng = np.random.default_rng(seed)
     grid = np.array([0.0, 0.25, 0.5, 1.0])
-    mismatches = bad_scans = scans = 0
+    mismatches = bad_scans = scans = crossings = 0
     for _ in range(instances):
         layout = rng.random()
         # several hundred points: shards wide enough for every selection path
@@ -396,7 +394,12 @@ def run_selftest(instances: int, seed: int) -> int:
         d = int(rng.integers(1, 17))
         tie_prone = wide or rng.random() < (0.5 if big else 0.3)
         feats = rng.choice(grid, size=(n, d)) if tie_prone else rng.random((n, d))
-        data = Shard(1, feats, rng.integers(0, 2, n))
+        labels = rng.integers(0, 2, n)
+        if 0.15 <= layout < 0.2:
+            # labels with signal, so that walks cross the paper's threshold and
+            # stop early; chosen by layout, so no draw is added
+            labels |= feats[:, 0] <= 0.5
+        data = Shard(1, feats, labels)
         if layout < 0.1:
             # one or two shards: full sorts of rows far wider than SORT_WIDTH
             part = partition_uniform(data, int(rng.integers(1, 3)), rng)
@@ -411,7 +414,7 @@ def run_selftest(instances: int, seed: int) -> int:
             part = partition_proportional(data, int(rng.integers(int(np.sqrt(n)), n + 1)), rng)
         else:
             m = int(rng.integers(1, min(n, 8) + 1))
-            part = (partition_uniform if rng.random() < 0.5 else partition_proportional)(data, m, rng)
+            part = _partition_for("uniform" if rng.random() < 0.5 else "proportional", data, m, rng)
         cfg = StoppingConfig(N=n, d=d)
         queries = rng.choice(grid, size=(2, d)) if tie_prone else rng.random((2, d))
         blocks = np.split(queries, 2) if wide else [queries]
@@ -429,14 +432,16 @@ def run_selftest(instances: int, seed: int) -> int:
                 mismatches += 1
         # the scan on the whole profiles cut to each walk's last depths: its stop
         # and crossed flag against the oracle's statistics, at the paper's
-        # threshold, which random labels almost never cross, and at the walk's
-        # median statistic, which it crosses unless the steps tie
+        # threshold, which the signal band's walks cross and random labels
+        # almost never do, and at the walk's median statistic, which it
+        # crosses unless the steps tie
         for kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES):
             kj = depths(kind, part.sizes, cfg)
             cut = np.concatenate([full[:, a : a + k] for a, k in zip(part.offsets[:-1], kj[-1])], axis=1)
             for shards, row in zip(refs, cut):
                 steps = oracle.walk_steps([p for _, p in shards], part.sizes.tolist())
                 stats = [r for _, _, r in islice(steps, len(kj))]
+                crossings += max(stats) > stopping_threshold(cfg)
                 for threshold in (stopping_threshold(cfg), float(np.median(stats))):
                     stop, _, crossed = scan_first_crossing(row, kj, threshold)
                     first = next((i for i, r in enumerate(stats) if r > threshold), len(stats) - 1)
@@ -445,7 +450,8 @@ def run_selftest(instances: int, seed: int) -> int:
     state = "ok" if mismatches == 0 else f"{mismatches} MISMATCHES"
     print(f"selftest: engine vs plain-loop oracle on {instances} instances: {state}")
     state = "ok" if bad_scans == 0 else f"{bad_scans} MISMATCHES"
-    print(f"selftest: first crossing vs the oracle's walk on {scans} scans: {state}")
+    print(f"selftest: first crossing vs the oracle's walk on {scans} scans: {state}; "
+          f"{crossings} crossed the paper's threshold")
     return mismatches + bad_scans
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -264,21 +263,12 @@ class ExperimentResult:
         writer.writerows(astuple(r) for r in self.rows)
         return buf.getvalue()
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
-
     def to_json_obj(self) -> dict:
         return {
             "config": self.config.to_dict(),
             "rows": [asdict(r) for r in self.rows],
             "failures": [list(f) for f in self.failures],
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, indent=2)
-            fh.write("\n")
 
 
 def _partition_for(split: str, data: Shard, m: int, rng: np.random.Generator) -> Partition:

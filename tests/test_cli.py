@@ -24,6 +24,11 @@ def write_config(tmp_path, text):
     return path
 
 
+
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
 class TestConfigFile:
     def test_parse_key_values(self, tmp_path):
         path = write_config(
@@ -250,7 +255,7 @@ class TestSimulateCommand:
             ]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(out / "results.csv")))
+        rows = read_csv_rows(out / "results.csv")
         assert len(rows) == 4
         assert {r["classifier"] for r in rows} == {"dann", "d1nn"}
         manifest = json.loads((out / "manifest.json").read_text())
@@ -270,7 +275,7 @@ class TestSimulateCommand:
         assert main(argv + ["--output", str(tmp_path / "b"), "--threads", "2"]) == 0
 
         def strip_runtime(path):
-            rows = list(csv.DictReader(open(path)))
+            rows = read_csv_rows(path)
             for r in rows:
                 r.pop("mean_runtime_s")
             return rows
@@ -298,7 +303,7 @@ class TestSimulateCommand:
         assert "3 run(s) failed" in err
         assert "eps=0.5 run=0: RuntimeError: shard store unavailable" in err
         # the runs that worked are still written
-        assert [r["epsilon"] for r in csv.DictReader(open(out / "results.csv"))] == ["0.0"]
+        assert [r["epsilon"] for r in read_csv_rows(out / "results.csv")] == ["0.0"]
         assert len(json.loads((out / "results.json").read_text())["failures"]) == 3
 
     def test_every_run_failing_still_writes_results(self, tmp_path, capsys, monkeypatch):
@@ -397,7 +402,7 @@ class TestAdultCommand:
             ]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(out / "results.csv")))
+        rows = read_csv_rows(out / "results.csv")
         assert rows[0]["classifier"] == "d1nn"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "adult"
@@ -446,7 +451,7 @@ class TestAdultCommand:
         assert list(manifest["config"]) == grid
         # the 13 fixture records split 11/2 at the default test fraction
         assert (manifest["train_rows"], manifest["test_rows"]) == (11, 2)
-        for row in csv.DictReader(open(out / "results.csv")):
+        for row in read_csv_rows(out / "results.csv"):
             assert int(row["m"]) == shard_count(manifest["train_rows"], float(row["epsilon"]))
 
     @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2"])
@@ -495,7 +500,7 @@ class TestClassifyCommand:
              "--classifier", "dann", "--output", str(out), "--seed", "2"]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(out / "predictions.csv")))
+        rows = read_csv_rows(out / "predictions.csv")
         assert len(rows) == 2
         assert rows[0]["predicted_label"] == "1"
         assert rows[1]["predicted_label"] == "0"
@@ -710,6 +715,23 @@ def test_selftest_catches_a_faulty_scan(monkeypatch, capsys, fault):
     monkeypatch.setattr(cli, "scan_first_crossing", faulty)
     assert run_selftest(instances=30, seed=0) > 0
     assert "first crossing vs the oracle's walk on 240 scans: " in capsys.readouterr().out
+
+
+def test_selftest_sees_a_late_stop_in_the_engine(monkeypatch, capsys):
+    # the signal band's walks cross the paper's threshold, so the engine's
+    # batched path must stop where the oracle does, not one step later
+    from distknn import engine
+
+    assert run_selftest(instances=200, seed=0) == 0
+    crossed = re.search(r"; (\d+) crossed the paper's threshold\n", capsys.readouterr().out)
+    assert crossed is not None and int(crossed.group(1)) > 0
+
+    def late(prefix, kj, threshold, _scan=engine.scan_first_crossing):
+        stop, eta, crossed = _scan(prefix, kj, threshold)
+        return np.where(crossed, np.minimum(stop + 1, kj.shape[0] - 1), stop), eta, crossed
+
+    monkeypatch.setattr(engine, "scan_first_crossing", late)
+    assert run_selftest(instances=200, seed=0) > 0
 
 
 def test_selftest_reaches_both_profile_strategies(monkeypatch):

@@ -1,7 +1,8 @@
 """Every name a module exports resolves, README's "Layout" block lists
 exactly the modules of the package, and no module imports a name it never
 uses, so that folding, moving or removing a module cannot leave a stale
-export, import or doc line behind."""
+export, import or doc line behind. Only ``cli.py`` writes files, so that one
+module knows how every output file is written."""
 
 import ast
 import importlib
@@ -39,3 +40,28 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
         assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+def test_only_cli_writes_files():
+    writes = []
+    for path in sorted((ROOT / "src" / "distknn").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "open":
+                # builtin open(path, mode) or Path.open(mode); a mode the AST
+                # cannot read counts as a write
+                at = 1 if isinstance(func, ast.Name) else 0
+                mode = node.args[at] if len(node.args) > at else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                writing = not isinstance(mode, ast.Constant) or bool(set("wax+") & set(str(mode.value)))
+            else:
+                writing = name in ("write_text", "write_bytes") or (
+                    name == "dump" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json")
+            if writing:
+                writes.append(f"{path.name}:{node.lineno} {ast.unparse(node)[:60]}")
+    assert writes == [], f"only cli.py writes files: {writes}"

@@ -340,17 +340,13 @@ class TestRunExperiment:
         ]
         assert any(diffs)
 
-    def test_csv_and_json_outputs(self, tmp_path):
+    def test_csv_and_json_outputs(self):
         res = run_experiment(self.small_cfg(runs=3))
-        csv_path = tmp_path / "rows.csv"
-        json_path = tmp_path / "rows.json"
-        res.write_csv(csv_path)
-        res.write_json(json_path)
-        lines = csv_path.read_text().strip().splitlines()
+        text = res.to_csv_text()
+        lines = text.strip().splitlines()
         assert lines[0].startswith("classifier,epsilon,m,")
         assert len(lines) == 1 + len(res.rows)
-        with open(csv_path, newline="") as fh:
-            header, *cells = csv.reader(fh)
+        header, *cells = csv.reader(text.splitlines())
         names = [f.name for f in dataclasses.fields(ResultRow)]
         assert header == names
         assert any(row[names.index("k1_min")] == "" for row in cells)  # d1nn has no k1
@@ -361,7 +357,7 @@ class TestRunExperiment:
                     assert cell == ""
                 else:
                     assert type(value)(cell) == value, name  # floats read back exactly
-        blob = json.loads(json_path.read_text())
+        blob = json.loads(json.dumps(res.to_json_obj()))
         assert blob["config"]["N"] == 400
         assert blob["rows"] == [dataclasses.asdict(r) for r in res.rows]
 
