@@ -132,22 +132,18 @@ def scan_first_crossing(
     (shape (..., cap)) and the crossed flag, broadcast over leading axes.
     Another length, or a step past the last in a shard, raises ``IndexError``.
     """
-    cap, m = kj.shape
+    cap, _ = kj.shape
     last = kj[-1]
     if prefix.shape[-1] != last.sum():
         raise IndexError(f"profiles of length {prefix.shape[-1]} do not hold the last step's {last.sum()} entries")
-    if m == 1:
-        total = kj[:, 0]
-        counts = np.take(prefix, total - 1, axis=-1)  # (..., cap); a step past the last raises
-    else:
-        at = kj.T.copy()  # a copy even where kj.T is already contiguous, as at cap = 1
-        if ((at > last[:, None]) if cap > m else (kj > last)).any():  # compared along the longer axis
-            raise IndexError("a step reads some shard deeper than the last step does")
-        # step b reads shard j's prefix at (kj[b, j] - 1) + the depths of the
-        # shards before j. Laid out (m, cap), both sums run over contiguous rows.
-        total = at.sum(axis=0)  # (cap,)
-        at += (np.cumsum(last) - last - 1)[:, None]
-        counts = np.take(prefix, at, axis=-1).sum(axis=-2)  # (..., cap)
+    if (kj > last).any():
+        raise IndexError("a step reads some shard deeper than the last step does")
+    # step b reads shard j's prefix at (kj[b, j] - 1) + the depths of the
+    # shards before j. Laid out (m, cap), both sums run over contiguous rows.
+    at = kj.T.copy()  # a copy even where kj.T is already contiguous, as at cap = 1
+    total = at.sum(axis=0)  # (cap,)
+    at += (np.cumsum(last) - last - 1)[:, None]
+    counts = np.take(prefix, at, axis=-1).sum(axis=-2)  # (..., cap)
     eta = counts / total
     r = eta - 0.5  # r = |eta - 1/2| sqrt(2 total), in place
     np.abs(r, out=r)

@@ -171,7 +171,13 @@ class Partition:
 
     @classmethod
     def from_shard(cls, data: Shard, sizes: np.ndarray, rng: np.random.Generator) -> "Partition":
-        sizes = np.asarray(sizes, dtype=np.int64)
+        raw = np.asarray(sizes)
+        if raw.ndim != 1 or raw.dtype.kind not in "iuf":
+            raise ValueError(f"shard sizes must be a 1-D array of numbers, got {raw.dtype} of shape {raw.shape}")
+        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.floor(raw)))
+        if bad.size:
+            raise ValueError(f"shard {int(bad[0])}: size {raw[bad[0]]} is not a whole number")
+        sizes = raw.astype(np.int64)
         bad = np.flatnonzero(sizes < 1)
         if bad.size:
             raise ValueError(f"shard {int(bad[0])}: size {sizes[bad[0]]} is below 1")
@@ -228,11 +234,15 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
     square is written there (0 + x == x exactly), and each later column is
     subtracted and squared in one reused scratch buffer and then added. Column
     reads are contiguous when ``features`` is column-major, as a Partition's is.
-    Points with no coordinate (d = 0) are rejected.
+    Points with no coordinate (d = 0), and queries that are not rows of the
+    points' d coordinates, are rejected.
     """
-    nq, (n, d) = queries.shape[0], features.shape
+    n, d = features.shape
     if d == 0:
         raise ValueError("points need at least one coordinate, got d = 0")
+    if queries.ndim != 2 or queries.shape[1] != d:
+        raise ValueError(f"queries of shape {queries.shape} do not match points of shape {features.shape}")
+    nq = queries.shape[0]
     acc = np.empty((nq, n), dtype=np.float64)
     diff = np.empty_like(acc) if d > 1 else None
     for c in range(d):
@@ -411,8 +421,8 @@ def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np
     index) order: a shard kept whole has them all, and any other shard has
     at least its depth of points at or below the cut, so its entry at that
     depth is at or below the cut too, and ``<=`` keeps every point that ties
-    with the cut, whatever its index. Where K reaches the row's length, the
-    whole row is the candidate set, with no mask.
+    with the cut, whatever its index. K is capped at the row's length, where
+    the cut is the row's largest distance and every point is a candidate.
 
     The candidates are in index order, so sorting them by (distance,
     position) puts them in (distance, partition-wide index) order, which
@@ -432,22 +442,17 @@ def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np
     key |= partition.labels.astype(key.dtype)
     # entry t < shard_depths[j] of shard j, at each position of the output row
     step = np.arange(out.shape[1]) - np.repeat(np.cumsum(shard_depths) - shard_depths, shard_depths)
-    rank = CANDIDATE_FACTOR * int(shard_depths.sum())
-    if rank < n:
-        keep = dist <= np.partition(dist, rank - 1, axis=1)[:, rank - 1 : rank]
-        count = np.add.reduceat(keep, offsets[:-1], axis=1, dtype=np.int64)  # (nq, m) at or below the cut
-        short = count < shard_depths
-        keep |= np.repeat(short, sizes, axis=1)
-        count = np.where(short, sizes, count)
-        starts = np.cumsum(count, axis=1) - count
+    rank = min(CANDIDATE_FACTOR * int(shard_depths.sum()), n)
+    keep = dist <= np.partition(dist, rank - 1, axis=1)[:, rank - 1 : rank]
+    count = np.add.reduceat(keep, offsets[:-1], axis=1, dtype=np.int64)  # (nq, m) at or below the cut
+    short = count < shard_depths
+    keep |= np.repeat(short, sizes, axis=1)
+    count = np.where(short, sizes, count)
+    starts = np.cumsum(count, axis=1) - count
     for i in range(nq):
-        if rank < n:
-            cand = np.flatnonzero(keep[i])
-            row_key = key[cand[k_smallest_rows(dist[i, cand][None, :], cand.size)[0]]]
-            start = np.repeat(starts[i], shard_depths)
-        else:
-            row_key = key[k_smallest_rows(dist[i, None], n)[0]]
-            start = np.repeat(offsets[:-1], shard_depths)
+        cand = np.flatnonzero(keep[i])
+        row_key = key[cand[k_smallest_rows(dist[i, cand][None, :], cand.size)[0]]]
+        start = np.repeat(starts[i], shard_depths)
         grouped = row_key[(row_key >> 1).argsort(kind="stable")]
         sums = np.zeros(grouped.size + 1, dtype=np.int64)  # sums[p + 1]: labels at positions 0..p
         np.cumsum(grouped & 1, out=sums[1:])

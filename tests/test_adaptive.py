@@ -208,14 +208,20 @@ class TestAdaptiveSelect:
 
     @pytest.mark.parametrize(
         "kj, labels",
-        [([[1, 2], [3, 1]], [[1, 1, 1], [1]]), ([[2], [1]], [[1]]), ([[2, 1], [1, 1]], [[1], [0]])],
-        ids=["m2", "m1", "m2-into-next"],
+        [
+            ([[1, 2], [3, 1]], [[1, 1, 1], [1]]),
+            ([[2], [1]], [[1]]),
+            ([[2, 1], [1, 1]], [[1], [0]]),
+            ([[1, 2], [2, 1], [3, 1]], [[1, 1, 1], [1]]),
+        ],
+        ids=["m2", "m1", "m2-into-next", "m2-more-steps"],
     )
     def test_step_deeper_than_the_last_rejected(self, kj, labels):
         # step 0 reads a shard at depth 2, past the one entry the last step
         # keeps of it: the padded scan read 0 there (eta 1/3 at step 0 of the
         # m2 case); in the back-to-back row that entry is past the row's end,
-        # or (m2-into-next) the next shard's first entry
+        # or (m2-into-next) the next shard's first entry. m2-more-steps has
+        # more steps than shards
         with pytest.raises(IndexError):
             scan_first_crossing(prefix_tensor(labels), np.array(kj), np.inf)
 

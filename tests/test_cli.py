@@ -736,7 +736,7 @@ def test_selftest_sees_a_late_stop_in_the_engine(monkeypatch, capsys):
 
 def test_selftest_reaches_both_profile_strategies(monkeypatch):
     """CI's ``selftest --instances 200`` (seed 0) checks the run loop and the
-    candidate sort, the latter both cut and over whole rows."""
+    candidate sort, the latter both below N candidates and with K capped at N."""
     from distknn import engine
 
     taken = []

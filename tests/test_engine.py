@@ -268,8 +268,8 @@ def test_profile_rows_match_oracle_with_either_builder(n, m, d, proportional, de
 def test_segmented_profiles_with_int32_shard_keys(n, one_deep):
     # 17000 shards take int32 keys: ids from 2^14 on would overflow int16 ones.
     # Depth 1 everywhere puts the candidate cut K = CANDIDATE_FACTOR x 17000
-    # below N = 70000; full depths put K above N, where the whole row is the
-    # candidate set
+    # below N = 70000; full depths put K above N, where it is capped at N and
+    # every point is a candidate
     rng = np.random.default_rng(n)
     m = 17000
     data = Shard(1, rng.choice(TIE_GRID, size=(n, 3)), rng.integers(0, 2, n))
@@ -376,7 +376,8 @@ def rule_candidates(part, row, shard_depths):
     """One distance row's candidates by the cut's rule, from a full sort of the row.
 
     Returns (kept points, short shards, the cut), the cut ``None`` where
-    K = ``CANDIDATE_FACTOR`` x the summed depths reaches the row's length.
+    K = ``CANDIDATE_FACTOR`` x the summed depths reaches the row's length,
+    which caps it: there every point is a candidate.
     """
     k = engine.CANDIDATE_FACTOR * int(shard_depths.sum())
     if k >= row.size:
@@ -442,8 +443,9 @@ def test_candidate_cut_is_exact(monkeypatch, strategies, case, d):
     with the next and with a shard's last needed entry, and the proportional
     split's smallest shard is short of its depth. ``far``: also a middle shard
     moved away from the query, so none of it is at or below the cut.
-    ``d1nn``: depth 1 everywhere. ``whole``: K >= N, the whole row. ``block``:
-    3-row blocks whose rows widen different shards.
+    ``d1nn``: depth 1 everywhere. ``whole``: K >= N, capped at N, so every
+    point is a candidate. ``block``: 3-row blocks whose rows widen different
+    shards.
     """
     part, queries, shard_depths = cut_case(case, d)
     rows = query_distance_matrix(part.features, queries)

@@ -2,11 +2,15 @@
 exactly the modules of the package, and no module imports a name it never
 uses, so that folding, moving or removing a module cannot leave a stale
 export, import or doc line behind. Only ``cli.py`` writes files, so that one
-module knows how every output file is written."""
+module knows how every output file is written. Every import is of the
+standard library or of a dependency that ``pyproject.toml`` declares, so that
+a package installed only on the machine at hand cannot pass here and fail on
+a clean install."""
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +69,21 @@ def test_only_cli_writes_files():
             if writing:
                 writes.append(f"{path.name}:{node.lineno} {ast.unparse(node)[:60]}")
     assert writes == [], f"only cli.py writes files: {writes}"
+
+
+def test_every_import_is_standard_library_or_declared():
+    project = (ROOT / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, flags=re.MULTILINE | re.DOTALL).group(1)
+    declared = {name.lower().replace("-", "_") for name in re.findall(r'"([A-Za-z0-9_.-]+)', listed)}
+    allowed = declared | set(sys.stdlib_module_names) | {"distknn"}
+    undeclared = []
+    for path in sorted((ROOT / "src" / "distknn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative imports stay in the package
+                names = [node.module]
+            else:
+                continue
+            undeclared += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert undeclared == [], f"imports neither of the standard library nor declared in pyproject.toml: {undeclared}"

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -64,6 +65,15 @@ class TestEuclideanDistance:
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match="d = 0"):
             query_distance_matrix(np.zeros((5, 0)), np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("queries", [[[3.0, 4.0, 100.0]], [3.0, 4.0]], ids=["extra-column", "one-dimensional"])
+    def test_query_shape_must_match_the_points(self, queries):
+        # the kernel reads only the points' d columns: against 2-column points
+        # a third query column would be dropped, giving [3, 4, 100] distance 5
+        queries = np.array(queries)
+        message = f"queries of shape {queries.shape} do not match points of shape (1, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            query_distance_matrix(np.zeros((1, 2)), queries)
 
     def test_nonfinite_rejected(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
@@ -448,6 +458,23 @@ class TestTypes:
     def test_shard_sizes_below_one_rejected(self, sizes, size):
         data = Shard(1, np.zeros((6, 3)), np.zeros(6, dtype=int))
         with pytest.raises(ValueError, match=f"shard 1: size {size} is below 1"):
+            Partition.from_shard(data, sizes, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([3.7, 2.2], "shard 0: size 3.7 is not a whole number"),
+            ([3.0, 2.5], "shard 1: size 2.5 is not a whole number"),
+            ([np.nan, 5.0], "shard 0: size nan is not a whole number"),
+            ([[3, 2]], "shard sizes must be a 1-D array of numbers, got int64 of shape (1, 2)"),
+        ],
+        ids=["fractions", "later-fraction", "nan", "two-dimensional"],
+    )
+    def test_shard_sizes_must_be_whole_numbers(self, sizes, message):
+        # an int64 cast alone would take [3.7, 2.2] to [3, 2], and [[3, 2]]
+        # would give one shard by len but offsets [0, 3, 5]
+        data = Shard(1, np.zeros((5, 3)), np.zeros(5, dtype=int))
+        with pytest.raises(ValueError, match=re.escape(message)):
             Partition.from_shard(data, sizes, np.random.default_rng(0))
 
     def test_profile_batch_roundtrip(self):
