@@ -6,8 +6,17 @@ standard comparison classifiers, a plain-loop reference oracle, and a
 benchmark harness for synthetic and census-income experiments.
 """
 
-from .adaptive import ClassifierKind, StoppingConfig, depths, k1_bound, stopping_threshold
-from .engine import Partition, Shard, evaluate_queries, evaluate_query
+from .engine import (
+    ClassifierKind,
+    Partition,
+    Shard,
+    StoppingConfig,
+    depths,
+    evaluate_queries,
+    evaluate_query,
+    k1_bound,
+    stopping_threshold,
+)
 from .realdata import (
     DatasetSplit,
     evaluate_real,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -26,13 +27,23 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, oracle
-from .adaptive import ClassifierKind, StoppingConfig, depths, scan_first_crossing, stopping_threshold
-from .engine import Shard, build_prefix_tensor, evaluate_queries, query_distance_matrix
+from .engine import (
+    ClassifierKind,
+    Shard,
+    StoppingConfig,
+    build_prefix_tensor,
+    depths,
+    evaluate_queries,
+    query_distance_matrix,
+    scan_first_crossing,
+    stopping_threshold,
+)
 from .realdata import (
     apply_scaling,
     evaluate_real,
     fit_scaling,
     ingest_adult,
+    read_text,
     train_test_split,
 )
 from .simharness import (
@@ -58,19 +69,18 @@ def parse_config_file(path) -> dict[str, tuple[str, str]]:
     A key may appear once: a repeat is rejected, naming both lines.
     """
     values: dict[str, tuple[str, str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().lower().replace("-", "_")
-            where = f"{path}:{lineno}"
-            if key in values:
-                raise ValueError(f"{where}: config key {key!r} is already set at {values[key][1]}")
-            values[key] = (value.strip(), where)
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().lower().replace("-", "_")
+        where = f"{path}:{lineno}"
+        if key in values:
+            raise ValueError(f"{where}: config key {key!r} is already set at {values[key][1]}")
+        values[key] = (value.strip(), where)
     return values
 
 
@@ -290,9 +300,8 @@ def _read_table(path, columns=None, label_col=None):
     file, its row and column; so is a header name given twice, and a row with
     more cells than the header.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in rows.pop(0)[1]]

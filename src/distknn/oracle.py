@@ -1,12 +1,15 @@
 """Brute-force reference classifier, written as plain loops.
 
-It shares no search code with the engine. Per shard it computes every
-distance one point at a time, takes a full stable sort (ties keep ascending
-index within the shard), forms label prefix sums and walks k1 = 1, 2, ... one
-step at a time. Each distance adds the squared differences column by column
-and then takes the square root, the order of ``engine.query_distance_matrix``,
-so the engine's (label, k1, eta) must equal the oracle's bit for bit at every
-dimension. Tests and ``distknn selftest`` hold the engine to it.
+It takes only the classifier names and the stopping config from the engine
+and computes its own search bound and threshold from the config's fields, so
+a fault in the engine's formulas cannot pass by being shared. Per shard it
+computes every distance one point at a time, takes a full stable sort (ties
+keep ascending index within the shard), forms label prefix sums and walks
+k1 = 1, 2, ... one step at a time. Each distance adds the squared differences
+column by column and then takes the square root, the order of
+``engine.query_distance_matrix``, so the engine's (label, k1, eta) must equal
+the oracle's bit for bit at every dimension. Tests and ``distknn selftest``
+hold the engine to it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from .adaptive import ClassifierKind, StoppingConfig, k1_bound, stopping_threshold
+from .engine import ClassifierKind, StoppingConfig
 
 __all__ = ["shard_profiles", "walk_steps", "classify"]
 
@@ -67,16 +70,18 @@ def classify(partition, query, kind: ClassifierKind, cfg: StoppingConfig) -> tup
     """(label, k1_hat or -1 for the fixed-depth classifiers, eta_hat) for one query."""
     prefix = [p for _, p in shard_profiles(partition, query)]
     sizes = [int(n) for n in partition.sizes]
+    scale = cfg.N ** (-cfg.d / (2 + cfg.d))
     if kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES):
-        last = sizes[0] if kind is ClassifierKind.DANN_NES else k1_bound(sizes[0], cfg)
-        threshold = stopping_threshold(cfg)
+        bound = sizes[0] * scale * (math.log(cfg.N) if cfg.include_log_in_bound else 1.0)
+        last = sizes[0] if kind is ClassifierKind.DANN_NES else max(1, math.ceil(bound))
+        threshold = math.sqrt((cfg.d + 2) * math.log(cfg.N))
         # the steps end at n_1, which also cuts a bound above n_1
         for k1, eta, r in walk_steps(prefix, sizes):
             if r > threshold or k1 == last:
                 break
         return int(eta >= 0.5), k1, eta
     if kind is ClassifierKind.DNN_QIAO:
-        ks = [min(max(math.ceil(nj * cfg.N ** (-cfg.d / (2 + cfg.d))), 1), nj) for nj in sizes]
+        ks = [min(max(math.ceil(nj * scale), 1), nj) for nj in sizes]
     elif kind is ClassifierKind.D1NN:
         ks = [1] * len(sizes)
     else:

@@ -13,14 +13,15 @@ outside the training file's ranges.
 
 from __future__ import annotations
 
+import io
 import logging
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .adaptive import StoppingConfig
-from .engine import Shard, evaluate_queries
+from .engine import Shard, StoppingConfig, evaluate_queries
 from .simharness import (
     ExperimentResult,
     GridConfig,
@@ -32,6 +33,7 @@ from .simharness import (
 __all__ = [
     "DatasetSplit",
     "FeatureScaling",
+    "read_text",
     "ingest_adult",
     "fit_scaling",
     "apply_scaling",
@@ -55,6 +57,19 @@ _INCOME_COLUMN = 14
 _MISSING = "?"
 
 
+def read_text(path) -> str:
+    """A file's text, read as UTF-8 after its byte-order mark if it has one.
+
+    A byte that is not UTF-8 is an error naming the file and the byte's line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:  # err.object and its offsets start after the mark
+        byte, line = err.object[err.start], err.object.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}: line {line}: byte {byte:#04x} is not UTF-8 ({err.reason})") from None
+
+
 def ingest_adult(path) -> tuple[np.ndarray, np.ndarray]:
     """Load the raw census file as (features, labels), dropping missing/malformed rows.
 
@@ -66,37 +81,36 @@ def ingest_adult(path) -> tuple[np.ndarray, np.ndarray]:
     rows: list[list[float]] = []
     labels: list[int] = []
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != _ADULT_FIELD_COUNT:
-                skipped += 1
-                continue
-            used = [fields[c] for c in _FEATURE_COLUMNS.values()] + [fields[_INCOME_COLUMN]]
-            if _MISSING in used:
-                skipped += 1
-                continue
-            income = fields[_INCOME_COLUMN].rstrip(".")
-            if income == ">50K":
-                label = 1
-            elif income == "<=50K":
-                label = 0
-            else:
-                skipped += 1
-                continue
-            try:
-                values = [float(fields[c]) for c in _FEATURE_COLUMNS.values()]
-            except ValueError:
-                skipped += 1
-                continue
-            if not all(np.isfinite(values)):
-                skipped += 1
-                continue
-            rows.append(values)
-            labels.append(label)
+    for line in io.StringIO(read_text(path), newline=None):
+        line = line.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != _ADULT_FIELD_COUNT:
+            skipped += 1
+            continue
+        used = [fields[c] for c in _FEATURE_COLUMNS.values()] + [fields[_INCOME_COLUMN]]
+        if _MISSING in used:
+            skipped += 1
+            continue
+        income = fields[_INCOME_COLUMN].rstrip(".")
+        if income == ">50K":
+            label = 1
+        elif income == "<=50K":
+            label = 0
+        else:
+            skipped += 1
+            continue
+        try:
+            values = [float(fields[c]) for c in _FEATURE_COLUMNS.values()]
+        except ValueError:
+            skipped += 1
+            continue
+        if not all(np.isfinite(values)):
+            skipped += 1
+            continue
+        rows.append(values)
+        labels.append(label)
     if skipped:
         logger.info("ingest: kept %d records, skipped %d rows", len(rows), skipped)
     if not rows:

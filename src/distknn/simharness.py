@@ -25,8 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .adaptive import ClassifierKind, StoppingConfig
-from .engine import Partition, Shard, evaluate_query, query_distance_matrix
+from .engine import ClassifierKind, Partition, Shard, StoppingConfig, evaluate_query, query_distance_matrix
 
 __all__ = [
     "SyntheticModel",

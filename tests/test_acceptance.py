@@ -16,8 +16,18 @@ import pytest
 from partitions import one_shard
 
 from distknn import oracle
-from distknn.adaptive import ClassifierKind, StoppingConfig, depths, k1_bound, scan_first_crossing, stopping_threshold
-from distknn.engine import Shard, build_prefix_tensor, k_smallest_rows, query_distance_matrix
+from distknn.engine import (
+    ClassifierKind,
+    Shard,
+    StoppingConfig,
+    build_prefix_tensor,
+    depths,
+    k1_bound,
+    k_smallest_rows,
+    query_distance_matrix,
+    scan_first_crossing,
+    stopping_threshold,
+)
 from distknn.realdata import (
     apply_scaling,
     evaluate_real,

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distknn import oracle
-from distknn.adaptive import (
+from distknn.engine import (
     ClassifierKind,
+    Partition,
+    Shard,
     StoppingConfig,
     depth_matrix,
     depths,
@@ -16,7 +18,6 @@ from distknn.adaptive import (
     scan_first_crossing,
     stopping_threshold,
 )
-from distknn.engine import Partition, Shard
 
 
 def prefix_tensor(label_rows):

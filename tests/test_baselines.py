@@ -3,8 +3,16 @@ import pytest
 from partitions import line_partition, one_shard
 
 from distknn import oracle
-from distknn.adaptive import ClassifierKind, StoppingConfig, depths, scan_first_crossing, stopping_threshold
-from distknn.engine import Shard, build_prefix_tensor, evaluate_query
+from distknn.engine import (
+    ClassifierKind,
+    Shard,
+    StoppingConfig,
+    build_prefix_tensor,
+    depths,
+    evaluate_query,
+    scan_first_crossing,
+    stopping_threshold,
+)
 
 ORIGIN = np.zeros(3)
 
@@ -86,15 +94,13 @@ class TestDnnQiao:
 
 
 class TestD1nn:
-    cfg = StoppingConfig(N=12, d=3)
-
     def test_majority(self):
         part = line_partition([[1], [1], [0]])
-        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, self.cfg)[0] == 1
+        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, StoppingConfig(N=3, d=3))[0] == 1
 
     def test_tie_maps_to_one(self):
         part = line_partition([[1], [0]])
-        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, self.cfg)[0] == 1
+        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, StoppingConfig(N=2, d=3))[0] == 1
 
     def test_single_shard_is_plain_1nn(self):
         rng = np.random.default_rng(4)
@@ -105,7 +111,7 @@ class TestD1nn:
 
     def test_uses_only_nearest_label(self):
         part = line_partition([[0, 1, 1, 1], [0, 1, 1, 1]])
-        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, self.cfg)[0] == 0
+        assert evaluate_query(part, ORIGIN, ClassifierKind.D1NN, StoppingConfig(N=8, d=3))[0] == 0
 
 
 class TestDannNes:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -47,6 +48,21 @@ class TestConfigFile:
         cfg = parse_config_file(path)
         assert cfg["n"] == ("1234", f"{path}:3")
         assert cfg["split"] == ("proportional", f"{path}:6")
+
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("n = 300\n# café\nruns = 2\n".encode("latin-1"))
+        rc = main(["simulate", "--config", str(path), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {path}: line 2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffseed = 3\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["adult", "--data", str(FIXTURE), "--config", str(path), "--epsilons", "0", "--output", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 3
 
     def test_malformed_line_rejected(self, tmp_path):
         path = write_config(tmp_path, "runs 7\n")
@@ -408,6 +424,26 @@ class TestAdultCommand:
         assert manifest["command"] == "adult"
         assert manifest["test_fraction"] == 0.3
 
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, capsys):
+        lines = FIXTURE.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b"Private", b"Priv\xe9e", 1)
+        data = tmp_path / "latin1.data"
+        data.write_bytes(b"\n".join(lines))
+        rc = main(["adult", "--data", str(data), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {data}: line 5: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_byte_order_mark_keeps_the_first_record(self, tmp_path):
+        data = tmp_path / "bom.data"
+        data.write_bytes(b"\xef\xbb\xbf" + FIXTURE.read_bytes())
+        counts = []
+        for path, out in ((FIXTURE, tmp_path / "plain"), (data, tmp_path / "bom")):
+            assert main(["adult", "--data", str(path), "--epsilons", "0", "--output", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            counts.append((manifest["train_rows"], manifest["test_rows"]))
+        assert counts[0] == counts[1] == (11, 2)
+
     def test_repeated_classifier_rejected(self, tmp_path, capsys):
         rc = main(["adult", "--data", str(FIXTURE), "--classifiers", "dann,dann", "--output", str(tmp_path / "o")])
         assert rc == 1
@@ -647,6 +683,36 @@ class TestClassifyCommand:
         assert f"{files[table]}: row 3: {cells} cells, the header has {cells - 1}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("table", ["train", "queries"])
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, capsys, table):
+        # classify reads two files, so the message must say which one
+        files = dict(zip(("train", "queries"), self.make_files(tmp_path, np.random.default_rng(8))))
+        lines = files[table].read_bytes().split(b"\n")
+        lines[2] += b"\xe9"
+        files[table].write_bytes(b"\n".join(lines))
+        rc = main(["classify", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                   "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {files[table]}: line 3: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("table", ["train", "queries"])
+    def test_byte_order_mark_skipped(self, tmp_path, table):
+        # the mark sits before the header's first name: the label column of
+        # this training table, the 'y' column of the query table
+        files = dict(zip(("train", "queries"), self.make_files(tmp_path, np.random.default_rng(3))))
+        rows = [line.split(",") for line in files["train"].read_text().splitlines()]
+        files["train"].write_text("".join(",".join(row[-1:] + row[:-1]) + "\n" for row in rows))
+        predictions = []
+        for mark in ("", "\ufeff"):
+            files[table].write_text(mark + files[table].read_text(encoding="utf-8-sig"), encoding="utf-8")
+            out = tmp_path / f"o{len(mark)}"
+            rc = main(["classify", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                       "--classifier", "d1nn", "--output", str(out)])
+            assert rc == 0
+            predictions.append((out / "predictions.csv").read_text())
+        assert predictions[0] == predictions[1]
+
     def test_unknown_label_column_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         train, queries = self.make_files(tmp_path, rng)
@@ -715,6 +781,29 @@ def test_selftest_catches_a_faulty_scan(monkeypatch, capsys, fault):
     monkeypatch.setattr(cli, "scan_first_crossing", faulty)
     assert run_selftest(instances=30, seed=0) > 0
     assert "first crossing vs the oracle's walk on 240 scans: " in capsys.readouterr().out
+
+
+def _bound_one_more(n1, cfg):
+    return max(1, math.ceil(n1 * cfg.N ** (-cfg.d / (2 + cfg.d)) * math.log(cfg.N))) + 1
+
+
+def _threshold_with_d_plus_3(cfg):
+    return math.sqrt((cfg.d + 3) * math.log(cfg.N))
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [("k1_bound", _bound_one_more), ("stopping_threshold", _threshold_with_d_plus_3)],
+    ids=["bound-one-more", "threshold-with-d-plus-3"],
+)
+def test_selftest_catches_a_faulty_bound_or_threshold(monkeypatch, name, fault):
+    # the fault goes into the engine's function itself (depths reads the bound,
+    # _classify_chunk the threshold), so any code that shares the function
+    # shares the fault; only an oracle with its own formulas can see it
+    from distknn import engine
+
+    monkeypatch.setattr(getattr(engine, name), "__code__", fault.__code__)
+    assert run_selftest(instances=200, seed=0) > 0
 
 
 def test_selftest_sees_a_late_stop_in_the_engine(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import ctypes
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,16 @@ from hypothesis import strategies as st
 from partitions import back_to_back
 
 from distknn import engine, oracle, simharness
-from distknn.adaptive import ClassifierKind, StoppingConfig, depths
-from distknn.engine import Shard, build_prefix_tensor, evaluate_queries, evaluate_query, query_distance_matrix
+from distknn.engine import (
+    ClassifierKind,
+    Shard,
+    StoppingConfig,
+    build_prefix_tensor,
+    depths,
+    evaluate_queries,
+    evaluate_query,
+    query_distance_matrix,
+)
 from distknn.simharness import (
     ExperimentConfig,
     SyntheticModel,
@@ -51,6 +60,37 @@ def test_engine_matches_reference_ops(setup, split, m):
         for _ in range(6):
             query = rng.random(3)
             assert evaluate_query(part, query, kind, cfg) == oracle.classify(part, query, kind, cfg)
+
+
+def test_engine_matches_oracle_without_the_log_in_the_bound():
+    # N = 600, d = 3, shards of 150: dann's bound is 4 steps without the
+    # log N factor and 21 with it, so the two variants stop apart
+    rng = np.random.default_rng(31)
+    data = generate_sample(600, SyntheticModel(0.60), rng)
+    part = partition_uniform(data, 4, rng)
+    queries = rng.random((12, 3))
+    k1s = {}
+    for include_log in (False, True):
+        cfg = StoppingConfig(N=data.size, d=3, include_log_in_bound=include_log)
+        for kind in ClassifierKind:
+            got = evaluate_queries(part, queries, kind, cfg)
+            assert list(zip(*(a.tolist() for a in got))) == [oracle.classify(part, q, kind, cfg) for q in queries]
+            if kind is ClassifierKind.DANN:
+                k1s[include_log] = got[1].tolist()
+    assert max(k1s[False]) <= 4 < max(k1s[True])
+
+
+@pytest.mark.parametrize("N, d", [(2000, 9), (10**6, 3)], ids=["other-d", "other-N"])
+def test_stopping_config_of_another_partition_rejected(N, d):
+    # another N or d moves the bound, the threshold and dnn_qiao's depths, so
+    # the answers would change without an error
+    rng = np.random.default_rng(2)
+    data = generate_sample(2000, SyntheticModel(0.60), rng)
+    part = partition_uniform(data, 4, rng)
+    message = f"stopping config has N={N}, d={d}; the partition has N=2000, d=3"
+    for kind in ClassifierKind:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_queries(part, rng.random((3, 3)), kind, StoppingConfig(N=N, d=d))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])

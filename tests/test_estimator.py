@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from partitions import back_to_back, line_partition, one_shard
 
-from distknn.adaptive import ClassifierKind, StoppingConfig, scan_first_crossing
-from distknn.engine import Partition, Shard, build_prefix_tensor, evaluate_query
+from distknn.engine import (
+    ClassifierKind,
+    Partition,
+    Shard,
+    StoppingConfig,
+    build_prefix_tensor,
+    evaluate_query,
+    scan_first_crossing,
+)
 
 
 def pooled_eta(label_rows, ks):
@@ -68,7 +75,8 @@ class TestClassify:
     cfg = StoppingConfig(N=10000, d=3)
 
     def test_boundary_maps_to_one(self):
-        label, _, eta = evaluate_query(line_partition([[1], [0]]), np.zeros(3), ClassifierKind.D1NN, self.cfg)
+        cfg = StoppingConfig(N=2, d=3)
+        label, _, eta = evaluate_query(line_partition([[1], [0]]), np.zeros(3), ClassifierKind.D1NN, cfg)
         assert (label, eta) == (1, 0.5)
 
     def test_below_threshold(self):

@@ -1,7 +1,9 @@
 """Every name a module exports resolves, README's "Layout" block lists
 exactly the modules of the package, and no module imports a name it never
 uses, so that folding, moving or removing a module cannot leave a stale
-export, import or doc line behind. Only ``cli.py`` writes files, so that one
+export, import or doc line behind. ``oracle.py`` takes only the classifier
+names and the stopping config from the package, so that the reference shares
+no engine code with what it checks. Only ``cli.py`` writes files, so that one
 module knows how every output file is written. Every import is of the
 standard library or of a dependency that ``pyproject.toml`` declares, so that
 a package installed only on the machine at hand cannot pass here and fail on
@@ -44,6 +46,18 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
         assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+def test_oracle_shares_only_the_classifier_names_and_config():
+    # the reference computes its own search, bound and threshold, so that a
+    # fault in the engine's cannot pass the tests and selftest by being shared
+    shared = []
+    for node in ast.walk(ast.parse((ROOT / "src" / "distknn" / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "distknn"):
+            shared += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            shared += [alias.name for alias in node.names if alias.name.split(".")[0] == "distknn"]
+    assert set(shared) <= {"ClassifierKind", "StoppingConfig"}, f"oracle.py imports {shared} from distknn"
 
 
 def test_only_cli_writes_files():

@@ -9,8 +9,16 @@ from hypothesis.extra.numpy import arrays
 from partitions import back_to_back, line_partition, one_shard
 
 from distknn import engine, oracle
-from distknn.adaptive import ClassifierKind, StoppingConfig
-from distknn.engine import Partition, Shard, build_prefix_tensor, evaluate_queries, k_smallest_rows, query_distance_matrix
+from distknn.engine import (
+    ClassifierKind,
+    Partition,
+    Shard,
+    StoppingConfig,
+    build_prefix_tensor,
+    evaluate_queries,
+    k_smallest_rows,
+    query_distance_matrix,
+)
 
 
 def random_shard(rng, n, d=3, coord_pool=None):

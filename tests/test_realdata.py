@@ -5,8 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distknn.adaptive import ClassifierKind
-from distknn.engine import Shard
+from distknn.engine import ClassifierKind, Shard
 from distknn.realdata import (
     apply_scaling,
     evaluate_real,

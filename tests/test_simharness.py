@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from distknn.adaptive import ClassifierKind
+from distknn.engine import ClassifierKind
 from distknn.simharness import (
     ExperimentConfig,
     GridConfig,
