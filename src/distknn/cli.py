@@ -298,10 +298,14 @@ def _read_table(path, columns=None, label_col=None):
     table has no labels; its ``columns`` are read in that order. Each feature
     is a finite number. A cell that breaks these rules is an error naming the
     file, its row and column; so is a header name given twice, and a row with
-    more cells than the header.
+    more cells than the header. A line the csv module cannot parse is an error
+    naming the file and the line.
     """
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as err:  # e.g. a cell longer than csv.field_size_limit()
+        raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in rows.pop(0)[1]]
@@ -426,28 +430,29 @@ def run_selftest(instances: int, seed: int) -> int:
             part = _partition_for("uniform" if rng.random() < 0.5 else "proportional", data, m, rng)
         cfg = StoppingConfig(N=n, d=d)
         queries = rng.choice(grid, size=(2, d)) if tie_prone else rng.random((2, d))
-        blocks = np.split(queries, 2) if wide else [queries]
+        dist = query_distance_matrix(part.features, queries)
+        blocks = [slice(0, 1), slice(1, 2)] if wide else [slice(0, 2)]
         # every shard's whole profile: the neighbor order itself, not just the
         # walk's outcome, which a reorder inside a tie group rarely changes
-        full = np.concatenate([build_prefix_tensor(part, block, part.sizes) for block in blocks])
+        full = np.concatenate([build_prefix_tensor(part, dist[b], part.sizes) for b in blocks])
         refs = [oracle.shard_profiles(part, q) for q in queries]
-        for shards, row, got in zip(refs, query_distance_matrix(part.features, queries), full):
+        for shards, row, got in zip(refs, dist, full):
             for j, (ref, prefix) in enumerate(shards):
                 mismatches += np.sort(row[part.offsets[j] : part.offsets[j + 1]]).tolist() != ref
                 mismatches += got[part.offsets[j] : part.offsets[j + 1]].tolist() != prefix
         for kind in ClassifierKind:
-            got = [r for block in blocks for r in zip(*(a.tolist() for a in evaluate_queries(part, block, kind, cfg)))]
+            got = [r for b in blocks for r in zip(*(a.tolist() for a in evaluate_queries(part, queries[b], kind, cfg)))]
             if got != [oracle.classify(part, q, kind, cfg) for q in queries]:
                 mismatches += 1
-        # the scan on the whole profiles cut to each walk's last depths: its stop
+        # the scan on the builder's rows at each walk's last depths: its stop
         # and crossed flag against the oracle's statistics, at the paper's
         # threshold, which the signal band's walks cross and random labels
         # almost never do, and at the walk's median statistic, which it
         # crosses unless the steps tie
         for kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES):
             kj = depths(kind, part.sizes, cfg)
-            cut = np.concatenate([full[:, a : a + k] for a, k in zip(part.offsets[:-1], kj[-1])], axis=1)
-            for shards, row in zip(refs, cut):
+            walk = np.concatenate([build_prefix_tensor(part, dist[b], kj[-1]) for b in blocks])
+            for shards, row in zip(refs, walk):
                 steps = oracle.walk_steps([p for _, p in shards], part.sizes.tolist())
                 stats = [r for _, _, r in islice(steps, len(kj))]
                 crossings += max(stats) > stopping_threshold(cfg)

@@ -82,8 +82,9 @@ BLOCK_BYTES = 2 << 20
 # follows the depths, not N, while the run loop's grows with the runs.
 # Census-scale blocks (10 rows, N = 26049, d = 6, at most 116 runs) stay below
 # the rule; there the loop beat a sort of whole rows at every eps.
-# Medians of build_prefix_tensor with its distances, one query row, N = 60000,
-# d = 3, proportional split, eps 0.4-0.6 (82-245 runs), 2-core Xeon:
+# Medians of build_prefix_tensor with its distances (query_distance_matrix, then
+# the builder), one query row, N = 60000, d = 3, proportional split, eps 0.4-0.6
+# (82-245 runs), 2-core Xeon:
 # - dann 0.96-1.39 ms, against 2.6-3.7 ms for a sort of the whole row;
 # - dnn_qiao 1.03-1.27 and d1nn 1.00-1.27 ms, against the run loop's 1.59-2.80
 #   and 0.96-2.21 ms;
@@ -163,13 +164,13 @@ class StoppingConfig:
 
 
 def k1_bound(n1: int, cfg: StoppingConfig) -> int:
-    """Search bound for k1: max(1, ceil(n1 * N^(-d/(2+d)) [* log N]))."""
+    """Search bound for k1: ceil(n1 * N^(-d/(2+d)) [* log N]), at least 1 as n1 >= 1 and N >= 2."""
     if not 1 <= n1 <= cfg.N:
         raise ValueError(f"n1={n1} outside [1, N={cfg.N}]")
     value = n1 * cfg.N ** (-cfg.d / (2 + cfg.d))
     if cfg.include_log_in_bound:
         value *= math.log(cfg.N)
-    return max(1, math.ceil(value))
+    return math.ceil(value)
 
 
 def stopping_threshold(cfg: StoppingConfig) -> float:
@@ -178,11 +179,19 @@ def stopping_threshold(cfg: StoppingConfig) -> float:
 
 
 def depth_matrix(cap: int, sizes: np.ndarray) -> np.ndarray:
-    """Per-step shard depths: row b is (min(ceil((b+1) n_j / n_1), n_j))_j, shape (cap, m)."""
-    k1s = np.arange(1, cap + 1, dtype=np.int64)[:, None]
-    nj = np.asarray(sizes, dtype=np.int64)[None, :]
+    """Per-step shard depths: row b is (ceil((b+1) n_j / n_1))_j, shape (cap, m).
+
+    ``sizes`` is sorted nonincreasing. A walk of 1 <= cap <= n_1 steps keeps
+    every k_j within [1, n_j]; another cap is rejected.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
     n1 = int(sizes[0])
-    return np.minimum((k1s * nj + n1 - 1) // n1, nj)
+    if not 1 <= cap <= n1:
+        raise ValueError(f"a walk of {cap} steps is outside [1, n_1 = {n1}]")
+    kj = np.arange(1, cap + 1, dtype=np.int64)[:, None] * sizes
+    kj += n1 - 1
+    kj //= n1
+    return kj
 
 
 def depths(kind: ClassifierKind, sizes: np.ndarray, cfg: StoppingConfig) -> np.ndarray:
@@ -192,8 +201,9 @@ def depths(kind: ClassifierKind, sizes: np.ndarray, cfg: StoppingConfig) -> np.n
     is how far each shard's neighbor profile must reach. ``sizes`` is sorted
     nonincreasing. ``dann`` walks k1 = 1 .. min(k1_bound(n_1), n_1) and
     ``dann_nes`` walks k1 = 1 .. n_1, both with k_j = ceil(k1 n_j / n_1).
-    ``dnn_qiao`` takes one step at k_j = ceil(n_j N^(-d/(2+d))) clamped to
-    [1, n_j], and ``d1nn`` one step at k_j = 1.
+    ``dnn_qiao`` takes one step at k_j = ceil(n_j N^(-d/(2+d))), which lies
+    in [1, n_j] because N >= 2 and d >= 1 put N^(-d/(2+d)) in (0, 0.8], and
+    ``d1nn`` one step at k_j = 1.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n1 = int(sizes[0])
@@ -204,8 +214,7 @@ def depths(kind: ClassifierKind, sizes: np.ndarray, cfg: StoppingConfig) -> np.n
     if kind is ClassifierKind.DANN_NES:
         return depth_matrix(n1, sizes)
     if kind is ClassifierKind.DNN_QIAO:
-        k = np.ceil(sizes * cfg.N ** (-cfg.d / (2 + cfg.d))).astype(np.int64)
-        return np.clip(k, 1, sizes)[None, :]
+        return np.ceil(sizes * cfg.N ** (-cfg.d / (2 + cfg.d))).astype(np.int64)[None, :]
     if kind is ClassifierKind.D1NN:
         return np.ones((1, sizes.size), dtype=np.int64)
     raise ValueError(f"unhandled classifier kind {kind!r}")
@@ -463,13 +472,14 @@ def _sorted_rows(dist: np.ndarray) -> np.ndarray:
     return order
 
 
-def build_prefix_tensor(
-    partition: Partition, queries: np.ndarray, shard_depths: np.ndarray
-) -> np.ndarray:
+def build_prefix_tensor(partition: Partition, dist: np.ndarray, shard_depths: np.ndarray) -> np.ndarray:
     """Every shard's label prefix sums back to back, one row per query: shape (q, sum_j k_j).
 
-    Shard j's k_j = ``shard_depths[j]`` sums, k_j in [1, n_j], start at
-    k_0 + ... + k_{j-1}. They come from one of two strategies: the run loop
+    ``dist`` is a block of distances, shape (q, N), from q queries to the
+    partition's points (``query_distance_matrix``); it is read, never
+    written, and another shape is rejected. Shard j's k_j =
+    ``shard_depths[j]`` sums, k_j in [1, n_j], start at k_0 + ... + k_{j-1}.
+    They come from one of two strategies: the run loop
     (``_run_profiles``), which selects neighbors once per run of shards that
     share a size and a depth, with all of the run's (query, shard) rows in one
     ``k_smallest_rows`` call, or one sort of each query row's candidates
@@ -486,8 +496,9 @@ def build_prefix_tensor(
     if bad.size:
         j = int(bad[0])
         raise ValueError(f"shard {j}: depth {shard_depths[j]} outside [1, shard size {sizes[j]}]")
-    nq = queries.shape[0]
-    dist = query_distance_matrix(partition.features, queries)
+    if dist.ndim != 2 or dist.shape[1] != partition.total:
+        raise ValueError(f"distances of shape {dist.shape} do not match points of shape {partition.features.shape}")
+    nq = dist.shape[0]
     out = np.empty((nq, int(shard_depths.sum())), dtype=np.int64)  # every entry is written
     runs = partition.size_runs(shard_depths)
     if len(runs) >= SEGMENT_RUNS_PER_ROW * nq:
@@ -584,8 +595,8 @@ def scan_first_crossing(
         raise IndexError("a step reads some shard deeper than the last step does")
     # step b reads shard j's prefix at (kj[b, j] - 1) + the depths of the
     # shards before j. Laid out (m, cap), both sums run over contiguous rows.
+    total = kj.sum(axis=1)  # (cap,)
     at = kj.T.copy()  # a copy even where kj.T is already contiguous, as at cap = 1
-    total = at.sum(axis=0)  # (cap,)
     at += (np.cumsum(last) - last - 1)[:, None]
     counts = np.take(prefix, at, axis=-1).sum(axis=-2)  # (..., cap)
     eta = counts / total
@@ -622,7 +633,7 @@ def _classify_chunk(
     eta_hat = np.empty(nq, dtype=np.float64)
     rows = max(1, BLOCK_BYTES // (8 * partition.total))
     for i in range(0, nq, rows):
-        prefix = build_prefix_tensor(partition, queries[i : i + rows], kj[-1])
+        prefix = build_prefix_tensor(partition, query_distance_matrix(partition.features, queries[i : i + rows]), kj[-1])
         block_stop, eta, _ = scan_first_crossing(prefix, kj, threshold)
         stop[i : i + rows] = block_stop
         eta_hat[i : i + rows] = np.take_along_axis(eta, block_stop[:, None], axis=1)[:, 0]

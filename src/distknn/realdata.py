@@ -2,9 +2,10 @@
 
 The raw file is comma-separated with no header; the six numeric columns age,
 fnlwgt, education-num, capital-gain, capital-loss and hours-per-week form the
-feature vector and the income column maps to 1 for ">50K". A row is dropped
-when any of those used columns carries the "?" missing marker; malformed rows
-are skipped and counted. The census pipeline (``distknn adult``) min-max
+feature vector and the income column maps to 1 for ">50K". A row is kept
+when it has 15 fields, a known income label and six finite numbers, so one
+with the "?" missing marker in a used column is skipped and counted like any
+other malformed row. The census pipeline (``distknn adult``) min-max
 scales the features to [0, 1] with the ranges of the whole file, before the
 train/test split, so every value is already inside [0, 1]; the clamp in
 ``apply_scaling`` only acts on ``distknn classify`` query rows that fall
@@ -43,7 +44,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Column positions in the raw adult schema (15 fields per row).
+# Column positions in the raw adult schema (15 fields per row, the income last).
 _ADULT_FIELD_COUNT = 15
 _FEATURE_COLUMNS = {
     "age": 0,
@@ -53,8 +54,6 @@ _FEATURE_COLUMNS = {
     "capital_loss": 11,
     "hours_per_week": 12,
 }
-_INCOME_COLUMN = 14
-_MISSING = "?"
 
 
 def read_text(path) -> str:
@@ -71,46 +70,33 @@ def read_text(path) -> str:
 
 
 def ingest_adult(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load the raw census file as (features, labels), dropping missing/malformed rows.
+    """Load the raw census file as (features, labels), skipping malformed rows.
 
     Features are the ``_FEATURE_COLUMNS`` in that order, unscaled, and labels
-    are 1 for ">50K". The missing-value rule applies to the used columns only:
-    the "?" marker appears in categorical columns this pipeline never reads,
+    are 1 for ">50K". A row is kept when it has ``_ADULT_FIELD_COUNT`` fields,
+    an income of ">50K" or "<=50K" (a trailing period allowed) and six finite
+    numbers; any other row is skipped and counted, and a blank line is no row.
+    The "?" marker fails as a number or a label, so it drops a row only in a
+    used column: it appears in categorical columns this pipeline never reads,
     and those rows stay in. A file with no usable row is rejected.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
     skipped = 0
     for line in io.StringIO(read_text(path), newline=None):
-        line = line.strip()
-        if not line:
-            continue
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) != _ADULT_FIELD_COUNT:
-            skipped += 1
+        if fields == [""]:
             continue
-        used = [fields[c] for c in _FEATURE_COLUMNS.values()] + [fields[_INCOME_COLUMN]]
-        if _MISSING in used:
-            skipped += 1
-            continue
-        income = fields[_INCOME_COLUMN].rstrip(".")
-        if income == ">50K":
-            label = 1
-        elif income == "<=50K":
-            label = 0
-        else:
-            skipped += 1
-            continue
+        income = fields[-1].rstrip(".")
         try:
             values = [float(fields[c]) for c in _FEATURE_COLUMNS.values()]
-        except ValueError:
+        except (IndexError, ValueError):
+            values = [np.nan]
+        if len(fields) == _ADULT_FIELD_COUNT and income in (">50K", "<=50K") and np.isfinite(values).all():
+            rows.append(values)
+            labels.append(int(income == ">50K"))
+        else:
             skipped += 1
-            continue
-        if not all(np.isfinite(values)):
-            skipped += 1
-            continue
-        rows.append(values)
-        labels.append(label)
     if skipped:
         logger.info("ingest: kept %d records, skipped %d rows", len(rows), skipped)
     if not rows:

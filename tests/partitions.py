@@ -1,9 +1,10 @@
 """Hand-built partitions for tests that need to know the neighbor order exactly,
-and the engine's profile row built from per-shard prefix sums."""
+the engine's profile rows of query points, and the profile row built from
+per-shard prefix sums."""
 
 import numpy as np
 
-from distknn.engine import Partition
+from distknn.engine import Partition, build_prefix_tensor, query_distance_matrix
 
 
 def one_shard(shard):
@@ -31,3 +32,8 @@ def back_to_back(profiles, depths):
     """Each shard's prefix sums cut to its depth and laid end to end: the
     row ``build_prefix_tensor`` writes for one query."""
     return np.concatenate([np.asarray(p[:k], dtype=np.int64) for p, k in zip(profiles, depths)])
+
+
+def profile_rows(partition, queries, shard_depths):
+    """``build_prefix_tensor``'s rows for query points, from their distances."""
+    return build_prefix_tensor(partition, query_distance_matrix(partition.features, queries), shard_depths)

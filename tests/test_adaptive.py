@@ -115,6 +115,32 @@ class TestSubK:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+    def test_walk_past_n1_rejected(self):
+        sizes = np.array([100, 50])
+        for cap in (101, 0):
+            with pytest.raises(ValueError, match=f"a walk of {cap} steps is outside"):
+                depth_matrix(cap, sizes)
+
+
+@given(
+    sizes=st.lists(st.integers(1, 400), min_size=1, max_size=12),
+    extra=st.integers(0, 10**7),
+    d=st.integers(1, 40),
+    with_log=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_depth_rows_stay_within_each_shard(sizes, extra, d, with_log):
+    # with no clamp in the depth rules, every classifier's rows must still lie
+    # in [1, n_j] and deepen (or hold) from one step to the next
+    sizes = np.array(sorted(sizes, reverse=True))
+    cfg = StoppingConfig(N=max(2, int(sizes[0]) + extra), d=d, include_log_in_bound=with_log)
+    for kind in ClassifierKind:
+        kj = depths(kind, sizes, cfg)
+        assert kj.ndim == 2 and kj.shape[1] == sizes.size and kj.dtype == np.int64, kind
+        assert ((kj >= 1) & (kj <= sizes)).all(), kind
+        assert (np.diff(kj, axis=0) >= 0).all(), kind
+
+
 class TestStoppingStatistic:
     # r = sqrt(2 * sum k_j) * |eta - 1/2| is pinned by the thresholds just
     # below and at its value

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from partitions import line_partition, one_shard
+from partitions import line_partition, one_shard, profile_rows
 
 from distknn import oracle
 from distknn.engine import (
     ClassifierKind,
     Shard,
     StoppingConfig,
-    build_prefix_tensor,
     depths,
     evaluate_query,
     scan_first_crossing,
@@ -24,7 +23,7 @@ def qiao_k(nj, cfg):
 def crossed(part, query, kind, cfg):
     """The scan's own crossed flag for one query."""
     kj = depths(kind, part.sizes, cfg)
-    prefix = build_prefix_tensor(part, np.asarray(query)[None, :], kj[-1])
+    prefix = profile_rows(part, np.asarray(query)[None, :], kj[-1])
     return bool(scan_first_crossing(prefix, kj, stopping_threshold(cfg))[2][0])
 
 

@@ -697,6 +697,20 @@ class TestClassifyCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("table", ["train", "queries"])
+    def test_field_over_the_csv_limit_names_the_file_and_line(self, tmp_path, capsys, table):
+        # a cell longer than the csv module's field limit is bad input, not a crash
+        files = dict(zip(("train", "queries"), self.make_files(tmp_path, np.random.default_rng(9))))
+        lines = files[table].read_text().splitlines()
+        lines[2] = "9" * 200000 + lines[2][lines[2].index(",") :]
+        files[table].write_text("\n".join(lines) + "\n")
+        rc = main(["classify", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                   "--output", str(tmp_path / "o")])
+        assert rc == 1
+        limit = csv.field_size_limit()
+        assert f"error: {files[table]}: line 3: field larger than field limit ({limit})" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("table", ["train", "queries"])
     def test_byte_order_mark_skipped(self, tmp_path, table):
         # the mark sits before the header's first name: the label column of
         # this training table, the 'y' column of the query table

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from partitions import back_to_back
+from partitions import back_to_back, profile_rows
 
 from distknn import engine, oracle, simharness
 from distknn.engine import (
@@ -108,7 +108,7 @@ def test_profile_partition_matches_per_shard_profiles(setup):
     part = partition_proportional(data, 9, rng)
     query = rng.random(3)
     depths = np.minimum(part.sizes, 7)
-    batch = build_prefix_tensor(part, query[None, :], depths)[0]
+    batch = profile_rows(part, query[None, :], depths)[0]
     assert batch.tolist() == oracle_row(part, query, depths).tolist()
 
 
@@ -120,7 +120,7 @@ def test_profile_partition_handles_ties_like_reference():
     part = partition_uniform(data, 5, rng)
     query = np.array([0.5, 0.5, 0.0])
     depths = np.minimum(part.sizes, 10)
-    batch = build_prefix_tensor(part, query[None, :], depths)[0]
+    batch = profile_rows(part, query[None, :], depths)[0]
     assert batch.tolist() == oracle_row(part, query, depths).tolist()
 
 
@@ -262,9 +262,9 @@ def test_block_boundaries_match_oracle(setup, monkeypatch, block_rows, m):
     monkeypatch.setattr(engine, "BLOCK_BYTES", block_rows * 8 * part.total)
     blocks = []
 
-    def recording_prefix(partition, queries, shard_depths):
-        blocks.append(queries.shape[0])
-        return build_prefix_tensor(partition, queries, shard_depths)
+    def recording_prefix(partition, dist, shard_depths):
+        blocks.append(dist.shape[0])
+        return build_prefix_tensor(partition, dist, shard_depths)
 
     monkeypatch.setattr(engine, "build_prefix_tensor", recording_prefix)
     queries = np.concatenate([rng.choice(TIE_GRID, size=(3, 3)), rng.random((4, 3))])
@@ -300,7 +300,7 @@ def test_profile_rows_match_oracle_with_either_builder(n, m, d, proportional, de
     for runs_per_row in (0, len(part) + 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "SEGMENT_RUNS_PER_ROW", runs_per_row)
-            got = build_prefix_tensor(part, queries, shard_depths)
+            got = profile_rows(part, queries, shard_depths)
         np.testing.assert_array_equal(got, expected, err_msg=f"SEGMENT_RUNS_PER_ROW = {runs_per_row}")
 
 
@@ -362,9 +362,9 @@ def test_segmented_profiles_match_oracle(strategies, d, limited):
         shard_depths[0] = part.sizes[0]  # one shard read to its end
     queries = np.concatenate([rng.choice(TIE_GRID, size=(2, d)), rng.random((1, d))])
     expected = np.array([oracle_row(part, q, shard_depths) for q in queries])
-    np.testing.assert_array_equal(build_prefix_tensor(part, queries, shard_depths), expected)
+    np.testing.assert_array_equal(profile_rows(part, queries, shard_depths), expected)
     for q, profiles in zip(queries, expected):
-        np.testing.assert_array_equal(build_prefix_tensor(part, q[None, :], shard_depths)[0], profiles)
+        np.testing.assert_array_equal(profile_rows(part, q[None, :], shard_depths)[0], profiles)
     assert strategies == ["_segmented_profiles"] * 4  # one block of 3 rows, then 3 of 1
 
 
@@ -400,11 +400,11 @@ def test_prefix_strategy_follows_runs_and_depths(monkeypatch, strategies):
         for kind in ClassifierKind:
             shard_depths = depths(kind, part.sizes, cfg)[-1]
             strategies.clear()
-            got = build_prefix_tensor(part, query, shard_depths)
+            got = profile_rows(part, query, shard_depths)
             taken[split.__name__, kind.value] = strategies[0]
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "SEGMENT_RUNS_PER_ROW", len(part) + 1)  # the run loop
-                np.testing.assert_array_equal(got, build_prefix_tensor(part, query, shard_depths))
+                np.testing.assert_array_equal(got, profile_rows(part, query, shard_depths))
     loop, sort = "_run_profiles", "_segmented_profiles"
     assert taken == {
         **{("partition_uniform", kind.value): loop for kind in ClassifierKind},
@@ -497,7 +497,7 @@ def test_candidate_cut_is_exact(monkeypatch, strategies, case, d):
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "k_smallest_rows", select)
-        got = build_prefix_tensor(part, queries, shard_depths)
+        got = profile_rows(part, queries, shard_depths)
     assert strategies == ["_segmented_profiles"]
     assert len(sorted_candidates) == len(queries)  # one sort per row
     for row, candidates in zip(rows, sorted_candidates):
@@ -506,7 +506,7 @@ def test_candidate_cut_is_exact(monkeypatch, strategies, case, d):
     expected = np.array([oracle_row(part, q, shard_depths) for q in queries])
     np.testing.assert_array_equal(got, expected)
     monkeypatch.setattr(engine, "SEGMENT_RUNS_PER_ROW", len(part) + 1)  # the run loop
-    np.testing.assert_array_equal(build_prefix_tensor(part, queries, shard_depths), expected)
+    np.testing.assert_array_equal(profile_rows(part, queries, shard_depths), expected)
 
 
 @pytest.mark.parametrize("n, budget", [(20000, None), (600, 1000)])

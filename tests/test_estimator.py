@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from partitions import back_to_back, line_partition, one_shard
+from partitions import back_to_back, line_partition, one_shard, profile_rows
 
 from distknn.engine import (
     ClassifierKind,
     Partition,
     Shard,
     StoppingConfig,
-    build_prefix_tensor,
     evaluate_query,
     scan_first_crossing,
 )
@@ -39,7 +38,7 @@ class TestLocalEstimate:
         part = line_partition([[1, 1]])
         for k in (0, 3):
             with pytest.raises(ValueError, match="depth"):
-                build_prefix_tensor(part, np.zeros((1, 3)), np.array([k]))
+                profile_rows(part, np.zeros((1, 3)), np.array([k]))
 
 
 class TestAggregate:
@@ -115,6 +114,6 @@ def test_single_shard_reduction_matches_plain_knn():
         shard = Shard(1, feats, labels)
         k = int(rng.integers(1, n + 1))
         query = rng.random(3)
-        prefix = build_prefix_tensor(one_shard(shard), query[None, :], np.array([k]))
+        prefix = profile_rows(one_shard(shard), query[None, :], np.array([k]))
         _, eta, _ = scan_first_crossing(prefix, np.array([[k]]), math.inf)
         assert eta[0, 0] == pytest.approx(plain_knn_estimate(feats, labels, query, k), abs=0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from partitions import back_to_back, line_partition, one_shard
+from partitions import back_to_back, line_partition, one_shard, profile_rows
 
 from distknn import engine, oracle
 from distknn.engine import (
@@ -14,7 +14,6 @@ from distknn.engine import (
     Partition,
     Shard,
     StoppingConfig,
-    build_prefix_tensor,
     evaluate_queries,
     k_smallest_rows,
     query_distance_matrix,
@@ -34,7 +33,7 @@ def engine_profile(shard, query, k):
     q = np.asarray(query, dtype=np.float64)[None, :]
     dist = query_distance_matrix(shard.features, q)
     idx = k_smallest_rows(dist, k)[0]
-    prefix = build_prefix_tensor(one_shard(shard), q, np.array([k]))[0]
+    prefix = profile_rows(one_shard(shard), q, np.array([k]))[0]
     return dist[0, idx], prefix
 
 
@@ -126,12 +125,12 @@ class TestNeighborProfile:
     def test_k_max_zero_rejected(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="depth"):
-            build_prefix_tensor(one_shard(shard), np.zeros((1, 3)), np.array([0]))
+            profile_rows(one_shard(shard), np.zeros((1, 3)), np.array([0]))
 
     def test_k_max_above_size_rejected(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="depth"):
-            build_prefix_tensor(one_shard(shard), np.zeros((1, 3)), np.array([3]))
+            profile_rows(one_shard(shard), np.zeros((1, 3)), np.array([3]))
 
     def test_query_dimension_checked(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
@@ -443,7 +442,7 @@ class TestTypes:
         # two shards of size 4 read at depths 1 and 3: each must get its own depth
         part = line_partition([[1, 1, 1, 1], [1, 1, 1, 1]])
         query = np.zeros(3)
-        batch = build_prefix_tensor(part, query[None, :], np.array([1, 3]))[0]
+        batch = profile_rows(part, query[None, :], np.array([1, 3]))[0]
         assert batch.tolist() == [1, 1, 2, 3]
         rng = np.random.default_rng(21)
         sizes = np.array([5, 5, 5, 3, 3])
@@ -451,16 +450,24 @@ class TestTypes:
         part = Partition.from_shard(data, sizes, rng)
         shard_depths = np.array([2, 5, 2, 1, 3])
         query = rng.random(3)
-        batch = build_prefix_tensor(part, query[None, :], shard_depths)[0]
+        batch = profile_rows(part, query[None, :], shard_depths)[0]
         profiles = [prefix for _, prefix in oracle.shard_profiles(part, query)]
         assert batch.tolist() == back_to_back(profiles, shard_depths).tolist()
 
     def test_bad_depth_names_the_shard(self):
         part = line_partition([[0, 1, 1], [1, 0]])
         with pytest.raises(ValueError, match="shard 1: depth 3"):
-            build_prefix_tensor(part, np.zeros((1, 3)), np.array([3, 3]))
+            profile_rows(part, np.zeros((1, 3)), np.array([3, 3]))
         with pytest.raises(ValueError, match="one depth per shard"):
-            build_prefix_tensor(part, np.zeros((1, 3)), np.array([1]))
+            profile_rows(part, np.zeros((1, 3)), np.array([1]))
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 4), (2, 6), (1, 1, 5)], ids=["1-D", "4-columns", "6-columns", "3-D"])
+    def test_distance_block_of_another_shape_rejected(self, shape):
+        # the builder reads a (queries, N) block; it names both shapes
+        part = line_partition([[0, 1, 1], [1, 0]])
+        message = f"distances of shape {shape} do not match points of shape (5, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            engine.build_prefix_tensor(part, np.zeros(shape), np.array([1, 1]))
 
     @pytest.mark.parametrize("sizes, size", [([6, 0], 0), ([7, -1], -1)])
     def test_shard_sizes_below_one_rejected(self, sizes, size):
@@ -494,7 +501,7 @@ class TestTypes:
         part = Partition.from_shard(data, sizes, rng)
         query = rng.random(3)
         shard_depths = np.array([7, 8, 2, 3])
-        batch = build_prefix_tensor(part, query[None, :], shard_depths)[0]
+        batch = profile_rows(part, query[None, :], shard_depths)[0]
         assert batch.shape == (20,)
         profiles = [prefix for _, prefix in oracle.shard_profiles(part, query)]
         assert batch.tolist() == back_to_back(profiles, shard_depths).tolist()

@@ -56,6 +56,40 @@ class TestIngest:
         assert labels.tolist() == [1]
         assert labels.dtype == np.int64
 
+    def test_edge_rows_kept_or_skipped_by_one_rule(self, tmp_path, caplog):
+        # kept: 15 fields, a known income label (a trailing period allowed) and
+        # six finite numbers, in any form float() reads; blank lines are no rows
+        def row_with(col, text):
+            fields = ROW.rstrip("\n").split(", ")
+            fields[col] = text
+            return ", ".join(fields) + "\n"
+
+        fields = ROW.rstrip("\n").split(", ")
+        lines = [
+            ROW,
+            "\n",
+            "   \n",
+            ", ".join(fields[:-1]) + "\n",  # 14 fields
+            ", ".join(fields + ["extra"]) + "\n",  # 16 fields
+            row_with(14, "?"),
+            row_with(14, "maybe"),
+            row_with(14, "<=50K."),
+            row_with(0, "inf"),
+            row_with(12, "nan"),
+            row_with(2, "1e400"),
+            row_with(0, "?"),
+            row_with(4, "x9"),
+            row_with(10, "1_000"),
+            " , \n",
+        ]
+        path = tmp_path / "edges.data"
+        path.write_text("".join(lines))
+        with caplog.at_level(logging.INFO, logger="distknn.realdata"):
+            feats, labels = ingest_adult(path)
+        assert feats.tolist() == [[40.0, 100.0, 9.0, 0.0, 0.0, 40.0]] * 2 + [[40.0, 100.0, 9.0, 1000.0, 0.0, 40.0]]
+        assert labels.tolist() == [1, 0, 1]
+        assert "kept 3 records, skipped 10 rows" in caplog.text
+
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             ingest_adult(tmp_path / "missing.data")
