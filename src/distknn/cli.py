@@ -19,7 +19,10 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
+import time
+from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -195,8 +198,31 @@ def build_experiment_config(args, file_cfg: dict[str, tuple[str, str]]) -> Exper
 # ---------------------------------------------------------------------------
 # outputs
 
-def _manifest(command: str, cfg_dict: dict, seed: int, threads: int, **extra) -> dict:
-    """The manifest of one command; ``extra`` keys follow ``versions`` in order."""
+def _git_revision() -> str | None:
+    """HEAD of the git checkout this package runs from; ``None`` outside one, or without git."""
+    root = Path(__file__).resolve().parents[2]  # src/distknn/cli.py -> the checkout
+    if not (root / ".git").exists():
+        return None
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, timeout=10, check=False)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _utc(stamp: float) -> str:
+    return datetime.fromtimestamp(stamp, timezone.utc).isoformat(timespec="milliseconds")
+
+
+def _manifest(command: str, cfg_dict: dict, seed: int, threads: int, started: float, failures=(), **extra) -> dict:
+    """The manifest of one command, finished now; ``extra`` keys follow ``versions`` in order.
+
+    The run facts come last: start and end time (UTC), wall seconds from
+    ``started`` (the command's ``time.time()`` at its start), the CPU count,
+    the git revision (``None`` outside a checkout) and every failed run's
+    (epsilon, run, message) in ``failures``.
+    """
+    finished = time.time()
     return {
         "command": command,
         "seed": seed,
@@ -208,6 +234,12 @@ def _manifest(command: str, cfg_dict: dict, seed: int, threads: int, **extra) ->
             "python": platform.python_version(),
         },
         **extra,
+        "started": _utc(started),
+        "finished": _utc(finished),
+        "wall_s": round(finished - started, 3),
+        "cpu_count": os.cpu_count(),
+        "git_revision": _git_revision(),
+        "failures": [{"epsilon": eps, "run": run, "message": message} for eps, run, message in failures],
     }
 
 
@@ -226,22 +258,24 @@ def write_result_files(result: ExperimentResult, outdir: Path, manifest: dict) -
 # subcommands
 
 def cmd_simulate(args) -> int:
+    started = time.time()
     file_cfg = parse_config_file(args.config) if args.config else {}
     cfg = build_experiment_config(args, file_cfg)
     print(f"simulate: N={cfg.N} kappa={cfg.kappa} split={cfg.split} runs={cfg.runs} "
           f"epsilons={list(cfg.epsilons)} classifiers={[k.value for k in cfg.classifiers]}")
     result = run_experiment(cfg, workers=args.threads)
     outdir = Path(args.output)
-    write_result_files(result, outdir, _manifest("simulate", cfg.to_dict(), cfg.seed, args.threads))
+    manifest = _manifest("simulate", cfg.to_dict(), cfg.seed, args.threads, started, result.failures)
+    write_result_files(result, outdir, manifest)
     for row in result.rows:
         print(f"  {row.classifier:<9s} eps={row.epsilon:<4g} m={row.m:<6d} "
               f"agreement={row.agreement_rate:.4f} (+-{row.mc_stderr:.4f}) "
               f"time={row.mean_runtime_s * 1e3:.2f}ms")
     print(f"wrote {outdir / 'results.csv'}")
     if result.failures:
-        eps, run_idx, message = result.failures[0]
-        print(f"error: {len(result.failures)} run(s) failed; see results.json. "
-              f"First: eps={eps} run={run_idx}: {message}", file=sys.stderr)
+        print(f"error: {len(result.failures)} run(s) failed; see results.json:", file=sys.stderr)
+        for eps, run_idx, message in result.failures:
+            print(f"  eps={eps} run={run_idx}: {message}", file=sys.stderr)
         return 1
     return 0
 
@@ -256,6 +290,7 @@ def _locate_adult_file(args) -> Path:
 
 
 def cmd_adult(args) -> int:
+    started = time.time()
     path = _locate_adult_file(args)
     if not path.exists():
         print(
@@ -277,7 +312,7 @@ def cmd_adult(args) -> int:
     result = evaluate_real(split.train, split.test, cfg, workers=args.threads)
     outdir = Path(args.output)
     # m = ceil(N^eps) with N the training row count
-    manifest = _manifest("adult", cfg.to_dict(), cfg.seed, args.threads, data_file=str(path),
+    manifest = _manifest("adult", cfg.to_dict(), cfg.seed, args.threads, started, result.failures, data_file=str(path),
                          test_fraction=test_fraction, train_rows=split.train.size, test_rows=split.test.size)
     write_result_files(result, outdir, manifest)
     majority = float(max(split.test.labels.mean(), 1 - split.test.labels.mean()))
@@ -343,6 +378,7 @@ def _read_table(path, columns=None, label_col=None):
 
 
 def cmd_classify(args) -> int:
+    started = time.time()
     feature_cols, feats, labels = _read_table(args.train, label_col=args.label_col)
     _, queries_raw, _ = _read_table(args.queries, columns=feature_cols)
     values = _settings(args, {}, CLASSIFY_SETTINGS)
@@ -376,7 +412,7 @@ def cmd_classify(args) -> int:
         "include_log_in_bound": values["include_log_in_bound"],
         "feature_columns": feature_cols,
     }
-    _write_json(outdir / "manifest.json", _manifest("classify", config, values["seed"], args.threads))
+    _write_json(outdir / "manifest.json", _manifest("classify", config, values["seed"], args.threads, started))
     print(f"classified {labels_out.size} queries with {kind.value} over m={m} shards")
     print(f"wrote {pred_path}")
     return 0

@@ -31,12 +31,18 @@ of the whole k1 range followed by a first-crossing lookup; this is
 decision-for-decision identical to the sequential loop because the per-step
 statistics do not depend on earlier stopping decisions.
 
-Every classification goes through ``_classify_chunk``, which sets a
-classifier's depth rows and threshold once per chunk and classifies the chunk
-in blocks of query rows whose distance matrix stays within ``BLOCK_BYTES``.
-So the temporaries of ``evaluate_queries`` follow that budget (or one row,
-8 N bytes, if larger), not ``chunk_size`` x N; ``chunk_size`` only sets how
-the queries are split into pool tasks.
+Every classification goes through ``_classify_chunk``, which classifies a
+chunk in blocks of query rows whose distance matrix stays within
+``BLOCK_BYTES``. So the temporaries of ``evaluate_queries`` follow that budget
+(or one row, 8 N bytes, if larger), not ``chunk_size`` x N; ``chunk_size`` only
+sets how the queries are split into pool tasks. Each block's distances are
+computed once, and its walks run in stages (``_stage_caps``): ``dann_nes``
+with n_1 > ``STAGE_STEPS`` x ``STAGE_GROWTH`` first builds and scans 16 steps'
+profiles, and only the rows that have not crossed go on to 4 times as many
+steps, and so on up to n_1; every other walk is a single stage. Because a
+step's statistic does not depend on earlier decisions, a stage that stops a
+row stops it where the whole walk would, so only the rows that never cross
+read every shard to its end.
 
 Importing this module sets glibc's malloc thresholds for the whole process
 (see ``_keep_temporaries_on_heap``); elsewhere it changes nothing.
@@ -92,6 +98,21 @@ BLOCK_BYTES = 2 << 20
 #   8 gave 1.22-1.52 and 0.86-1.26 ms, and factor 4 1.12-1.24 and 0.87-1.22 ms.
 SEGMENT_RUNS_PER_ROW = 64
 CANDIDATE_FACTOR = 4
+
+# ``dann_nes`` walks in stages where n_1 > STAGE_STEPS x STAGE_GROWTH
+# (``_stage_caps``): the first STAGE_STEPS steps, then only the rows that have
+# not crossed on to STAGE_GROWTH times as many steps, and so on, the last stage
+# capped at n_1. Each stage selects over the whole distance row again, so a
+# shallow cap pays for two selections where one sort did: n_1 <= 64 stays
+# whole. ``_classify_chunk`` of dann_nes against one unstaged walk, one query
+# row, 3 partitions per eps 0-0.9, medians of 7 interleaved pairs, summed over
+# eps, 2-core Xeon: 16 x 4 took 0.685 of the unstaged time at N = 60000
+# (proportional) and 0.905 at N = 20000 (uniform); 16 x 8 took 0.692 and
+# 0.903, 16 x 16 0.812 and 0.951, 8 x 4 0.800 and 0.927, 32 x 4 0.789 and
+# 0.895. Single eps cells at N = 60000 read 0.25-0.64 at eps 0.4-0.6 over two
+# seeds, and up to 1.6 where walks run to k1 in the thousands (eps <= 0.3).
+STAGE_STEPS = 16
+STAGE_GROWTH = 4
 
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -611,6 +632,21 @@ def scan_first_crossing(
     return stop, eta, any_crossed
 
 
+def _stage_caps(kind: ClassifierKind, n1: int) -> list[int]:
+    """Walk lengths of a classifier's stages before its last, which takes every depth row.
+
+    Only ``dann_nes`` with n_1 > STAGE_STEPS x STAGE_GROWTH is staged: STAGE_STEPS
+    steps, then STAGE_GROWTH times as many each stage, up to the first length
+    that would reach n_1. Every other walk is one stage.
+    """
+    if kind is not ClassifierKind.DANN_NES or n1 <= STAGE_STEPS * STAGE_GROWTH:
+        return []
+    caps = [STAGE_STEPS]
+    while caps[-1] * STAGE_GROWTH < n1:
+        caps.append(caps[-1] * STAGE_GROWTH)
+    return caps
+
+
 def _classify_chunk(
     partition: Partition,
     queries: np.ndarray,
@@ -620,12 +656,24 @@ def _classify_chunk(
     """Labels, k1 choices (-1 where not applicable) and etas for a query chunk.
 
     Every classifier is a walk over its depth rows; a fixed-depth classifier
-    has one row and never stops early, so its threshold is infinite. The depth
-    rows and the threshold are set once per chunk, which is then classified in
-    blocks of rows whose distances take at most ``BLOCK_BYTES`` (one row at
-    least).
+    has one row and never stops early, so its threshold is infinite. The chunk
+    is classified in blocks of rows whose distances take at most
+    ``BLOCK_BYTES`` (one row at least), each block's distances computed once.
+
+    A walk runs in stages (``_stage_caps``). Each stage builds the profiles
+    of the rows still walking only as deep as its last step and scans its
+    steps; a row that crossed there has stopped, and the others go on to the
+    next stage. The last stage takes the classifier's
+    ``depths`` and stops every row left. This is exact: a step's statistic
+    does not depend on earlier decisions, and the first c rows of
+    ``depths(DANN_NES)`` are ``depth_matrix(c)``. Each stage's depth rows are
+    built when a row first reaches it, at most once per chunk, so a chunk
+    whose walks all stop early never builds the deeper ones. The block's
+    distances are dropped before the last stage's scan.
     """
-    kj = depths(kind, partition.sizes, cfg)
+    sizes = partition.sizes
+    caps = _stage_caps(kind, int(sizes[0]))
+    stage_rows: list[np.ndarray] = []
     adaptive = kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES)
     threshold = stopping_threshold(cfg) if adaptive else math.inf
     nq = queries.shape[0]
@@ -633,10 +681,26 @@ def _classify_chunk(
     eta_hat = np.empty(nq, dtype=np.float64)
     rows = max(1, BLOCK_BYTES // (8 * partition.total))
     for i in range(0, nq, rows):
-        prefix = build_prefix_tensor(partition, query_distance_matrix(partition.features, queries[i : i + rows]), kj[-1])
-        block_stop, eta, _ = scan_first_crossing(prefix, kj, threshold)
-        stop[i : i + rows] = block_stop
-        eta_hat[i : i + rows] = np.take_along_axis(eta, block_stop[:, None], axis=1)[:, 0]
+        dist = query_distance_matrix(partition.features, queries[i : i + rows])
+        walking = slice(i, i + rows)  # the chunk rows of ``dist``, as indices once some have stopped
+        for s in range(len(caps) + 1):
+            if s == len(stage_rows):
+                stage_rows.append(depth_matrix(caps[s], sizes) if s < len(caps) else depths(kind, sizes, cfg))
+            kj = stage_rows[s]
+            prefix = build_prefix_tensor(partition, dist, kj[-1])
+            last = s == len(caps)
+            if last:
+                del dist
+            block_stop, eta, crossed = scan_first_crossing(prefix, kj, threshold)
+            # each row's outcome so far; the next stage rewrites the rows it walks on
+            stop[walking] = block_stop
+            eta_hat[walking] = np.take_along_axis(eta, block_stop[:, None], axis=1)[:, 0]
+            if last:
+                break
+            if crossed.any():
+                walking, dist = np.arange(nq)[walking][~crossed], dist[~crossed]
+                if not dist.shape[0]:
+                    break
     k1_hat = stop + 1 if adaptive else np.full(nq, -1, dtype=np.int64)
     labels = (eta_hat >= 0.5).astype(np.int64)
     return labels, k1_hat, eta_hat
@@ -688,7 +752,8 @@ def evaluate_queries(
                          f"the partition has N={partition.total}, d={partition.dim}")
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != partition.dim:
-        raise ValueError("queries must be (n, d) with the partition's dimension")
+        raise ValueError(f"queries must be (n, d) with the partition's dimension d = {partition.dim}, "
+                         f"got shape {queries.shape}")
     bad = ~np.isfinite(queries).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -854,3 +856,90 @@ def test_selftest_reaches_both_profile_strategies(monkeypatch):
     assert any(name == "_run_profiles" for name, _, _ in taken)
     cut = {engine.CANDIDATE_FACTOR * depth < n for name, depth, n in taken if name == "_segmented_profiles"}
     assert cut == {True, False}
+
+
+RUN_FACTS = ["started", "finished", "wall_s", "cpu_count", "git_revision", "failures"]
+
+
+def run_command(command, tmp_path):
+    """Run ``command`` on small inputs; return its manifest."""
+    out = tmp_path / command
+    if command == "simulate":
+        argv = ["simulate", "--n", "300", "--runs", "2", "--epsilons", "0,0.5", "--classifiers", "d1nn"]
+    elif command == "adult":
+        argv = ["adult", "--data", str(FIXTURE), "--epsilons", "0"]
+    else:
+        rng = np.random.default_rng(2)
+        train, queries = tmp_path / "train.csv", tmp_path / "queries.csv"
+        train.write_text("x,y,label\n" + "".join(f"{a},{b},{int(a < b)}\n" for a, b in rng.random((20, 2))))
+        queries.write_text("x,y\n0.2,0.7\n0.9,0.1\n")
+        argv = ["classify", "--train", str(train), "--queries", str(queries)]
+    assert main(argv + ["--output", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+class TestManifestRunFacts:
+    @pytest.mark.parametrize("command", ["simulate", "adult", "classify"])
+    def test_run_facts_follow_the_existing_keys(self, tmp_path, command):
+        from datetime import datetime, timezone
+
+        before = datetime.now(timezone.utc)
+        manifest = run_command(command, tmp_path)
+        after = datetime.now(timezone.utc)
+        keys = list(manifest)
+        assert keys[:5] == ["command", "seed", "threads", "config", "versions"]
+        assert keys[-len(RUN_FACTS):] == RUN_FACTS
+        started = datetime.fromisoformat(manifest["started"])
+        finished = datetime.fromisoformat(manifest["finished"])
+        assert started.utcoffset().total_seconds() == 0
+        # stamps are cut to milliseconds, the wall time is rounded to them
+        assert before.replace(microsecond=before.microsecond // 1000 * 1000) <= started <= finished <= after
+        assert abs(manifest["wall_s"] - (finished - started).total_seconds()) <= 0.002
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["failures"] == []
+
+    def test_git_revision_is_the_checkouts_head(self, tmp_path):
+        from distknn import cli
+
+        root = Path(cli.__file__).resolve().parents[2]
+        expected = None
+        if (root / ".git").exists():
+            proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, timeout=10)
+            expected = proc.stdout.strip() if proc.returncode == 0 else None
+        assert run_command("simulate", tmp_path)["git_revision"] == expected
+
+    def test_git_revision_null_outside_a_checkout_or_without_git(self, tmp_path, monkeypatch):
+        from distknn import cli
+
+        installed = tmp_path / "site-packages" / "distknn" / "cli.py"
+        monkeypatch.setattr(cli, "__file__", str(installed))
+        assert cli._git_revision() is None
+        monkeypatch.undo()
+        (tmp_path / ".git").mkdir()
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "distknn" / "cli.py"))
+
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(cli.subprocess, "run", no_git)
+        assert cli._git_revision() is None
+
+    def test_every_failure_in_the_manifest_and_on_stderr(self, tmp_path, capsys, monkeypatch):
+        split = simharness._partition_for
+
+        def failing_above_one_shard(split_name, data, m, rng):
+            if m > 1:
+                raise RuntimeError(f"shard store unavailable for m = {m}")
+            return split(split_name, data, m, rng)
+
+        monkeypatch.setattr(simharness, "_partition_for", failing_above_one_shard)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--n", "300", "--runs", "3", "--epsilons", "0,0.5",
+                   "--classifiers", "d1nn", "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        message = "RuntimeError: shard store unavailable for m = 18"
+        for run in range(3):
+            assert f"  eps=0.5 run={run}: {message}" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [{"epsilon": 0.5, "run": run, "message": message} for run in range(3)]

@@ -252,6 +252,16 @@ def test_query_dimension_validated(setup):
         evaluate_queries(part, rng.random((5, 4)), ClassifierKind.DANN, cfg)
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (3,), (2, 3, 1)])
+def test_query_shape_error_names_both_shapes(setup, shape):
+    rng, data = setup
+    part = partition_uniform(data, 3, rng)
+    cfg = StoppingConfig(N=data.size, d=3)
+    message = re.escape(f"queries must be (n, d) with the partition's dimension d = 3, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        evaluate_queries(part, np.zeros(shape), ClassifierKind.DANN, cfg)
+
+
 @pytest.mark.parametrize("block_rows", [1, 3])
 @pytest.mark.parametrize("m", [1, 120])
 def test_block_boundaries_match_oracle(setup, monkeypatch, block_rows, m):
@@ -262,11 +272,11 @@ def test_block_boundaries_match_oracle(setup, monkeypatch, block_rows, m):
     monkeypatch.setattr(engine, "BLOCK_BYTES", block_rows * 8 * part.total)
     blocks = []
 
-    def recording_prefix(partition, dist, shard_depths):
-        blocks.append(dist.shape[0])
-        return build_prefix_tensor(partition, dist, shard_depths)
+    def recording_distances(features, queries):
+        blocks.append(queries.shape[0])
+        return query_distance_matrix(features, queries)
 
-    monkeypatch.setattr(engine, "build_prefix_tensor", recording_prefix)
+    monkeypatch.setattr(engine, "query_distance_matrix", recording_distances)
     queries = np.concatenate([rng.choice(TIE_GRID, size=(3, 3)), rng.random((4, 3))])
     for kind in ClassifierKind:
         blocks.clear()
@@ -374,14 +384,25 @@ def test_segmented_classification_matches_oracle(monkeypatch, strategies, d):
     cfg = StoppingConfig(N=part.total, d=d)
     monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * part.total)  # 3-row blocks
     queries = np.concatenate([rng.choice(TIE_GRID, size=(2, d)), rng.random((1, d))])
+    builds = []
+
+    def counting_prefix(partition, dist, shard_depths):
+        builds.append(dist.shape[0])
+        return build_prefix_tensor(partition, dist, shard_depths)
+
+    monkeypatch.setattr(engine, "build_prefix_tensor", counting_prefix)
     for kind in ClassifierKind:
         strategies.clear()
+        builds.clear()
         expected = [oracle.classify(part, q, kind, cfg) for q in queries]
         got = evaluate_queries(part, queries, kind, cfg)
         assert list(zip(*(a.tolist() for a in got))) == expected, kind
         assert [evaluate_query(part, q, kind, cfg) for q in queries] == expected, kind
         if kind is ClassifierKind.DANN_NES:
-            assert strategies == ["_segmented_profiles"] * 4
+            # every stage's build, of the 3-row block and then of each single
+            # row (n_1 = 199: stages of 16, 64 and 199 steps), takes the sort
+            assert len(builds) >= 4
+            assert strategies == ["_segmented_profiles"] * len(builds)
 
 
 def test_prefix_strategy_follows_runs_and_depths(monkeypatch, strategies):
@@ -533,22 +554,95 @@ def test_distance_blocks_stay_within_budget(monkeypatch, n, budget):
 
 
 def test_depths_built_once_per_chunk(setup, monkeypatch):
+    # n_1 = 120 > 64, so dann_nes walks in stages of 16, 64 and 120 steps
     rng, data = setup
     cfg = StoppingConfig(N=data.size, d=3)
     part = partition_proportional(data, 9, rng)
+    assert engine._stage_caps(ClassifierKind.DANN_NES, int(part.sizes[0])) == [16, 64]
     monkeypatch.setattr(engine, "BLOCK_BYTES", 2 * 8 * part.total)  # 2-row blocks
-    calls = []
+    built = []
 
-    def counting_depths(*args):
-        calls.append(args[0])
-        return depths(*args)
+    def counting(fn):
+        def wrapper(*args):
+            built.append((fn.__name__, args[0]))
+            return fn(*args)
 
-    monkeypatch.setattr(engine, "depths", counting_depths)
+        return wrapper
+
+    monkeypatch.setattr(engine, "depths", counting(depths))
+    monkeypatch.setattr(engine, "depth_matrix", counting(engine.depth_matrix))
     queries = rng.random((20, 3))
     for kind in ClassifierKind:
-        calls.clear()
+        built.clear()
         evaluate_queries(part, queries, kind, cfg, chunk_size=7)
-        assert calls == [kind]  # one worker: one call over all 20 rows, not one per chunk of 7
+        # one worker: one chunk of all 20 rows, not one per chunk of 7, in 10
+        # blocks; each stage's rows are built at most once over them, and only
+        # the staged walk may stop before its last stage's
+        assert len(built) == len(set(built)), kind
+        assert ("depths", kind) in built or kind is ClassifierKind.DANN_NES
+
+
+def test_walk_crossing_in_its_first_stage_builds_no_deeper_profiles(monkeypatch):
+    # 8 shards of 75 points, every label 1: at step k1 the statistic is
+    # sqrt(2 x 8 k1) / 2, which first exceeds the threshold sqrt(5 log 600)
+    # ~ 5.655 at k1 = 8 (5.657), inside the first stage of 16 steps
+    rng = np.random.default_rng(9)
+    data = Shard(1, rng.random((600, 3)), np.ones(600, dtype=np.int64))
+    part = partition_uniform(data, 8, rng)
+    cfg = StoppingConfig(N=data.size, d=3)
+    first_stage = engine.depth_matrix(16, part.sizes)[-1]
+    built = []
+
+    def recording_prefix(partition, dist, shard_depths):
+        built.append(np.asarray(shard_depths).copy())
+        return build_prefix_tensor(partition, dist, shard_depths)
+
+    monkeypatch.setattr(engine, "build_prefix_tensor", recording_prefix)
+    queries = rng.random((5, 3))
+    got = evaluate_queries(part, queries, ClassifierKind.DANN_NES, cfg)
+    assert list(zip(*(a.tolist() for a in got))) == [oracle.classify(part, q, ClassifierKind.DANN_NES, cfg) for q in queries]
+    assert got[1].tolist() == [8] * 5
+    assert built and all((b <= first_stage).all() for b in built)
+
+
+@given(
+    n=st.integers(2, 3000),
+    m=st.integers(1, 40),
+    d=st.integers(1, 6),
+    proportional=st.booleans(),
+    tie_prone=st.floats(0, 1),
+    signal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_staged_walks_match_oracle_at_any_stage_rule(n, m, d, proportional, tie_prone, signal, seed):
+    # stages of 1 step doubling, the default rule, a first stage past n_1
+    # (so the cut leaves the walk whole) and staging forced off: each gives
+    # the oracle's (label, k1, eta) on tie-prone lattice points 40% of the
+    # time, and labels that cross the threshold half the time
+    rng = np.random.default_rng(seed)
+    lattice = tie_prone < 0.4
+    feats = rng.choice(TIE_GRID, size=(n, d)) if lattice else rng.random((n, d))
+    labels = rng.integers(0, 2, n)
+    if signal:
+        labels |= feats[:, 0] <= 0.5
+    data = Shard(1, feats, labels)
+    part = (partition_proportional if proportional else partition_uniform)(data, min(m, n), rng)
+    cfg = StoppingConfig(N=n, d=d)
+    queries = rng.choice(TIE_GRID, size=(3, d)) if lattice else rng.random((3, d))
+    kind = ClassifierKind.DANN_NES
+    expected = [oracle.classify(part, q, kind, cfg) for q in queries]
+    rules = {"1 x 2": (1, 2), "default": (engine.STAGE_STEPS, engine.STAGE_GROWTH), "past n_1": (n + 1, 2)}
+    for name, (steps, growth) in rules.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "STAGE_STEPS", steps)
+            patch.setattr(engine, "STAGE_GROWTH", growth)
+            got = evaluate_queries(part, queries, kind, cfg)
+        assert list(zip(*(a.tolist() for a in got))) == expected, name
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_stage_caps", lambda kind, n1: [])
+        got = evaluate_queries(part, queries, kind, cfg)
+    assert list(zip(*(a.tolist() for a in got))) == expected, "off"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -18,11 +18,13 @@ def test_workflow_runs_tier1_and_selftest():
     job = workflow["jobs"]["tests"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
-    assert runs[:3] == ['pip install -e ".[test]"', tier1, "distknn selftest --instances 200"]
+    assert runs[:4] == [
+        'pip install -e ".[test]"', tier1, "distknn selftest --instances 200", "distknn selftest --instances 200 --seed 1"
+    ]
     # then one short run of every benchmark workload, and one traced run of
     # each, failing unless its oracle check passed
     workloads = " ".join(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
-    assert runs[3:5] == [
+    assert runs[4:6] == [
         f"for workload in {workloads}; do\n"
         f'  python3 bench/run.py --workload "$workload" --seed 1 --seconds 1{trace}'
         """ | tail -n 1 | grep -F '"correct": true' || exit 1\n"""
@@ -31,4 +33,4 @@ def test_workflow_runs_tier1_and_selftest():
     ]
     # last, a clean tree: no step modified a tracked file or left an untracked
     # one that .gitignore does not cover
-    assert runs[5:] == ['test -z "$(git status --porcelain)"']
+    assert runs[6:] == ['test -z "$(git status --porcelain)"']
