@@ -656,8 +656,8 @@ def _classify_chunk(
     """Labels, k1 choices (-1 where not applicable) and etas for a query chunk.
 
     Every classifier is a walk over its depth rows; a fixed-depth classifier
-    has one row and never stops early, so its threshold is infinite. The chunk
-    is classified in blocks of rows whose distances take at most
+    has one row, a walk that stops at its only step whatever the threshold.
+    The chunk is classified in blocks of rows whose distances take at most
     ``BLOCK_BYTES`` (one row at least), each block's distances computed once.
 
     A walk runs in stages (``_stage_caps``). Each stage builds the profiles
@@ -675,7 +675,7 @@ def _classify_chunk(
     caps = _stage_caps(kind, int(sizes[0]))
     stage_rows: list[np.ndarray] = []
     adaptive = kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES)
-    threshold = stopping_threshold(cfg) if adaptive else math.inf
+    threshold = stopping_threshold(cfg)
     nq = queries.shape[0]
     stop = np.empty(nq, dtype=np.int64)
     eta_hat = np.empty(nq, dtype=np.float64)

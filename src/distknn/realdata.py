@@ -137,13 +137,20 @@ class DatasetSplit:
 
 
 def train_test_split(shard: Shard, test_fraction: float, rng: np.random.Generator) -> DatasetSplit:
-    """Random permutation split; the training side gets ceil(N*(1-f)) rows."""
+    """Random permutation split; the training side gets ceil(N*(1-f)) rows.
+
+    Both sides must be usable: a test side with no row, or a training side
+    with fewer than 2 (the least the stopping config takes), is rejected.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction={test_fraction} outside (0, 1)")
     n = shard.size
     n_train = int(np.ceil(n * (1.0 - test_fraction)))
     if n_train == n:
         raise ValueError("test split is empty; lower the test fraction")
+    if n_train < 2:
+        raise ValueError(f"test_fraction={test_fraction} leaves {n_train} of {n} rows for training; "
+                         "at least 2 are needed")
     perm = rng.permutation(n)
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     return DatasetSplit(

@@ -25,7 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .engine import ClassifierKind, Partition, Shard, StoppingConfig, evaluate_query, query_distance_matrix
+from .engine import ClassifierKind, Partition, Shard, StoppingConfig, evaluate_query
 
 __all__ = [
     "SyntheticModel",
@@ -294,10 +294,6 @@ def _simulate_run(args: tuple[ExperimentConfig, int, int]):
         queries = rng.random((cfg.queries_per_run, 3))
         oracle = (eta_batch(queries, model) >= 0.5).astype(np.int64)
         stopping = StoppingConfig(N=cfg.N, d=3, include_log_in_bound=cfg.include_log_in_bound)
-        # untimed warm-up so the first classifier measured is not also charged
-        # for pulling the fresh partition into cache
-        query_distance_matrix(part.features, queries[:1])
-        part.labels.sum()
         out = []
         for kind in cfg.classifiers:
             start = time.perf_counter()

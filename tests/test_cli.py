@@ -143,6 +143,37 @@ class TestConfigFile:
 
 
 FIXTURE = Path(__file__).parent / "data" / "adult_sample.data"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize(
+        "name, N, kappa, runs, seed",
+        [("sim_desk.cfg", 20000, 0.60, 200, 20260811), ("sim_full.cfg", 20000, 0.55, 500, 1)],
+    )
+    def test_simulation_config_builds_and_runs(self, tmp_path, name, N, kappa, runs, seed):
+        path = CONFIGS / name
+        args = build_parser().parse_args(["simulate", "--config", str(path)])
+        cfg = build_experiment_config(args, parse_config_file(path))
+        assert (cfg.N, cfg.kappa, cfg.runs, cfg.seed, cfg.split) == (N, kappa, runs, seed, "uniform")
+        assert cfg.epsilons == tuple(i / 10 for i in range(10))
+        assert [k.value for k in cfg.classifiers] == ["dann", "dann_nes", "dnn_qiao", "d1nn"]
+        assert (cfg.queries_per_run, cfg.include_log_in_bound) == (1, True)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--n", "300", "--runs", "1", "--output", str(out)]) == 0
+        assert len(read_csv_rows(out / "results.csv")) == 40
+
+    def test_census_config_runs_on_the_fixture(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["adult", "--config", str(CONFIGS / "adult.cfg"), "--data", str(FIXTURE),
+                     "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["seed"], manifest["test_fraction"]) == (20260811, 0.2)
+        assert manifest["config"]["split"] == "proportional"
+        rows = read_csv_rows(out / "results.csv")
+        assert [r["classifier"] for r in rows[:3]] == ["dann", "dnn_qiao", "d1nn"]
+        assert len(rows) == 30
+
 
 # Per key: (config-file text, the value it gives, flag text, the value it gives).
 SIMULATE_KEYS = {
@@ -491,6 +522,14 @@ class TestAdultCommand:
         assert (manifest["train_rows"], manifest["test_rows"]) == (11, 2)
         for row in read_csv_rows(out / "results.csv"):
             assert int(row["m"]) == shard_count(manifest["train_rows"], float(row["epsilon"]))
+
+    def test_test_fraction_leaving_one_training_row_rejected(self, tmp_path, capsys):
+        rc = main(["adult", "--data", str(FIXTURE), "--test-fraction", "0.99", "--output", str(tmp_path / "o")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "error: test_fraction=0.99 leaves 1 of 13 rows for training; at least 2 are needed" in err
+        assert "train=" not in out
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2"])
     def test_test_fraction_flag_outside_open_unit_interval(self, tmp_path, capsys, value):

@@ -3,17 +3,20 @@ exactly the modules of the package, and no module imports a name it never
 uses, so that folding, moving or removing a module cannot leave a stale
 export, import or doc line behind. ``oracle.py`` takes only the classifier
 names and the stopping config from the package, so that the reference shares
-no engine code with what it checks. Only ``cli.py`` writes files, so that one
-module knows how every output file is written. Every import is of the
-standard library or of a dependency that ``pyproject.toml`` declares, so that
-a package installed only on the machine at hand cannot pass here and fail on
-a clean install."""
+no engine code with what it checks. The two harnesses reach the engine only
+through its entry points and types, so that every kernel call they make is a
+classification. Only ``cli.py`` writes files, so that one module knows how
+every output file is written. Every import is of the standard library or of
+a dependency that ``pyproject.toml`` declares, so that a package installed
+only on the machine at hand cannot pass here and fail on a clean install."""
 
 import ast
 import importlib
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +61,35 @@ def test_oracle_shares_only_the_classifier_names_and_config():
         elif isinstance(node, ast.Import):
             shared += [alias.name for alias in node.names if alias.name.split(".")[0] == "distknn"]
     assert set(shared) <= {"ClassifierKind", "StoppingConfig"}, f"oracle.py imports {shared} from distknn"
+
+
+def _engine_names(module):
+    """The names ``module`` imports from ``distknn.engine``; the module itself as ``engine``."""
+    names = []
+    for node in ast.walk(ast.parse((ROOT / "src" / "distknn" / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = "distknn." * bool(node.level) + (node.module or "")
+            if source == "distknn.engine":
+                names += [alias.name for alias in node.names]
+            elif source.rstrip(".") == "distknn":
+                names += [alias.name for alias in node.names if alias.name == "engine"]
+        elif isinstance(node, ast.Import):
+            names += ["engine" for alias in node.names if alias.name == "distknn.engine"]
+    return names
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [
+        ("simharness", {"ClassifierKind", "Partition", "Shard", "StoppingConfig", "evaluate_query"}),
+        ("realdata", {"Shard", "StoppingConfig", "evaluate_queries"}),
+    ],
+)
+def test_harnesses_classify_through_the_engines_entry_points(module, allowed):
+    # a kernel call made outside evaluate_query(ies) is work that no
+    # classification is charged for and no traced count sees
+    names = _engine_names(module)
+    assert set(names) <= allowed, f"{module}.py imports {sorted(set(names) - allowed)} from distknn.engine"
 
 
 def test_only_cli_writes_files():

@@ -182,6 +182,13 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split(self.make_shard(10, rng), 1.0, rng)
 
+    def test_training_side_below_two_rows_rejected(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match=r"^test_fraction=0\.95 leaves 1 of 10 rows for training; at least 2"):
+            train_test_split(self.make_shard(10, rng), 0.95, rng)
+        split = train_test_split(self.make_shard(10, rng), 0.8, rng)
+        assert (split.train.size, split.test.size) == (2, 8)
+
 
 def learnable_dataset(n, rng, d=6):
     """Synthetic stand-in with genuinely learnable labels."""
