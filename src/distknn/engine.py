@@ -53,7 +53,7 @@ from __future__ import annotations
 import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -288,25 +288,21 @@ class Shard:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:
         return f"Shard(id={self.id}, size={self.size}, dim={self.dim})"
 
 
 @dataclass
 class Partition:
-    """Shards of one dataset stored contiguously, largest shard first."""
+    """Shards of one dataset stored contiguously, largest shard first; checks its sizes."""
 
     features: np.ndarray  # (N, d) column-major, permuted so shard j occupies offsets[j]:offsets[j+1]
     labels: np.ndarray  # (N,)
     sizes: np.ndarray  # (m,) nonincreasing
-    offsets: np.ndarray  # (m + 1,)
+    offsets: np.ndarray = field(init=False)  # (m + 1,) cumulative sizes from 0
 
-    @classmethod
-    def from_shard(cls, data: Shard, sizes: np.ndarray, rng: np.random.Generator) -> "Partition":
-        raw = np.asarray(sizes)
+    def __post_init__(self) -> None:
+        raw = np.asarray(self.sizes)
         if raw.ndim != 1 or raw.dtype.kind not in "iuf":
             raise ValueError(f"shard sizes must be a 1-D array of numbers, got {raw.dtype} of shape {raw.shape}")
         bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.floor(raw)))
@@ -316,12 +312,16 @@ class Partition:
         bad = np.flatnonzero(sizes < 1)
         if bad.size:
             raise ValueError(f"shard {int(bad[0])}: size {sizes[bad[0]]} is below 1")
-        if int(sizes.sum()) != data.size:
+        if int(sizes.sum()) != self.features.shape[0]:
             raise ValueError("shard sizes must sum to the data size")
         if np.any(np.diff(sizes) > 0):
             raise ValueError("shard sizes must be nonincreasing")
+        self.sizes = sizes
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+
+    @classmethod
+    def from_shard(cls, data: Shard, sizes: np.ndarray, rng: np.random.Generator) -> "Partition":
         perm = rng.permutation(data.size)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
         labels = data.labels[perm]
         # Gathered straight into column-major order, so that the distance kernel
         # reads each coordinate contiguously. Coordinate c of point i sits at
@@ -334,12 +334,7 @@ class Partition:
         for c in range(data.dim):
             np.take(flat, perm, out=columns[c], mode="clip")
             perm += 1
-        return cls(
-            features=columns.T,
-            labels=labels,
-            sizes=sizes,
-            offsets=offsets,
-        )
+        return cls(columns.T, labels, sizes)
 
     def __len__(self) -> int:
         return self.sizes.shape[0]

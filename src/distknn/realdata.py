@@ -59,13 +59,16 @@ _FEATURE_COLUMNS = {
 def read_text(path) -> str:
     """A file's text, read as UTF-8 after its byte-order mark if it has one.
 
-    A byte that is not UTF-8 is an error naming the file and the byte's line.
+    A byte that is not UTF-8 is an error naming the file and the byte's line,
+    where a CR LF pair, a lone CR and a lone LF each end a line, as they do
+    for the readers that split this text into lines.
     """
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as err:  # err.object and its offsets start after the mark
-        byte, line = err.object[err.start], err.object.count(b"\n", 0, err.start) + 1
+        head = err.object[: err.start]
+        byte, line = err.object[err.start], head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}: line {line}: byte {byte:#04x} is not UTF-8 ({err.reason})") from None
 
 

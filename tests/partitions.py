@@ -10,7 +10,7 @@ from distknn.engine import Partition, build_prefix_tensor, query_distance_matrix
 def one_shard(shard):
     """``shard`` as a one-shard partition, its points kept in storage order."""
     n = shard.size
-    return Partition(features=shard.features, labels=shard.labels, sizes=np.array([n]), offsets=np.array([0, n]))
+    return Partition(features=shard.features, labels=shard.labels, sizes=np.array([n]))
 
 
 def line_partition(label_rows, d=3):
@@ -24,8 +24,7 @@ def line_partition(label_rows, d=3):
     feats = np.zeros((int(sizes.sum()), d))
     feats[:, 0] = np.concatenate([np.arange(1, n + 1) for n in sizes])
     labels = np.concatenate([np.asarray(row, dtype=np.int64) for row in label_rows])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return Partition(features=feats, labels=labels, sizes=sizes, offsets=offsets)
+    return Partition(features=feats, labels=labels, sizes=sizes)
 
 
 def back_to_back(profiles, depths):

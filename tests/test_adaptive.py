@@ -177,6 +177,11 @@ class TestStoppingThreshold:
         assert stopping_threshold(StoppingConfig(N=100, d=4)) > base
         assert stopping_threshold(StoppingConfig(N=101, d=3)) > base
 
+    @pytest.mark.parametrize("kw, message", [({"N": 1, "d": 3}, "N must be >= 2"), ({"N": 10, "d": 0}, "d must be >= 1")])
+    def test_config_below_its_range_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StoppingConfig(**kw)
+
 
 class TestAdaptiveSelect:
     def test_single_shard_all_ones_reaches_bound(self):

@@ -165,3 +165,13 @@ def test_kind_parse_roundtrip():
         assert ClassifierKind.parse(kind.value.upper()) is kind
     with pytest.raises(ValueError):
         ClassifierKind.parse("nearest")
+
+
+def test_kind_that_is_not_a_classifier_kind_rejected():
+    # a name is parsed at the boundary; the depth rules and the oracle take the enum only
+    cfg = StoppingConfig(N=3, d=3)
+    part = line_partition([[1, 0], [1]])
+    with pytest.raises(ValueError, match="^unhandled classifier kind 'dann'$"):
+        depths("dann", part.sizes, cfg)
+    with pytest.raises(ValueError, match="^unhandled classifier kind 'd1nn'$"):
+        oracle.classify(part, ORIGIN, "d1nn", cfg)

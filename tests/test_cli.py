@@ -59,6 +59,18 @@ class TestConfigFile:
         assert f"error: {path}: line 2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_non_utf8_byte_after_other_line_ends_names_its_line(self, tmp_path, capsys, end):
+        # the config reader counts a lone CR as a line end, so the byte's line must too
+        path = tmp_path / "a.cfg"
+        path.write_bytes(end.join(["n = 100", "runs = 1", "bogus = 2", ""]).encode())
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "o")]) == 1
+        assert f"{path}:3: config key 'bogus'" in capsys.readouterr().err
+        path.write_bytes(end.encode().join([b"n = 100", b"runs = 1", b"seed = \xe9", b""]))
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "o")]) == 1
+        assert f"error: {path}: line 3: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "bom.cfg"
         path.write_text("\ufeffseed = 3\n", encoding="utf-8")
@@ -437,6 +449,13 @@ class TestAdultCommand:
         assert rc == 1
         assert str(tmp_path) in capsys.readouterr().err
 
+    def test_default_path_without_data_or_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("DISTKNN_DATA_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["adult", "--output", "o"]) == 1
+        assert f"census file not found at {Path('data') / 'adult.data'};" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_pipeline_on_fixture(self, tmp_path):
         fixture = Path(__file__).parent / "data" / "adult_sample.data"
         out = tmp_path / "out"
@@ -725,6 +744,30 @@ class TestClassifyCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("table", ["train", "queries"])
+    def test_empty_table_rejected(self, tmp_path, capsys, table):
+        files = dict(zip(("train", "queries"), self.make_files(tmp_path, np.random.default_rng(8))))
+        files[table].write_text("")
+        rc = main(["classify", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                   "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {files[table]}: empty file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("table, column", [("train", "y"), ("queries", "x")])
+    def test_cell_that_is_not_a_number_names_the_file_row_and_column(self, tmp_path, capsys, table, column):
+        files = dict(zip(("train", "queries"), self.make_files(tmp_path, np.random.default_rng(8))))
+        lines = files[table].read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = "abc"
+        lines[2] = ",".join(cells)  # line 3
+        files[table].write_text("\n".join(lines) + "\n")
+        rc = main(["classify", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                   "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {files[table]}: row 3: column '{column}': 'abc' is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("table", ["train", "queries"])
     def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, capsys, table):
         # classify reads two files, so the message must say which one
         files = dict(zip(("train", "queries"), self.make_files(tmp_path, np.random.default_rng(8))))
@@ -836,6 +879,21 @@ def test_selftest_catches_a_faulty_scan(monkeypatch, capsys, fault):
     monkeypatch.setattr(cli, "scan_first_crossing", faulty)
     assert run_selftest(instances=30, seed=0) > 0
     assert "first crossing vs the oracle's walk on 240 scans: " in capsys.readouterr().out
+
+
+def test_selftest_command_fails_with_status_one(monkeypatch, capsys):
+    # CI relies on this exit status; the scan's crossed flag is inverted
+    from distknn import cli
+
+    def faulty(prefix, kj, threshold, _scan=cli.scan_first_crossing):
+        stop, eta, crossed = _scan(prefix, kj, threshold)
+        return stop, eta, ~crossed
+
+    monkeypatch.setattr(cli, "scan_first_crossing", faulty)
+    assert main(["selftest", "--instances", "50"]) == 1
+    out, err = capsys.readouterr()
+    assert "selftest passed" not in out
+    assert re.search(r"^selftest FAILED with [1-9]\d* mismatching checks$", err, re.M)
 
 
 def _bound_one_more(n1, cfg):

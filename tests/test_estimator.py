@@ -86,7 +86,6 @@ class TestClassify:
             features=np.zeros((10000, 3)),
             labels=labels,
             sizes=np.ones(10000, dtype=np.int64),
-            offsets=np.arange(10001),
         )
         label, _, eta = evaluate_query(part, np.zeros(3), ClassifierKind.D1NN, self.cfg)
         assert (label, eta) == (0, 0.4999)

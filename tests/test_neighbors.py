@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from unittest import mock
 
@@ -95,6 +96,11 @@ class TestShardChecks:
     def test_fractional_label_rejected_naming_its_row(self, label):
         with pytest.raises(ValueError, match=rf"^labels must be 0 or 1: row 1 is {label}$"):
             Shard(1, np.zeros((3, 2)), [0.0, label, 1.0])
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_labels_of_another_length_rejected(self, count):
+        with pytest.raises(ValueError, match="^labels must be a vector matching the point count$"):
+            Shard(1, np.zeros((3, 2)), np.zeros(count, dtype=np.int64))
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match=r"nonempty \(n, d\) array, got shape \(4, 0\)"):
@@ -491,6 +497,33 @@ class TestTypes:
         data = Shard(1, np.zeros((5, 3)), np.zeros(5, dtype=int))
         with pytest.raises(ValueError, match=re.escape(message)):
             Partition.from_shard(data, sizes, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([[3, 2]], "shard sizes must be a 1-D array of numbers, got int64 of shape (1, 2)"),
+            ([3.0, 2.5], "shard 1: size 2.5 is not a whole number"),
+            ([5, 0], "shard 1: size 0 is below 1"),
+            ([3, 1], "shard sizes must sum to the data size"),
+            ([2, 3], "shard sizes must be nonincreasing"),
+        ],
+        ids=["two-dimensional", "fraction", "below-one", "sum", "increasing"],
+    )
+    def test_partition_checks_its_own_sizes(self, sizes, message):
+        # a hand-built partition keeps its points in order but gets the same
+        # checks, word for word, as one from from_shard
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Partition(np.zeros((5, 3)), np.zeros(5, dtype=np.int64), np.array(sizes))
+
+    def test_partition_derives_its_offsets(self):
+        assert [f.name for f in dataclasses.fields(Partition) if f.init] == ["features", "labels", "sizes"]
+        part = Partition(np.zeros((9, 2)), np.zeros(9, dtype=np.int64), np.array([4.0, 4.0, 1.0]))
+        assert part.sizes.dtype == np.int64 and part.sizes.tolist() == [4, 4, 1]
+        assert part.offsets.tolist() == [0, 4, 8, 9]
+        rng = np.random.default_rng(5)
+        sizes = np.array([6, 4, 4, 1])
+        part = Partition.from_shard(Shard(1, rng.random((15, 3)), rng.integers(0, 2, 15)), sizes, rng)
+        assert part.offsets.tolist() == [0, *np.cumsum(sizes).tolist()]
 
     def test_profile_batch_roundtrip(self):
         # the profile row holds each shard's own profile up to its depth,

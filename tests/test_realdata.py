@@ -182,6 +182,12 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split(self.make_shard(10, rng), 1.0, rng)
 
+    def test_empty_test_side_rejected(self):
+        # ceil(10 * 0.99) leaves all 10 rows for training
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="^test split is empty; lower the test fraction$"):
+            train_test_split(self.make_shard(10, rng), 0.01, rng)
+
     def test_training_side_below_two_rows_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match=r"^test_fraction=0\.95 leaves 1 of 10 rows for training; at least 2"):

@@ -10,6 +10,7 @@ import pytest
 from distknn.engine import ClassifierKind
 from distknn.simharness import (
     ExperimentConfig,
+    ExperimentResult,
     GridConfig,
     ResultRow,
     SyntheticModel,
@@ -119,6 +120,10 @@ class TestGenerateSample:
         se = math.sqrt(expected * (1 - expected) / n)
         assert abs(shard.labels.mean() - expected) < 3 * se
 
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            generate_sample(0, SyntheticModel(0.6), np.random.default_rng(0))
+
 
 class TestPartitionUniform:
     def test_remainder_distribution(self):
@@ -190,6 +195,12 @@ class TestPartitionProportional:
         with pytest.raises(ValueError, match="nonempty"):
             partition_proportional(data, 6, rng)
 
+    def test_m_below_one_rejected(self):
+        rng = np.random.default_rng(4)
+        data = generate_sample(5, SyntheticModel(0.6), rng)
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            partition_proportional(data, 0, rng)
+
     def test_union_preserves_data(self):
         rng = np.random.default_rng(11)
         data = generate_sample(83, SyntheticModel(0.6), rng)
@@ -231,6 +242,10 @@ class TestExperimentConfig:
             ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0,), runs=0)
         with pytest.raises(ValueError, match=re.escape("kappa=0.0 outside (0, 1]")):
             ExperimentConfig(N=100, kappa=0.0, epsilons=(0.0,))
+
+    def test_queries_per_run_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^queries_per_run must be >= 1$"):
+            ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0,), queries_per_run=0)
 
     @pytest.mark.parametrize(
         "field, values, message",
@@ -360,6 +375,15 @@ class TestRunExperiment:
         blob = json.loads(json.dumps(res.to_json_obj()))
         assert blob["config"]["N"] == 400
         assert blob["rows"] == [dataclasses.asdict(r) for r in res.rows]
+
+    def test_row_of_a_cell_the_grid_lacks_rejected(self):
+        res = ExperimentResult(config=self.small_cfg(), rows=[])
+        res.add_row("dann", 0.0, 1, np.ones(2), np.array([3, 4]), 0.1)
+        assert res.row(ClassifierKind.DANN, 0.0).k1_max == 4
+        with pytest.raises(KeyError, match=re.escape("('dann', 0.5)")):
+            res.row(ClassifierKind.DANN, 0.5)
+        with pytest.raises(KeyError, match=re.escape("('d1nn', 0.0)")):
+            res.row("d1nn", 0.0)
 
     def test_queries_per_run_multiplies_samples(self):
         cfg = self.small_cfg(runs=4, queries_per_run=3, epsilons=(0.0,))
