@@ -157,7 +157,7 @@ class ClassifierKind(Enum):
 
     @classmethod
     def parse(cls, name: str) -> "ClassifierKind":
-        key = name.strip().lower()
+        key = name.strip().lower() if isinstance(name, str) else None
         for kind in cls:
             if kind.value == key:
                 return kind
@@ -241,6 +241,27 @@ def depths(kind: ClassifierKind, sizes: np.ndarray, cfg: StoppingConfig) -> np.n
     raise ValueError(f"unhandled classifier kind {kind!r}")
 
 
+def _checked_labels(features: np.ndarray, labels) -> np.ndarray:
+    """Check labeled points and return their labels as contiguous int64.
+
+    ``features`` must be a nonempty (n, d) float array of finite points, and ``labels``
+    n values of 0 or 1, checked before the cast, which would round 0.5 to 0.
+    """
+    labs = np.asarray(labels)
+    if features.ndim != 2 or features.size == 0:
+        raise ValueError(f"features must be a nonempty (n, d) array, got shape {features.shape}")
+    if labs.shape != (features.shape[0],):
+        raise ValueError("labels must be a vector matching the point count")
+    if not np.isfinite(features).all():
+        row = int(np.argmin(np.isfinite(features).all(axis=1)))
+        raise ValueError(f"features must be finite: row {row} is {features[row].tolist()}")
+    bad = (labs != 0) & (labs != 1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"labels must be 0 or 1: row {row} is {labs[row].item()!r}")
+    return np.ascontiguousarray(labs, dtype=np.int64)
+
+
 class Shard:
     """One machine's sub-sample: an ordered, immutable set of labeled points.
 
@@ -257,28 +278,14 @@ class Shard:
     __slots__ = ("id", "features", "labels")
 
     def __init__(self, shard_id: int, features: np.ndarray, labels: np.ndarray):
-        # views, frozen below, so the caller's own arrays stay writeable
-        feats = np.ascontiguousarray(features, dtype=np.float64).view()
-        labs = np.asarray(labels)  # checked before the cast, which would round 0.5 to 0
         if shard_id < 1:
             raise ValueError("shard id must be >= 1")
-        if feats.ndim != 2 or feats.size == 0:
-            raise ValueError(f"features must be a nonempty (n, d) array, got shape {feats.shape}")
-        if labs.shape != (feats.shape[0],):
-            raise ValueError("labels must be a vector matching the point count")
-        if not np.isfinite(feats).all():
-            row = int(np.argmin(np.isfinite(feats).all(axis=1)))
-            raise ValueError(f"features must be finite: row {row} is {feats[row].tolist()}")
-        bad = (labs != 0) & (labs != 1)
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ValueError(f"labels must be 0 or 1: row {row} is {labs[row].item()!r}")
-        labs = np.ascontiguousarray(labs, dtype=np.int64).view()
-        feats.setflags(write=False)
-        labs.setflags(write=False)
         self.id = int(shard_id)
-        self.features = feats
-        self.labels = labs
+        # views, frozen below, so the caller's own arrays stay writeable
+        self.features = np.ascontiguousarray(features, dtype=np.float64).view()
+        self.labels = _checked_labels(self.features, labels).view()
+        self.features.setflags(write=False)
+        self.labels.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -294,14 +301,16 @@ class Shard:
 
 @dataclass
 class Partition:
-    """Shards of one dataset stored contiguously, largest shard first; checks its sizes."""
+    """Shards of one dataset stored contiguously, largest shard first; checks its points, labels and sizes."""
 
-    features: np.ndarray  # (N, d) column-major, permuted so shard j occupies offsets[j]:offsets[j+1]
+    features: np.ndarray  # (N, d), shard j in rows offsets[j]:offsets[j+1]; column-major from from_shard
     labels: np.ndarray  # (N,)
     sizes: np.ndarray  # (m,) nonincreasing
     offsets: np.ndarray = field(init=False)  # (m + 1,) cumulative sizes from 0
 
     def __post_init__(self) -> None:
+        self.features = np.asarray(self.features, dtype=np.float64)  # float64 kept as given, layout included
+        self.labels = _checked_labels(self.features, self.labels)
         raw = np.asarray(self.sizes)
         if raw.ndim != 1 or raw.dtype.kind not in "iuf":
             raise ValueError(f"shard sizes must be a 1-D array of numbers, got {raw.dtype} of shape {raw.shape}")
@@ -387,8 +396,8 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
 def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest entries per row, ordered by (value, index).
 
-    ``dist`` has shape (rows, n) with 1 <= k <= n; the result, shape
-    (rows, min(k, n)), equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]``.
+    ``dist`` has shape (rows, n) and k >= 1, where a k of n or more returns the whole row
+    sorted; the result, shape (rows, min(k, n)), equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]``.
     ``dist`` is left as it was, and a k below 1 raises ``ValueError``. The
     work follows k and the row width n, not the number of rows, through one
     of five paths:

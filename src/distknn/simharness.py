@@ -81,6 +81,8 @@ def generate_sample(n: int, model: SyntheticModel, rng: np.random.Generator) -> 
 
 def partition_uniform(data: Shard, m: int, rng: np.random.Generator) -> Partition:
     """Random split into m shards whose sizes differ by at most one."""
+    if not isinstance(m, (int, np.integer)):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if not 1 <= m <= data.size:
         raise ValueError(f"m={m} outside [1, {data.size}]")
     base, rem = divmod(data.size, m)
@@ -96,6 +98,8 @@ def partition_proportional(data: Shard, m: int, rng: np.random.Generator) -> Par
     N*j / (1 + ... + m); every shard is kept nonempty by shaving the largest
     shards when small quotas round to zero.
     """
+    if not isinstance(m, (int, np.integer)):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > data.size:
@@ -148,6 +152,8 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.split not in ("uniform", "proportional"):
             raise ValueError(f"split must be 'uniform' or 'proportional', got {self.split!r}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         eps = tuple(float(e) for e in self.epsilons)
@@ -179,13 +185,13 @@ class ExperimentConfig(GridConfig):
     queries_per_run: int = 1
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
+        for name, low in (("N", 2), ("runs", 1), ("queries_per_run", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         SyntheticModel(self.kappa)  # its range check, before any run
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.queries_per_run < 1:
-            raise ValueError("queries_per_run must be >= 1")
         super().__post_init__()
 
 

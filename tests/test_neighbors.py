@@ -91,26 +91,96 @@ class TestEuclideanDistance:
 
 
 class TestShardChecks:
+    @staticmethod
+    def build(features, labels):
+        return Shard(1, features, labels)
+
     # labels are checked before the int64 cast, which would take 0.5 to 0 and 1.7 to 1
     @pytest.mark.parametrize("label", [0.5, 1.7])
     def test_fractional_label_rejected_naming_its_row(self, label):
         with pytest.raises(ValueError, match=rf"^labels must be 0 or 1: row 1 is {label}$"):
-            Shard(1, np.zeros((3, 2)), [0.0, label, 1.0])
+            self.build(np.zeros((3, 2)), [0.0, label, 1.0])
+
+    @pytest.mark.parametrize("label", [7, 2, -1])
+    def test_whole_label_outside_zero_one_rejected(self, label):
+        with pytest.raises(ValueError, match=rf"^labels must be 0 or 1: row 3 is {label}$"):
+            self.build(np.zeros((5, 1)), np.array([1, 1, 0, label, 1]))
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_labels_of_another_length_rejected(self, count):
         with pytest.raises(ValueError, match="^labels must be a vector matching the point count$"):
-            Shard(1, np.zeros((3, 2)), np.zeros(count, dtype=np.int64))
+            self.build(np.zeros((3, 2)), np.zeros(count, dtype=np.int64))
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match=r"nonempty \(n, d\) array, got shape \(4, 0\)"):
-            Shard(1, np.zeros((4, 0)), [0, 1, 0, 1])
+            self.build(np.zeros((4, 0)), [0, 1, 0, 1])
+
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ValueError, match=r"^features must be a nonempty \(n, d\) array, got shape \(5,\)$"):
+            self.build(np.arange(1.0, 6.0), [0, 1, 0, 0, 0])
 
     def test_nonfinite_feature_names_its_row(self):
         feats = np.zeros((3, 2))
         feats[2, 1] = np.nan
         with pytest.raises(ValueError, match=r"^features must be finite: row 2 is \[0.0, nan\]$"):
-            Shard(1, feats, [0, 1, 0])
+            self.build(feats, [0, 1, 0])
+
+
+class TestPartitionChecks(TestShardChecks):
+    """A hand-built one-shard partition gets the same checks, word for word, as a Shard."""
+
+    @staticmethod
+    def build(features, labels):
+        return Partition(features, labels, np.array([len(features)]))
+
+    def test_features_keep_their_layout_and_labels_become_int64(self):
+        # float64 features are kept as given, not copied, so from_shard's
+        # column-major gather reaches the distance kernel as it was laid out
+        feats = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        part = self.build(feats, np.array([1.0, 0.0, 1.0])[::-1])
+        assert part.features is feats
+        assert part.labels.dtype == np.int64 and part.labels.flags.c_contiguous
+        assert part.labels.tolist() == [1, 0, 1]
+        rng = np.random.default_rng(2)
+        part = Partition.from_shard(Shard(1, rng.random((12, 3)), rng.integers(0, 2, 12)), np.array([5, 4, 3]), rng)
+        assert part.features.flags.f_contiguous and not part.features.flags.c_contiguous
+
+
+# Hand-built partitions whose points or labels may be bad: a NaN or an
+# infinite coordinate, or a label of 2, -1 or 0.5, at one drawn position. The
+# constructor rejects exactly those; every other partition classifies as the
+# oracle does, bit for bit.
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(lambda s: sorted(s, reverse=True)),
+    d=st.integers(1, 3),
+    bad_point=st.sampled_from([None, None, None, np.nan, np.inf, -np.inf]),
+    bad_label=st.sampled_from([None, None, None, 2, -1, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hand_built_partition_rejected_or_matches_oracle(sizes, d, bad_point, bad_label, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + 1
+    sizes = [sizes[0] + 1, *sizes[1:]]  # N >= 2, as StoppingConfig needs
+    feats = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, d))  # tie-prone
+    labels = rng.integers(0, 2, n).astype(np.float64 if bad_label == 0.5 else np.int64)
+    if bad_point is not None:
+        feats.flat[rng.integers(feats.size)] = bad_point
+    if bad_label is not None:
+        labels[rng.integers(n)] = bad_label
+    try:
+        part = Partition(feats, labels, np.array(sizes))
+    except ValueError:
+        assert bad_point is not None or bad_label is not None
+        return
+    assert bad_point is None and bad_label is None
+    cfg = StoppingConfig(N=n, d=d)
+    queries = rng.choice([0.0, 0.25, 0.5, 1.0], size=(3, d))
+    for kind in ClassifierKind:
+        got = evaluate_queries(part, queries, kind, cfg)
+        for i, query in enumerate(queries):
+            label, k1, eta = oracle.classify(part, query, kind, cfg)
+            assert (int(got[0][i]), int(got[1][i]), float(got[2][i])) == (label, k1, eta), kind
 
 
 class TestNeighborProfile:

@@ -271,6 +271,40 @@ class TestExperimentConfig:
         assert d["classifiers"] == ["dann", "dann_nes", "dnn_qiao", "d1nn"]
 
 
+def _sample(n=10):
+    return generate_sample(n, SyntheticModel(0.6), np.random.default_rng(0))
+
+
+# a count that is not an integer is named with its value at construction or
+# entry, where it would otherwise fail every run, or fail late with another message
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ExperimentConfig(N=50.0, kappa=0.6, epsilons=(0,), runs=2), "N must be an integer, got 50.0"),
+        (lambda: ExperimentConfig(N=50, kappa=0.6, epsilons=(0,), runs=1.5), "runs must be an integer, got 1.5"),
+        (lambda: ExperimentConfig(N=50, kappa=0.6, epsilons=(0,), queries_per_run=2.0),
+         "queries_per_run must be an integer, got 2.0"),
+        (lambda: ExperimentConfig(N=50, kappa=0.6, epsilons=(0,), seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: GridConfig(epsilons=(0,), seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: partition_proportional(_sample(), 2.5, np.random.default_rng(0)), "m must be an integer, got 2.5"),
+        (lambda: partition_uniform(_sample(), 2.0, np.random.default_rng(0)), "m must be an integer, got 2.0"),
+    ],
+    ids=["N", "runs", "queries_per_run", "seed", "grid-seed", "proportional-m", "uniform-m"],
+)
+def test_count_that_is_not_an_integer_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_python_and_numpy_integer_counts_accepted():
+    cfg = ExperimentConfig(N=np.int64(50), kappa=0.6, epsilons=(0,), runs=np.int32(2), queries_per_run=np.uint8(1),
+                           seed=np.int64(3))
+    assert len(run_experiment(cfg).rows) == len(ClassifierKind)
+    for m in (2, np.int64(2)):
+        assert partition_uniform(_sample(), m, np.random.default_rng(0)).sizes.tolist() == [5, 5]
+        assert partition_proportional(_sample(), m, np.random.default_rng(0)).sizes.tolist() == [7, 3]
+
+
 class TestGridConfig:
     GRID_KEYS = ["epsilons", "split", "seed", "classifiers", "include_log_in_bound"]
 
@@ -289,6 +323,15 @@ class TestGridConfig:
         for config in (GridConfig, lambda **k: ExperimentConfig(N=100, kappa=0.6, **k)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 config(**kw)
+
+    @pytest.mark.parametrize("classifiers", [(None,), (ClassifierKind.DANN, 3)], ids=["none", "number"])
+    def test_classifier_that_is_not_a_string_rejected(self, classifiers):
+        # parse names the value instead of failing on its missing str methods
+        bad = classifiers[-1]
+        with pytest.raises(ValueError, match=f"^unknown classifier {bad!r}; expected one of "):
+            GridConfig(epsilons=(0,), classifiers=classifiers)
+        with pytest.raises(ValueError, match=f"^unknown classifier {bad!r}"):
+            ClassifierKind.parse(bad)
 
     def test_keyword_only_and_frozen(self):
         with pytest.raises(TypeError):
