@@ -11,17 +11,18 @@ n_1. The fixed-depth distributed NN and distributed 1-NN take a single step.
 
 Neighbors are ordered by (distance, point index within the shard): ties in
 distance are broken by ascending index, so every search result is
-deterministic and bit-for-bit reproducible. A Shard holds one machine's
-labeled points. Distances come from one kernel (``query_distance_matrix``),
-``k_smallest_rows`` selects in that order, and the two profile builders turn
-each shard's pick into label prefix sums. ``oracle.py`` follows the same
-contract with plain loops, so the two agree bit for bit at every dimension.
+deterministic and bit-for-bit reproducible. Distances come from one kernel
+(``query_distance_matrix``), ``k_smallest_rows`` selects in that order, and
+the two profile builders turn each shard's pick into label prefix sums.
+``oracle.py`` follows the same contract with plain loops, so the two agree bit
+for bit at every dimension.
 
-A Partition keeps all shards of one split in two flat arrays, shards laid out
-contiguously in nonincreasing size order. Because equal-sized shards sit next
-to each other, neighbor search vectorizes across whole runs of shards that
-share a size and a depth (and across query batches): the Python loop is over
-runs, never over shards. Where those runs are many per query row, as on a
+A Partition keeps all shards of one split in two flat read-only arrays, shards
+laid out contiguously in nonincreasing size order; a Shard, one machine's
+labeled points, is a Partition of one shard. Because equal-sized shards sit
+next to each other, neighbor search vectorizes across whole runs of shards
+that share a size and a depth (and across query batches): the Python loop is
+over runs, never over shards. Where those runs are many per query row, as on a
 proportional split's middle epsilons (``SEGMENT_RUNS_PER_ROW``), the profiles
 instead come from one sort of each distance row's candidates. Either way, a
 query's profiles are one row: the shards' label prefix sums back to back.
@@ -182,6 +183,8 @@ class StoppingConfig:
             raise ValueError("N must be >= 2")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        if not isinstance(self.include_log_in_bound, (bool, np.bool_)):
+            raise ValueError(f"include_log_in_bound must be a bool, got {self.include_log_in_bound!r}")
 
 
 def k1_bound(n1: int, cfg: StoppingConfig) -> int:
@@ -207,6 +210,8 @@ def depth_matrix(cap: int, sizes: np.ndarray) -> np.ndarray:
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n1 = int(sizes[0])
+    if not isinstance(cap, (int, np.integer)):
+        raise ValueError(f"a walk's step count must be an integer, got {cap!r}")
     if not 1 <= cap <= n1:
         raise ValueError(f"a walk of {cap} steps is outside [1, n_1 = {n1}]")
     kj = np.arange(1, cap + 1, dtype=np.int64)[:, None] * sizes
@@ -262,46 +267,9 @@ def _checked_labels(features: np.ndarray, labels) -> np.ndarray:
     return np.ascontiguousarray(labs, dtype=np.int64)
 
 
-class Shard:
-    """One machine's sub-sample: an ordered, immutable set of labeled points.
-
-    Parameters
-    ----------
-    shard_id : int
-        Identifier, >= 1.
-    features : ndarray of shape (n, d)
-        Point coordinates, finite doubles.
-    labels : ndarray of shape (n,)
-        Binary labels in {0, 1}.
-    """
-
-    __slots__ = ("id", "features", "labels")
-
-    def __init__(self, shard_id: int, features: np.ndarray, labels: np.ndarray):
-        if shard_id < 1:
-            raise ValueError("shard id must be >= 1")
-        self.id = int(shard_id)
-        # views, frozen below, so the caller's own arrays stay writeable
-        self.features = np.ascontiguousarray(features, dtype=np.float64).view()
-        self.labels = _checked_labels(self.features, labels).view()
-        self.features.setflags(write=False)
-        self.labels.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    def __repr__(self) -> str:
-        return f"Shard(id={self.id}, size={self.size}, dim={self.dim})"
-
-
-@dataclass
+@dataclass(eq=False)
 class Partition:
-    """Shards of one dataset stored contiguously, largest shard first; checks its points, labels and sizes."""
+    """Shards of one dataset, stored contiguously and read-only, largest first; checks its points, labels and sizes."""
 
     features: np.ndarray  # (N, d), shard j in rows offsets[j]:offsets[j+1]; column-major from from_shard
     labels: np.ndarray  # (N,)
@@ -309,8 +277,8 @@ class Partition:
     offsets: np.ndarray = field(init=False)  # (m + 1,) cumulative sizes from 0
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)  # float64 kept as given, layout included
-        self.labels = _checked_labels(self.features, self.labels)
+        self.features = np.asarray(self.features, dtype=np.float64).view()  # float64 kept as given, layout included
+        self.labels = _checked_labels(self.features, self.labels).view()
         raw = np.asarray(self.sizes)
         if raw.ndim != 1 or raw.dtype.kind not in "iuf":
             raise ValueError(f"shard sizes must be a 1-D array of numbers, got {raw.dtype} of shape {raw.shape}")
@@ -327,9 +295,11 @@ class Partition:
             raise ValueError("shard sizes must be nonincreasing")
         self.sizes = sizes
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        for array in (self.features, self.labels, self.sizes, self.offsets):  # views: the caller's stay writeable
+            array.setflags(write=False)
 
-    @classmethod
-    def from_shard(cls, data: Shard, sizes: np.ndarray, rng: np.random.Generator) -> "Partition":
+    @staticmethod
+    def from_shard(data: Shard, sizes: np.ndarray, rng: np.random.Generator) -> "Partition":
         perm = rng.permutation(data.size)
         labels = data.labels[perm]
         # Gathered straight into column-major order, so that the distance kernel
@@ -343,7 +313,7 @@ class Partition:
         for c in range(data.dim):
             np.take(flat, perm, out=columns[c], mode="clip")
             perm += 1
-        return cls(columns.T, labels, sizes)
+        return Partition(columns.T, labels, sizes)
 
     def __len__(self) -> int:
         return self.sizes.shape[0]
@@ -362,6 +332,25 @@ class Partition:
         starts = np.concatenate([[0], np.flatnonzero(change) + 1])
         stops = np.append(starts[1:], len(self.sizes))
         return list(zip(starts.tolist(), stops.tolist(), self.sizes[starts].tolist()))
+
+
+class Shard(Partition):
+    """One machine's sub-sample: a one-shard Partition, its points in the order given, with an integer id >= 1."""
+
+    def __init__(self, shard_id: int, features: np.ndarray, labels: np.ndarray):
+        if not isinstance(shard_id, (int, np.integer)):
+            raise ValueError(f"shard id must be an integer, got {shard_id!r}")
+        if shard_id < 1:
+            raise ValueError("shard id must be >= 1")
+        self.id = int(shard_id)
+        super().__init__(features, labels, np.shape(features)[:1])
+
+    @property
+    def size(self) -> int:
+        return self.features.shape[0]
+
+    def __repr__(self) -> str:
+        return f"Shard(id={self.id}, size={self.size}, dim={self.dim})"
 
 
 def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -749,6 +738,9 @@ def evaluate_queries(
     (0-based). ``cfg`` must hold the partition's N and d. No query rows give
     three empty arrays.
     """
+    for name, value in (("workers", workers), ("chunk_size", chunk_size)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if (cfg.N, cfg.d) != (partition.total, partition.dim):

@@ -54,6 +54,8 @@ class SyntheticModel:
     kappa: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kappa, (int, float, np.integer, np.floating)):
+            raise ValueError(f"kappa must be a number, got {self.kappa!r}")
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError(f"kappa={self.kappa} outside (0, 1]")
 
@@ -156,6 +158,8 @@ class GridConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.include_log_in_bound, (bool, np.bool_)):
+            raise ValueError(f"include_log_in_bound must be a bool, got {self.include_log_in_bound!r}")
         eps = tuple(float(e) for e in self.epsilons)
         kinds = tuple(k if isinstance(k, ClassifierKind) else ClassifierKind.parse(k) for k in self.classifiers)
         for what, keys in (("epsilon", eps), ("classifier", [k.value for k in kinds])):
@@ -323,6 +327,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     back in task order. A run that raises is listed in ``failures``; an
     epsilon whose every run does has no rows.
     """
+    if not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     tasks = [(cfg, ei, ri) for ei in range(len(cfg.epsilons)) for ri in range(cfg.runs)]
     workers = min(workers, len(tasks))
     if workers <= 1:

@@ -121,6 +121,13 @@ class TestSubK:
             with pytest.raises(ValueError, match=f"a walk of {cap} steps is outside"):
                 depth_matrix(cap, sizes)
 
+    @pytest.mark.parametrize("cap", [2.5, 3.0, "3"])
+    def test_walk_that_is_not_an_integer_rejected(self, cap):
+        # 2.5 gave three rows, [[1, 1], [2, 2], [3, 2]]
+        with pytest.raises(ValueError, match=f"^a walk's step count must be an integer, got {cap!r}$"):
+            depth_matrix(cap, np.array([5, 3]))
+        assert depth_matrix(np.int64(3), np.array([5, 3])).tolist() == [[1, 1], [2, 2], [3, 2]]
+
 
 @given(
     sizes=st.lists(st.integers(1, 400), min_size=1, max_size=12),
@@ -181,6 +188,16 @@ class TestStoppingThreshold:
     def test_config_below_its_range_rejected(self, kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             StoppingConfig(**kw)
+
+    @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+    def test_log_flag_that_is_not_a_bool_rejected(self, flag):
+        # "no" was read as true: k1_bound(20000, .) gave 521, the bound with its log N factor
+        with pytest.raises(ValueError, match=f"^include_log_in_bound must be a bool, got {flag!r}$"):
+            StoppingConfig(N=20000, d=3, include_log_in_bound=flag)
+
+    def test_python_and_numpy_bools_accepted(self):
+        for flag, bound in ((True, 521), (False, 53), (np.True_, 521), (np.False_, 53)):
+            assert k1_bound(20000, StoppingConfig(N=20000, d=3, include_log_in_bound=flag)) == bound
 
 
 class TestAdaptiveSelect:

@@ -17,6 +17,7 @@ from partitions import back_to_back, profile_rows
 from distknn import engine, oracle, simharness
 from distknn.engine import (
     ClassifierKind,
+    Partition,
     Shard,
     StoppingConfig,
     build_prefix_tensor,
@@ -463,7 +464,9 @@ def cut_case(case, d):
     if case == "whole":
         shard_depths = np.maximum(part.sizes // 3, 1)  # K >= N, yet short of full depth
     elif case == "far":
-        part.features[part.offsets[far] : part.offsets[far + 1]] += 10.0  # lattice points lie in [0, 1]^d
+        moved = part.features.copy(order="F")  # a partition is read-only: the moved one is built from a copy
+        moved[part.offsets[far] : part.offsets[far + 1]] += 10.0  # lattice points lie in [0, 1]^d
+        part = Partition(moved, part.labels, part.sizes)
     elif case == "d1nn":
         shard_depths = np.ones(len(part), dtype=np.int64)
     k = engine.CANDIDATE_FACTOR * int(shard_depths.sum())
@@ -663,6 +666,30 @@ def test_chunk_size_below_one_rejected(setup, chunk_size):
     cfg = StoppingConfig(N=data.size, d=3)
     with pytest.raises(ValueError, match=f"chunk_size must be >= 1, got {chunk_size}"):
         evaluate_queries(part, rng.random((5, 3)), ClassifierKind.DANN, cfg, chunk_size=chunk_size)
+
+
+# a worker or chunk count that is not an integer is named with its value, where
+# it would otherwise fail in range() or the pool, or be ignored on one worker
+@pytest.mark.parametrize(
+    "workers, chunk_size, queries, message",
+    [
+        (2, 2.5, 600, "chunk_size must be an integer, got 2.5"),
+        (1, 2.5, 600, "chunk_size must be an integer, got 2.5"),
+        (1.5, 5, 20, "workers must be an integer, got 1.5"),
+        (1.5, None, None, "workers must be an integer, got 1.5"),
+    ],
+    ids=["chunk-pool", "chunk-serial", "workers", "grid-workers"],
+)
+def test_worker_and_chunk_counts_that_are_not_integers_rejected(setup, workers, chunk_size, queries, message):
+    rng, data = setup
+    part = partition_uniform(data, 3, rng)
+    cfg = StoppingConfig(N=data.size, d=3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if queries is None:
+            run_experiment(ExperimentConfig(N=50, kappa=0.6, epsilons=(0,), runs=2), workers=workers)
+        else:
+            evaluate_queries(part, rng.random((queries, 3)), ClassifierKind.DANN, cfg, workers=workers,
+                             chunk_size=chunk_size)
 
 
 # A grid in a fresh interpreter: the warm-up call sizes the heap, the second

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from partitions import back_to_back, line_partition, one_shard, profile_rows
 
-from distknn import engine, oracle
+from distknn import DatasetSplit, engine, oracle
 from distknn.engine import (
     ClassifierKind,
     Partition,
@@ -138,7 +138,7 @@ class TestPartitionChecks(TestShardChecks):
         # column-major gather reaches the distance kernel as it was laid out
         feats = np.asfortranarray(np.arange(6.0).reshape(3, 2))
         part = self.build(feats, np.array([1.0, 0.0, 1.0])[::-1])
-        assert part.features is feats
+        assert np.shares_memory(part.features, feats) and part.features.flags.f_contiguous
         assert part.labels.dtype == np.int64 and part.labels.flags.c_contiguous
         assert part.labels.tolist() == [1, 0, 1]
         rng = np.random.default_rng(2)
@@ -503,6 +503,68 @@ class TestTypes:
             shard.features[0, 0] = 1.0
         with pytest.raises(ValueError):
             shard.labels[0] = 0
+
+    def test_partition_is_immutable(self):
+        part = Partition(np.zeros((2, 3)), np.zeros(2, dtype=int), np.array([2]))
+        with pytest.raises(ValueError):
+            part.features[0, 0] = 1.0
+
+    def test_partition_leaves_the_callers_arrays_writeable(self):
+        # as a Shard's: contiguous float64/int64 input is not copied, but only the partition's views are frozen
+        feats, labels, sizes = np.zeros((2, 3)), np.zeros(2, dtype=np.int64), np.array([2])
+        part = Partition(feats, labels, sizes)
+        assert np.shares_memory(part.features, feats) and np.shares_memory(part.labels, labels)
+        feats[0, 0] = 2.0
+        labels[0] = 1
+        sizes[0] = 3
+        with pytest.raises(ValueError):
+            part.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            part.labels[0] = 0
+        assert part.sizes.tolist() == [2]
+
+    def test_partition_from_a_shard_is_read_only(self):
+        # writing 7 into every label was accepted, and d1nn then returned eta = 7.0
+        rng = np.random.default_rng(8)
+        part = Partition.from_shard(Shard(1, rng.random((9, 2)), rng.integers(0, 2, 9)), np.array([5, 4]), rng)
+        for name in ("features", "labels", "sizes", "offsets"):
+            array = getattr(part, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 7
+
+    def test_shard_is_a_one_shard_partition(self):
+        rng = np.random.default_rng(9)
+        feats, labels = rng.random((30, 3)), rng.integers(0, 2, 30)
+        shard = Shard(4, feats, labels)
+        assert isinstance(shard, Partition) and len(shard) == 1
+        assert (shard.sizes.tolist(), shard.offsets.tolist(), shard.total, shard.size, shard.dim) == ([30], [0, 30], 30, 30, 3)
+        assert repr(shard) == "Shard(id=4, size=30, dim=3)"
+        part = Partition(feats, labels, np.array([30]))
+        cfg, queries = StoppingConfig(N=30, d=3), rng.random((6, 3))
+        for kind in ClassifierKind:
+            for got, want in zip(evaluate_queries(shard, queries, kind, cfg), evaluate_queries(part, queries, kind, cfg)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kind
+
+    def test_shard_and_split_hash_and_compare_by_identity(self):
+        feats, labels = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+        one, two = Shard(1, feats, labels), Shard(1, feats, labels)
+        assert one == one and one != two and len({one, two}) == 2
+        split = DatasetSplit(train=one, test=two)
+        assert split == DatasetSplit(train=one, test=two) and split != DatasetSplit(train=two, test=one)
+        assert len({split, DatasetSplit(train=one, test=two)}) == 1
+        # partitions holding equal arrays compare without raising, by identity
+        part = Partition(feats, labels, np.array([4]))
+        assert part == part and part != Partition(feats, labels, np.array([4]))
+
+    @pytest.mark.parametrize("shard_id", [1.5, 2.0, "1", None])
+    def test_shard_id_that_is_not_an_integer_rejected(self, shard_id):
+        # 1.5 was accepted and stored as id 1
+        with pytest.raises(ValueError, match=f"^shard id must be an integer, got {re.escape(repr(shard_id))}$"):
+            Shard(shard_id, np.zeros((2, 1)), np.array([0, 1]))
+        assert [Shard(i, np.zeros((2, 1)), np.array([0, 1])).id for i in (1, np.int64(2), np.uint8(3))] == [1, 2, 3]
+        with pytest.raises(ValueError, match="^shard id must be >= 1$"):
+            Shard(np.int64(0), np.zeros((2, 1)), np.array([0, 1]))
 
     def test_profile_invariant_validation(self):
         # every profile steps by 0 or 1 label per neighbor and never gets closer

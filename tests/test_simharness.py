@@ -243,6 +243,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=re.escape("kappa=0.0 outside (0, 1]")):
             ExperimentConfig(N=100, kappa=0.0, epsilons=(0.0,))
 
+    @pytest.mark.parametrize("kappa", ["0.6", None])
+    def test_kappa_that_is_not_a_number_rejected(self, kappa):
+        # "0.6" raised a bare TypeError from the range check's comparison
+        with pytest.raises(ValueError, match=f"^kappa must be a number, got {kappa!r}$"):
+            ExperimentConfig(N=200, kappa=kappa, epsilons=(0,))
+        assert ExperimentConfig(N=200, kappa=np.float64(0.6), epsilons=(0,)).kappa == 0.6
+
     def test_queries_per_run_below_one_rejected(self):
         with pytest.raises(ValueError, match="^queries_per_run must be >= 1$"):
             ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0,), queries_per_run=0)
@@ -332,6 +339,15 @@ class TestGridConfig:
             GridConfig(epsilons=(0,), classifiers=classifiers)
         with pytest.raises(ValueError, match=f"^unknown classifier {bad!r}"):
             ClassifierKind.parse(bad)
+
+    @pytest.mark.parametrize("flag", ["no", 0, None])
+    def test_log_flag_that_is_not_a_bool_rejected(self, flag):
+        # before any run, where StoppingConfig would otherwise reject it in every one
+        for config in (GridConfig, lambda **k: ExperimentConfig(N=100, kappa=0.6, **k)):
+            with pytest.raises(ValueError, match=f"^include_log_in_bound must be a bool, got {flag!r}$"):
+                config(epsilons=(0,), include_log_in_bound=flag)
+        for accepted in (False, np.False_):
+            assert GridConfig(epsilons=(0,), include_log_in_bound=accepted).include_log_in_bound is accepted
 
     def test_keyword_only_and_frozen(self):
         with pytest.raises(TypeError):
