@@ -36,11 +36,16 @@ Every classification goes through ``_classify_chunk``, which classifies a
 chunk in blocks of query rows whose distance matrix stays within
 ``BLOCK_BYTES``. So the temporaries of ``evaluate_queries`` follow that budget
 (or one row, 8 N bytes, if larger), not ``chunk_size`` x N; ``chunk_size`` only
-sets how the queries are split into pool tasks. Each block's distances are
-computed once, and its walks run in stages (``_stage_caps``): ``dann_nes``
-with n_1 > ``STAGE_STEPS`` x ``STAGE_GROWTH`` first builds and scans 16 steps'
-profiles, and only the rows that have not crossed go on to 4 times as many
-steps, and so on up to n_1; every other walk is a single stage. Because a
+sets how the queries are split into pool tasks. The pool's workers receive the
+partition once, as they start, and each task only its query chunk; a
+``partition_pool`` block keeps one pool for every call on its partition, as
+``realdata.evaluate_real`` does for an epsilon's classifiers. Each block's
+distances are computed once, the kernel making its passes over column tiles
+of about ``TILE_BYTES`` so that they stay in cache, and its walks run in
+stages (``_stage_caps``): ``dann_nes`` with n_1 > ``STAGE_STEPS`` x
+``STAGE_GROWTH`` first builds and scans 16 steps' profiles, and only the rows
+that have not crossed go on to 4 times as many steps, and so on up to n_1;
+every other walk is a single stage. Because a
 step's statistic does not depend on earlier decisions, a stage that stops a
 row stops it where the whole walk would, so only the rows that never cross
 read every shard to its end.
@@ -51,6 +56,8 @@ Importing this module sets glibc's malloc thresholds for the whole process
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -62,7 +69,7 @@ import numpy as np
 __all__ = [
     "ClassifierKind", "StoppingConfig", "k1_bound", "stopping_threshold", "depth_matrix", "depths",
     "Shard", "Partition", "query_distance_matrix", "k_smallest_rows", "scan_first_crossing",
-    "evaluate_query", "evaluate_queries",
+    "evaluate_query", "evaluate_queries", "partition_pool",
 ]
 
 # Full sorts of rows at least this wide take the unstable (SIMD) argsort and a
@@ -81,6 +88,17 @@ ROUNDS_K = 12
 # never slower than one unblocked chunk and within a few percent of the best
 # budget.
 BLOCK_BYTES = 2 << 20
+
+# Byte budget of one tile of ``query_distance_matrix``: the points of a tile
+# take their d passes (subtract, square, add) while its (rows, tile) slab is in
+# cache. Kernel alone, tiled against whole rows, medians of 41 interleaved
+# ratios, bit-identical outputs, 2-core Xeon (2 MiB L2 per core): 0.71-0.74 at
+# 10 rows x 26049 points (d = 6, a census block, 4 tiles), 0.75-0.78 at 4 x
+# 60000 (d = 3), 0.81 at 13 x 20000, 0.88-0.93 at 5 x 26049, 1.00-1.02 at one
+# row (one tile up to 65536 points) and at blocks of at most 8192 points (one
+# tile). Minimum times at 10 x 26049: 128 KiB tiles 2.6x the 512 KiB time, 1
+# MiB tiles 1.13x, 2 MiB (whole rows) 1.43x.
+TILE_BYTES = 512 << 10
 
 # ``build_prefix_tensor`` sorts each row's candidates (``_segmented_profiles``)
 # where a block has at least SEGMENT_RUNS_PER_ROW runs of equal (size, depth)
@@ -148,6 +166,11 @@ def _keep_temporaries_on_heap() -> None:
 _keep_temporaries_on_heap()
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool, although an int, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class ClassifierKind(Enum):
     """The four classifiers exercised by the benchmark harness."""
 
@@ -179,6 +202,9 @@ class StoppingConfig:
     include_log_in_bound: bool = True
 
     def __post_init__(self) -> None:
+        for name, value in (("N", self.N), ("d", self.d)):
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.N < 2:
             raise ValueError("N must be >= 2")
         if self.d < 1:
@@ -210,7 +236,7 @@ def depth_matrix(cap: int, sizes: np.ndarray) -> np.ndarray:
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n1 = int(sizes[0])
-    if not isinstance(cap, (int, np.integer)):
+    if not _is_integer(cap):
         raise ValueError(f"a walk's step count must be an integer, got {cap!r}")
     if not 1 <= cap <= n1:
         raise ValueError(f"a walk of {cap} steps is outside [1, n_1 = {n1}]")
@@ -338,7 +364,7 @@ class Shard(Partition):
     """One machine's sub-sample: a one-shard Partition, its points in the order given, with an integer id >= 1."""
 
     def __init__(self, shard_id: int, features: np.ndarray, labels: np.ndarray):
-        if not isinstance(shard_id, (int, np.integer)):
+        if not _is_integer(shard_id):
             raise ValueError(f"shard id must be an integer, got {shard_id!r}")
         if shard_id < 1:
             raise ValueError("shard id must be >= 1")
@@ -358,12 +384,17 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
 
     Squared differences are added column by column and then square-rooted, at
     every dimension; the oracle repeats this order, which keeps the two bit
-    for bit equal. The sum is built in the output buffer: the first column's
-    square is written there (0 + x == x exactly), and each later column is
-    subtracted and squared in one reused scratch buffer and then added. Column
-    reads are contiguous when ``features`` is column-major, as a Partition's is.
-    Points with no coordinate (d = 0), and queries that are not rows of the
-    points' d coordinates, are rejected.
+    for bit equal. The output is filled in tiles of points whose (rows, tile)
+    slab takes about ``TILE_BYTES``: tiles of even width, none narrower than
+    numpy's ufunc buffer (8192 points by default), or one tile where that
+    covers the row. So the d passes over a tile stay in cache, and every
+    element still takes the same operations in the same order. Each tile's
+    sum is built in the output: the first column's square is written there
+    (0 + x == x exactly), and each later column is subtracted and squared in
+    one reused (rows, tile) scratch buffer and then added. Column reads are
+    contiguous when ``features`` is column-major, as a Partition's is. Points
+    with no coordinate (d = 0), and queries that are not rows of the points'
+    d coordinates, are rejected.
     """
     n, d = features.shape
     if d == 0:
@@ -371,15 +402,26 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
     if queries.ndim != 2 or queries.shape[1] != d:
         raise ValueError(f"queries of shape {queries.shape} do not match points of shape {features.shape}")
     nq = queries.shape[0]
-    acc = np.empty((nq, n), dtype=np.float64)
-    diff = np.empty_like(acc) if d > 1 else None
-    for c in range(d):
-        buf = acc if c == 0 else diff
-        np.subtract(queries[:, c, None], features[:, c], out=buf)
-        np.multiply(buf, buf, out=buf)
-        if c:
-            acc += diff
-    return np.sqrt(acc, out=acc)
+    out = np.empty((nq, n), dtype=np.float64)
+    width = max(1, TILE_BYTES // (8 * max(nq, 1)))
+    if width < n:
+        # numpy runs a 2-D operation whose rows are shorter than about a third
+        # of its ufunc buffer through that buffer, at about 4x the cost per
+        # element, so tiles are at least a buffer wide before they are evened out
+        tiles = -(-n // max(width, np.getbufsize()))
+        width = -(-n // tiles)
+    scratch = np.empty((nq, min(width, n)))
+    for a in range(0, n, width):
+        acc = out[:, a : a + width]
+        diff = scratch[:, : acc.shape[1]]
+        for c in range(d):
+            buf = acc if c == 0 else diff
+            np.subtract(queries[:, c, None], features[a : a + width, c], out=buf)
+            np.multiply(buf, buf, out=buf)
+            if c:
+                acc += diff
+        np.sqrt(acc, out=acc)
+    return out
 
 
 def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
@@ -712,10 +754,64 @@ def evaluate_query(
     return int(labels[0]), int(k1s[0]), float(etas[0])
 
 
+# The partition a pool worker classifies against, set once by ``_hold_partition``
+# when the worker starts; None in every process that is not a pool worker.
+_worker_partition: Partition | None = None
+
+
+def _hold_partition(partition: Partition) -> None:
+    global _worker_partition
+    _worker_partition = partition
+
+
 def _eval_chunk_worker(args):
     # Module level and not among bench/tracing.py's wrapped layers, so the pool
     # can pickle it by name even while ``_classify_chunk`` is wrapped.
-    return _classify_chunk(*args)
+    return _classify_chunk(_worker_partition, *args)
+
+
+class _PartitionPool:
+    """A process pool whose workers hold one partition, started at its first use."""
+
+    def __init__(self, partition: Partition):
+        self.partition = partition
+        self.closing = contextlib.ExitStack()
+        self._pool: ProcessPoolExecutor | None = None
+
+    def map(self, tasks: list, workers: int) -> list:
+        """``_eval_chunk_worker`` over the tasks; the first call sizes the pool at ``workers``."""
+        if self._pool is None:
+            self._pool = self.closing.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_hold_partition, initargs=(self.partition,)))
+        return list(self._pool.map(_eval_chunk_worker, tasks))
+
+
+_open_pool: contextvars.ContextVar[_PartitionPool | None] = contextvars.ContextVar("_open_pool", default=None)
+
+
+@contextlib.contextmanager
+def partition_pool(partition: Partition):
+    """Let every ``evaluate_queries`` call on ``partition`` in the block share one pool.
+
+    The pool starts at the first call that needs one, sized as that call's
+    would be (``workers``, and no more than its chunks), and each worker gets
+    the partition once, as it starts: under fork, with no pickling. Each task
+    then carries only its query chunk. The pool shuts down, its workers
+    joined, when the block ends, on error too. A call outside any block, or on
+    another partition, starts a pool of its own for the call; a block inside a
+    block on the same partition uses the outer block's pool.
+    """
+    outer = _open_pool.get()
+    if outer is not None and outer.partition is partition:
+        yield outer
+        return
+    scope = _PartitionPool(partition)
+    token = _open_pool.set(scope)
+    try:
+        with scope.closing:
+            yield scope
+    finally:
+        _open_pool.reset(token)
 
 
 def evaluate_queries(
@@ -731,15 +827,18 @@ def evaluate_queries(
     Output is independent of ``workers`` and ``chunk_size``: chunks are pure
     functions of their inputs and are reassembled in input order. At most
     ``workers`` processes start, and no more than there are chunks; one worker
-    or one chunk classifies every row here in one call. ``chunk_size`` only
-    sets the pool's task split; rows are classified in blocks of
-    ``BLOCK_BYTES``. ``queries`` must be (n, d) with the partition's d, and a
-    row with a non-finite coordinate is rejected, naming the first such row
-    (0-based). ``cfg`` must hold the partition's N and d. No query rows give
-    three empty arrays.
+    or one chunk classifies every row here in one call. Inside a
+    ``partition_pool`` block on this partition the call uses the block's pool;
+    otherwise it starts one for the call and shuts it down before returning.
+    Either way the workers hold the partition and each task carries only its
+    chunk. ``chunk_size`` only sets the pool's task split; rows are classified
+    in blocks of ``BLOCK_BYTES``. ``queries`` must be (n, d) with the
+    partition's d, and a row with a non-finite coordinate is rejected, naming
+    the first such row (0-based). ``cfg`` must hold the partition's N and d.
+    No query rows give three empty arrays.
     """
     for name, value in (("workers", workers), ("chunk_size", chunk_size)):
-        if not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -757,6 +856,6 @@ def evaluate_queries(
     if workers <= 1 or queries.shape[0] <= chunk_size:
         return _classify_chunk(partition, queries, kind, cfg)
     chunks = [queries[i : i + chunk_size] for i in range(0, queries.shape[0], chunk_size)]
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        parts = list(pool.map(_eval_chunk_worker, [(partition, c, kind, cfg) for c in chunks]))
+    with partition_pool(partition) as pool:
+        parts = pool.map([(c, kind, cfg) for c in chunks], min(workers, len(chunks)))
     return tuple(np.concatenate(p) for p in zip(*parts))

@@ -43,6 +43,11 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool, although an int, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SyntheticModel:
     """Conditional-probability model on [0, 1]^3 with signal floor kappa.
@@ -54,7 +59,7 @@ class SyntheticModel:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kappa, (int, float, np.integer, np.floating)):
+        if not isinstance(self.kappa, (int, float, np.integer, np.floating)) or isinstance(self.kappa, bool):
             raise ValueError(f"kappa must be a number, got {self.kappa!r}")
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError(f"kappa={self.kappa} outside (0, 1]")
@@ -83,7 +88,7 @@ def generate_sample(n: int, model: SyntheticModel, rng: np.random.Generator) -> 
 
 def partition_uniform(data: Shard, m: int, rng: np.random.Generator) -> Partition:
     """Random split into m shards whose sizes differ by at most one."""
-    if not isinstance(m, (int, np.integer)):
+    if not _is_integer(m):
         raise ValueError(f"m must be an integer, got {m!r}")
     if not 1 <= m <= data.size:
         raise ValueError(f"m={m} outside [1, {data.size}]")
@@ -100,7 +105,7 @@ def partition_proportional(data: Shard, m: int, rng: np.random.Generator) -> Par
     N*j / (1 + ... + m); every shard is kept nonempty by shaving the largest
     shards when small quotas round to zero.
     """
-    if not isinstance(m, (int, np.integer)):
+    if not _is_integer(m):
         raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -154,7 +159,7 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.split not in ("uniform", "proportional"):
             raise ValueError(f"split must be 'uniform' or 'proportional', got {self.split!r}")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -191,7 +196,7 @@ class ExperimentConfig(GridConfig):
     def __post_init__(self) -> None:
         for name, low in (("N", 2), ("runs", 1), ("queries_per_run", 1)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -327,7 +332,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     back in task order. A run that raises is listed in ``failures``; an
     epsilon whose every run does has no rows.
     """
-    if not isinstance(workers, (int, np.integer)):
+    if not _is_integer(workers):
         raise ValueError(f"workers must be an integer, got {workers!r}")
     tasks = [(cfg, ei, ri) for ei in range(len(cfg.epsilons)) for ri in range(cfg.runs)]
     workers = min(workers, len(tasks))

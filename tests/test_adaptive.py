@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -188,6 +189,24 @@ class TestStoppingThreshold:
     def test_config_below_its_range_rejected(self, kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             StoppingConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"N": 20000.5, "d": 3}, "N must be an integer, got 20000.5"),
+            ({"N": 200, "d": 2.5}, "d must be an integer, got 2.5"),
+            ({"N": "200", "d": 3}, "N must be an integer, got '200'"),
+            ({"N": 200, "d": None}, "d must be an integer, got None"),
+        ],
+    )
+    def test_config_that_is_not_an_integer_rejected(self, kw, message):
+        # N = 20000.5 was accepted, and k1_bound(100, .) gave 3
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StoppingConfig(**kw)
+
+    def test_python_and_numpy_integer_configs_accepted(self):
+        for N, d in ((20000, 3), (np.int64(20000), np.int32(3)), (np.uint16(20000), np.int8(3))):
+            assert k1_bound(20000, StoppingConfig(N=N, d=d)) == 521
 
     @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
     def test_log_flag_that_is_not_a_bool_rejected(self, flag):

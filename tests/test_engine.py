@@ -1,10 +1,12 @@
 import ctypes
 import json
+import multiprocessing
 import os
 import pickle
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -175,11 +177,14 @@ def test_pools_start_no_more_processes_than_tasks(setup, monkeypatch):
     started = []
 
     class RecordingPool:
-        """Records ``max_workers`` and runs the tasks here, after the pickle
-        round trip that a process pool makes; starts no process."""
+        """Records ``max_workers``, runs the ``initializer`` and the tasks
+        here, after the pickle round trip that a process pool makes; starts
+        no process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
+            if initializer is not None:
+                initializer(*pickle.loads(pickle.dumps(initargs)))
 
         def __enter__(self):
             return self
@@ -192,6 +197,7 @@ def test_pools_start_no_more_processes_than_tasks(setup, monkeypatch):
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simharness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(engine, "_worker_partition", None)  # the fake's initializer sets it in this process
     rng, data = setup
     cfg = StoppingConfig(N=data.size, d=3)
     part = partition_proportional(data, 5, rng)
@@ -204,6 +210,63 @@ def test_pools_start_no_more_processes_than_tasks(setup, monkeypatch):
     grid = ExperimentConfig(N=200, kappa=0.6, epsilons=(0.0, 0.5), runs=1, classifiers=("d1nn",))
     assert len(run_experiment(grid, workers=64).rows) == 2
     assert started == [3] * len(ClassifierKind) + [2]  # 3 query chunks; 2 runs
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The ``max_workers`` of every process pool the engine starts; the pools are real."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_classifiers_in_one_partition_pool_share_one_pool(setup, started_pools):
+    rng, data = setup
+    cfg = StoppingConfig(N=data.size, d=3)
+    part = partition_proportional(data, 5, rng)
+    queries = rng.random((10, 3))
+    serial = {kind: evaluate_queries(part, queries, kind, cfg) for kind in ClassifierKind}
+    with engine.partition_pool(part):
+        for kind in ClassifierKind:
+            with engine.partition_pool(part):  # a block inside a block on the same partition
+                pooled = evaluate_queries(part, queries, kind, cfg, workers=2, chunk_size=4)
+            for x, y in zip(pooled, serial[kind]):
+                np.testing.assert_array_equal(x, y)
+        assert started_pools == [2]
+        assert len(multiprocessing.active_children()) == 2
+        other = partition_uniform(data, 3, rng)  # another partition: a pool of its own, for the call
+        pooled = evaluate_queries(other, queries, ClassifierKind.DANN, cfg, workers=2, chunk_size=4)
+        for x, y in zip(pooled, evaluate_queries(other, queries, ClassifierKind.DANN, cfg)):
+            np.testing.assert_array_equal(x, y)
+        assert started_pools == [2, 2]
+    assert multiprocessing.active_children() == []
+
+
+def test_partition_pool_shuts_down_when_a_call_in_it_raises(setup, started_pools):
+    rng, data = setup
+    cfg = StoppingConfig(N=data.size, d=3)
+    part = partition_uniform(data, 4, rng)
+    queries = rng.random((10, 3))
+    bad = queries.copy()
+    bad[7, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^query row 7 is not finite"):
+        with engine.partition_pool(part):
+            evaluate_queries(part, queries, ClassifierKind.D1NN, cfg, workers=2, chunk_size=4)
+            assert len(multiprocessing.active_children()) == 2
+            evaluate_queries(part, bad, ClassifierKind.D1NN, cfg, workers=2, chunk_size=4)
+    assert started_pools == [2]
+    assert multiprocessing.active_children() == []
+    # the next block starts a pool of its own
+    with engine.partition_pool(part):
+        evaluate_queries(part, queries, ClassifierKind.D1NN, cfg, workers=2, chunk_size=4)
+    assert started_pools == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def plain_runs(sizes, shard_depths):

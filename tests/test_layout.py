@@ -82,7 +82,7 @@ def _engine_names(module):
     "module, allowed",
     [
         ("simharness", {"ClassifierKind", "Partition", "Shard", "StoppingConfig", "evaluate_query"}),
-        ("realdata", {"Shard", "StoppingConfig", "evaluate_queries"}),
+        ("realdata", {"Shard", "StoppingConfig", "evaluate_queries", "partition_pool"}),
     ],
 )
 def test_harnesses_classify_through_the_engines_entry_points(module, allowed):

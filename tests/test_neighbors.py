@@ -472,6 +472,26 @@ def test_kernel_matches_oracle_in_either_layout(order, d):
         assert np.sort(row).tolist() == ref
 
 
+def full_width_distances(features, queries):
+    """Distances over whole rows, one column's squared differences at a time."""
+    acc = np.zeros((queries.shape[0], features.shape[0]))
+    for c in range(features.shape[1]):
+        diff = queries[:, c, None] - features[:, c]
+        acc += diff * diff
+    return np.sqrt(acc)
+
+
+# 2, 3 and 2 tiles at the default 512 KiB budget and 8192-entry numpy buffer,
+# each row's last tile one point narrower than the others
+@pytest.mark.parametrize("rows, n", [(1, 70001), (10, 20003), (300, 8195)])
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_tiled_kernel_matches_full_width_rows_bit_for_bit(rows, n, d):
+    rng = np.random.default_rng(rows + n + d)
+    feats = np.asfortranarray(rng.random((n, d)) * 10.0 ** rng.integers(-2, 2, size=d))
+    queries = rng.random((rows, d))
+    np.testing.assert_array_equal(query_distance_matrix(feats, queries), full_width_distances(feats, queries))
+
+
 class TestTypes:
     def test_labeled_point_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 import dataclasses
 import logging
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from distknn import engine
 from distknn.engine import ClassifierKind, Shard
 from distknn.realdata import (
     apply_scaling,
@@ -182,6 +185,12 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split(self.make_shard(10, rng), 1.0, rng)
 
+    @pytest.mark.parametrize("fraction", ["0.5", None])
+    def test_fraction_that_is_not_a_number_rejected(self, fraction):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match=f"^test_fraction must be a number, got {fraction!r}$"):
+            train_test_split(self.make_shard(10, rng), fraction, rng)
+
     def test_empty_test_side_rejected(self):
         # ceil(10 * 0.99) leaves all 10 rows for training
         rng = np.random.default_rng(4)
@@ -268,6 +277,26 @@ class TestEvaluateReal:
         got = evaluate_real(train, test, GridConfig(**grid))
         want = evaluate_real(train, test, ExperimentConfig(N=train.size, kappa=0.6, runs=1, **grid))
         rows = [[dataclasses.replace(r, mean_runtime_s=0.0) for r in res.rows] for res in (got, want)]
+        assert rows[0] == rows[1]
+
+    def test_one_pool_per_epsilon_and_no_worker_left(self, monkeypatch):
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        rng = np.random.default_rng(11)
+        train = learnable_dataset(400, rng)
+        test = learnable_dataset(300, rng)  # two chunks of the default 256 rows
+        cfg = GridConfig(epsilons=(0.0, 0.5), split="proportional", seed=2)
+        pooled = evaluate_real(train, test, cfg, workers=2)
+        assert started == [2, 2]  # one per epsilon, for all four classifiers
+        assert multiprocessing.active_children() == []
+        rows = [[dataclasses.replace(r, mean_runtime_s=0.0) for r in res.rows]
+                for res in (pooled, evaluate_real(train, test, cfg))]
         assert rows[0] == rows[1]
 
     def test_dimension_mismatch_rejected(self):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from distknn.engine import ClassifierKind
+from distknn.engine import ClassifierKind, Shard, StoppingConfig, depth_matrix, evaluate_queries
 from distknn.simharness import (
     ExperimentConfig,
     ExperimentResult,
@@ -299,6 +299,36 @@ def _sample(n=10):
     ids=["N", "runs", "queries_per_run", "seed", "grid-seed", "proportional-m", "uniform-m"],
 )
 def test_count_that_is_not_an_integer_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def _pooled_call(**counts):
+    part = partition_uniform(_sample(), 2, np.random.default_rng(0))
+    return evaluate_queries(part, np.zeros((3, 3)), ClassifierKind.D1NN, StoppingConfig(N=10, d=3), **counts)
+
+
+# a bool is an int, so each of these took True as 1 (or met a bare TypeError in numpy)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Shard(True, np.zeros((2, 1)), [0, 1]), "shard id must be an integer, got True"),
+        (lambda: _pooled_call(workers=True), "workers must be an integer, got True"),
+        (lambda: _pooled_call(chunk_size=True), "chunk_size must be an integer, got True"),
+        (lambda: StoppingConfig(N=10, d=True), "d must be an integer, got True"),
+        (lambda: depth_matrix(True, np.array([3, 2])), "a walk's step count must be an integer, got True"),
+        (lambda: ExperimentConfig(N=50, kappa=True, epsilons=(0,)), "kappa must be a number, got True"),
+        (lambda: ExperimentConfig(N=50, kappa=0.6, epsilons=(0,), runs=True), "runs must be an integer, got True"),
+        (lambda: GridConfig(epsilons=(0,), seed=False), "seed must be an integer, got False"),
+        (lambda: partition_uniform(_sample(), True, np.random.default_rng(0)), "m must be an integer, got True"),
+        (lambda: partition_proportional(_sample(), True, np.random.default_rng(0)), "m must be an integer, got True"),
+        (lambda: run_experiment(ExperimentConfig(N=50, kappa=0.6, epsilons=(0,), runs=1), workers=True),
+         "workers must be an integer, got True"),
+    ],
+    ids=["shard-id", "workers", "chunk_size", "stopping-d", "walk", "kappa", "runs", "seed", "uniform-m",
+         "proportional-m", "grid-workers"],
+)
+def test_bool_where_a_count_is_required_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
