@@ -166,9 +166,26 @@ def _keep_temporaries_on_heap() -> None:
 _keep_temporaries_on_heap()
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool, although an int, is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# The one rule for a count, a number or a flag at every boundary of the package:
+# a bool, although an int, is never a count or a number.
+def _check_integer(name: str, value, low: int | None = None) -> None:
+    """Reject ``value`` unless it is a Python or numpy integer, and at least ``low`` if given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_number(name: str, value) -> None:
+    """Reject ``value`` unless it is a Python or numpy integer or float."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _check_bool(name: str, value) -> None:
+    """Reject ``value`` unless it is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 class ClassifierKind(Enum):
@@ -202,15 +219,9 @@ class StoppingConfig:
     include_log_in_bound: bool = True
 
     def __post_init__(self) -> None:
-        for name, value in (("N", self.N), ("d", self.d)):
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if not isinstance(self.include_log_in_bound, (bool, np.bool_)):
-            raise ValueError(f"include_log_in_bound must be a bool, got {self.include_log_in_bound!r}")
+        _check_integer("N", self.N, 2)
+        _check_integer("d", self.d, 1)
+        _check_bool("include_log_in_bound", self.include_log_in_bound)
 
 
 def k1_bound(n1: int, cfg: StoppingConfig) -> int:
@@ -236,8 +247,7 @@ def depth_matrix(cap: int, sizes: np.ndarray) -> np.ndarray:
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n1 = int(sizes[0])
-    if not _is_integer(cap):
-        raise ValueError(f"a walk's step count must be an integer, got {cap!r}")
+    _check_integer("a walk's step count", cap)
     if not 1 <= cap <= n1:
         raise ValueError(f"a walk of {cap} steps is outside [1, n_1 = {n1}]")
     kj = np.arange(1, cap + 1, dtype=np.int64)[:, None] * sizes
@@ -364,10 +374,7 @@ class Shard(Partition):
     """One machine's sub-sample: a one-shard Partition, its points in the order given, with an integer id >= 1."""
 
     def __init__(self, shard_id: int, features: np.ndarray, labels: np.ndarray):
-        if not _is_integer(shard_id):
-            raise ValueError(f"shard id must be an integer, got {shard_id!r}")
-        if shard_id < 1:
-            raise ValueError("shard id must be >= 1")
+        _check_integer("shard id", shard_id, 1)
         self.id = int(shard_id)
         super().__init__(features, labels, np.shape(features)[:1])
 
@@ -837,11 +844,8 @@ def evaluate_queries(
     the first such row (0-based). ``cfg`` must hold the partition's N and d.
     No query rows give three empty arrays.
     """
-    for name, value in (("workers", workers), ("chunk_size", chunk_size)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    _check_integer("workers", workers)
+    _check_integer("chunk_size", chunk_size, 1)
     if (cfg.N, cfg.d) != (partition.total, partition.dim):
         raise ValueError(f"stopping config has N={cfg.N}, d={cfg.d}; "
                          f"the partition has N={partition.total}, d={partition.dim}")

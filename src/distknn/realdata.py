@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Shard, StoppingConfig, evaluate_queries, partition_pool
+from .engine import Shard, StoppingConfig, _check_number, evaluate_queries, partition_pool
 from .simharness import (
     ExperimentResult,
     GridConfig,
@@ -145,8 +145,7 @@ def train_test_split(shard: Shard, test_fraction: float, rng: np.random.Generato
     Both sides must be usable: a test side with no row, or a training side
     with fewer than 2 (the least the stopping config takes), is rejected.
     """
-    if not isinstance(test_fraction, (int, float, np.integer, np.floating)):
-        raise ValueError(f"test_fraction must be a number, got {test_fraction!r}")
+    _check_number("test_fraction", test_fraction)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction={test_fraction} outside (0, 1)")
     n = shard.size

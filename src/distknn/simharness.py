@@ -26,6 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .engine import ClassifierKind, Partition, Shard, StoppingConfig, evaluate_query
+from .engine import _check_bool, _check_integer, _check_number
 
 __all__ = [
     "SyntheticModel",
@@ -43,11 +44,6 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool, although an int, is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SyntheticModel:
     """Conditional-probability model on [0, 1]^3 with signal floor kappa.
@@ -59,8 +55,7 @@ class SyntheticModel:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kappa, (int, float, np.integer, np.floating)) or isinstance(self.kappa, bool):
-            raise ValueError(f"kappa must be a number, got {self.kappa!r}")
+        _check_number("kappa", self.kappa)
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError(f"kappa={self.kappa} outside (0, 1]")
 
@@ -79,8 +74,7 @@ def eta_batch(points: np.ndarray, model: SyntheticModel) -> np.ndarray:
 
 def generate_sample(n: int, model: SyntheticModel, rng: np.random.Generator) -> Shard:
     """n i.i.d. points uniform on [0, 1]^3 with Bernoulli(eta) labels."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_integer("n", n, 1)
     feats = rng.random((n, 3))
     labels = (rng.random(n) < eta_batch(feats, model)).astype(np.int64)
     return Shard(1, feats, labels)
@@ -88,8 +82,7 @@ def generate_sample(n: int, model: SyntheticModel, rng: np.random.Generator) -> 
 
 def partition_uniform(data: Shard, m: int, rng: np.random.Generator) -> Partition:
     """Random split into m shards whose sizes differ by at most one."""
-    if not _is_integer(m):
-        raise ValueError(f"m must be an integer, got {m!r}")
+    _check_integer("m", m)
     if not 1 <= m <= data.size:
         raise ValueError(f"m={m} outside [1, {data.size}]")
     base, rem = divmod(data.size, m)
@@ -105,10 +98,7 @@ def partition_proportional(data: Shard, m: int, rng: np.random.Generator) -> Par
     N*j / (1 + ... + m); every shard is kept nonempty by shaving the largest
     shards when small quotas round to zero.
     """
-    if not _is_integer(m):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_integer("m", m, 1)
     if m > data.size:
         raise ValueError(f"m={m} too large for every shard to be nonempty (N={data.size})")
     ranks = np.arange(1, m + 1, dtype=np.int64)
@@ -135,7 +125,12 @@ def shard_count(N: int, eps: float) -> int:
 
     With eps = p/q, q <= 1000, an integer r with r**q == N**p is returned as it is:
     the float power can land just above r (1024**0.8 is 256.00000000000006).
+    N must be an integer >= 1 and eps a number in [0, 1).
     """
+    _check_integer("N", N, 1)
+    _check_number("eps", eps)
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps={eps} outside [0, 1)")
     ratio = Fraction(repr(float(eps)))
     root = round(N**eps)
     exact = ratio.denominator <= 1000 and root**ratio.denominator == N**ratio.numerator
@@ -159,12 +154,8 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.split not in ("uniform", "proportional"):
             raise ValueError(f"split must be 'uniform' or 'proportional', got {self.split!r}")
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.include_log_in_bound, (bool, np.bool_)):
-            raise ValueError(f"include_log_in_bound must be a bool, got {self.include_log_in_bound!r}")
+        _check_integer("seed", self.seed, 0)
+        _check_bool("include_log_in_bound", self.include_log_in_bound)
         eps = tuple(float(e) for e in self.epsilons)
         kinds = tuple(k if isinstance(k, ClassifierKind) else ClassifierKind.parse(k) for k in self.classifiers)
         for what, keys in (("epsilon", eps), ("classifier", [k.value for k in kinds])):
@@ -195,11 +186,7 @@ class ExperimentConfig(GridConfig):
 
     def __post_init__(self) -> None:
         for name, low in (("N", 2), ("runs", 1), ("queries_per_run", 1)):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
+            _check_integer(name, getattr(self, name), low)
         SyntheticModel(self.kappa)  # its range check, before any run
         super().__post_init__()
 
@@ -332,8 +319,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     back in task order. A run that raises is listed in ``failures``; an
     epsilon whose every run does has no rows.
     """
-    if not _is_integer(workers):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
+    _check_integer("workers", workers)
     tasks = [(cfg, ei, ri) for ei in range(len(cfg.epsilons)) for ri in range(cfg.runs)]
     workers = min(workers, len(tasks))
     if workers <= 1:

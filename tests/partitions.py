@@ -7,12 +7,6 @@ import numpy as np
 from distknn.engine import Partition, build_prefix_tensor, query_distance_matrix
 
 
-def one_shard(shard):
-    """``shard`` as a one-shard partition, its points kept in storage order."""
-    n = shard.size
-    return Partition(features=shard.features, labels=shard.labels, sizes=np.array([n]))
-
-
 def line_partition(label_rows, d=3):
     """Partition whose shard j holds one point per entry of ``label_rows[j]``.
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from partitions import one_shard, profile_rows
+from partitions import profile_rows
 
 from distknn import oracle
 from distknn.engine import (
@@ -113,8 +113,8 @@ def test_criterion_1_oracle_equivalence():
         query = rng.random(3)
         dist = query_distance_matrix(shard.features, query[None, :])
         idx = k_smallest_rows(dist, k_max)[0]
-        fast_prefix = profile_rows(one_shard(shard), query[None, :], np.array([k_max]))[0]
-        slow_dists, slow_prefix = oracle.shard_profiles(one_shard(shard), query)[0]
+        fast_prefix = profile_rows(shard, query[None, :], np.array([k_max]))[0]
+        slow_dists, slow_prefix = oracle.shard_profiles(shard, query)[0]
         np.testing.assert_array_equal(dist[0, idx], slow_dists[:k_max], err_msg=f"instance {i}")
         np.testing.assert_array_equal(fast_prefix, slow_prefix[:k_max], err_msg=f"instance {i}")
     elapsed = time.perf_counter() - start
@@ -136,7 +136,7 @@ def test_criterion_2_single_shard_reduction():
         labels = rng.integers(0, 2, n)
         k = int(rng.integers(1, n + 1))
         query = rng.random(3)
-        prefix = profile_rows(one_shard(Shard(1, feats, labels)), query[None, :], np.array([k]))
+        prefix = profile_rows(Shard(1, feats, labels), query[None, :], np.array([k]))
         _, eta, _ = scan_first_crossing(prefix, np.array([[k]]), math.inf)
         got = int(eta[0, 0] >= 0.5)
         assert got == plain_knn_label(feats, labels, query, k), f"instance {i}"

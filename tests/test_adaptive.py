@@ -185,7 +185,11 @@ class TestStoppingThreshold:
         assert stopping_threshold(StoppingConfig(N=100, d=4)) > base
         assert stopping_threshold(StoppingConfig(N=101, d=3)) > base
 
-    @pytest.mark.parametrize("kw, message", [({"N": 1, "d": 3}, "N must be >= 2"), ({"N": 10, "d": 0}, "d must be >= 1")])
+    @pytest.mark.parametrize(
+        "kw, message",
+        [({"N": 1, "d": 3}, "N must be >= 2, got 1"), ({"N": 10, "d": 0}, "d must be >= 1, got 0")],
+        ids=["kw0-N must be >= 2", "kw1-d must be >= 1"],
+    )
     def test_config_below_its_range_rejected(self, kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             StoppingConfig(**kw)

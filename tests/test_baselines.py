@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from partitions import line_partition, one_shard, profile_rows
+from partitions import line_partition, profile_rows
 
 from distknn import oracle
 from distknn.engine import (
@@ -58,7 +58,7 @@ class TestDnnQiao:
     def test_single_shard_reduction(self):
         rng = np.random.default_rng(2)
         n = 500
-        part = one_shard(Shard(1, rng.random((n, 3)), rng.integers(0, 2, n)))
+        part = Shard(1, rng.random((n, 3)), rng.integers(0, 2, n))
         cfg = StoppingConfig(N=n, d=3)
         k = qiao_k(n, cfg)
         query = rng.random(3)
@@ -103,7 +103,7 @@ class TestD1nn:
 
     def test_single_shard_is_plain_1nn(self):
         rng = np.random.default_rng(4)
-        part = one_shard(Shard(1, rng.random((30, 3)), rng.integers(0, 2, 30)))
+        part = Shard(1, rng.random((30, 3)), rng.integers(0, 2, 30))
         query = rng.random(3)
         nearest = oracle.shard_profiles(part, query)[0][1][0]
         assert evaluate_query(part, query, ClassifierKind.D1NN, StoppingConfig(N=30, d=3))[0] == nearest

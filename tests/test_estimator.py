@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from partitions import back_to_back, line_partition, one_shard, profile_rows
+from partitions import back_to_back, line_partition, profile_rows
 
 from distknn.engine import (
     ClassifierKind,
@@ -113,6 +113,6 @@ def test_single_shard_reduction_matches_plain_knn():
         shard = Shard(1, feats, labels)
         k = int(rng.integers(1, n + 1))
         query = rng.random(3)
-        prefix = profile_rows(one_shard(shard), query[None, :], np.array([k]))
+        prefix = profile_rows(shard, query[None, :], np.array([k]))
         _, eta, _ = scan_first_crossing(prefix, np.array([[k]]), math.inf)
         assert eta[0, 0] == pytest.approx(plain_knn_estimate(feats, labels, query, k), abs=0)

@@ -4,11 +4,12 @@ uses, so that folding, moving or removing a module cannot leave a stale
 export, import or doc line behind. ``oracle.py`` takes only the classifier
 names and the stopping config from the package, so that the reference shares
 no engine code with what it checks. The two harnesses reach the engine only
-through its entry points and types, so that every kernel call they make is a
-classification. Only ``cli.py`` writes files, so that one module knows how
-every output file is written. Every import is of the standard library or of
-a dependency that ``pyproject.toml`` declares, so that a package installed
-only on the machine at hand cannot pass here and fail on a clean install."""
+through its entry points, types and boundary checks, so that every kernel call
+they make is a classification. Only ``cli.py`` writes files, so that one
+module knows how every output file is written. Every import is of the
+standard library or of a dependency that ``pyproject.toml`` declares, so that
+a package installed only on the machine at hand cannot pass here and fail on
+a clean install."""
 
 import ast
 import importlib
@@ -81,8 +82,9 @@ def _engine_names(module):
 @pytest.mark.parametrize(
     "module, allowed",
     [
-        ("simharness", {"ClassifierKind", "Partition", "Shard", "StoppingConfig", "evaluate_query"}),
-        ("realdata", {"Shard", "StoppingConfig", "evaluate_queries", "partition_pool"}),
+        ("simharness", {"ClassifierKind", "Partition", "Shard", "StoppingConfig", "evaluate_query",
+                        "_check_bool", "_check_integer", "_check_number"}),
+        ("realdata", {"Shard", "StoppingConfig", "evaluate_queries", "partition_pool", "_check_number"}),
     ],
 )
 def test_harnesses_classify_through_the_engines_entry_points(module, allowed):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from partitions import back_to_back, line_partition, one_shard, profile_rows
+from partitions import back_to_back, line_partition, profile_rows
 
 from distknn import DatasetSplit, engine, oracle
 from distknn.engine import (
@@ -34,13 +34,13 @@ def engine_profile(shard, query, k):
     q = np.asarray(query, dtype=np.float64)[None, :]
     dist = query_distance_matrix(shard.features, q)
     idx = k_smallest_rows(dist, k)[0]
-    prefix = profile_rows(one_shard(shard), q, np.array([k]))[0]
+    prefix = profile_rows(shard, q, np.array([k]))[0]
     return dist[0, idx], prefix
 
 
 def oracle_profile(shard, query, k):
     """The same from the plain-loop oracle."""
-    dists, prefix = oracle.shard_profiles(one_shard(shard), query)[0]
+    dists, prefix = oracle.shard_profiles(shard, query)[0]
     return np.array(dists[:k]), np.array(prefix[:k])
 
 
@@ -68,7 +68,7 @@ class TestEuclideanDistance:
         cfg = StoppingConfig(N=2, d=3)
         for width in (2, 4):
             with pytest.raises(ValueError, match="dimension"):
-                evaluate_queries(one_shard(shard), np.zeros((1, width)), ClassifierKind.DANN, cfg)
+                evaluate_queries(shard, np.zeros((1, width)), ClassifierKind.DANN, cfg)
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match="d = 0"):
@@ -87,7 +87,7 @@ class TestEuclideanDistance:
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
         queries = np.array([[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
         with pytest.raises(ValueError, match="query row 1 "):
-            evaluate_queries(one_shard(shard), queries, ClassifierKind.D1NN, StoppingConfig(N=2, d=3))
+            evaluate_queries(shard, queries, ClassifierKind.D1NN, StoppingConfig(N=2, d=3))
 
 
 class TestShardChecks:
@@ -201,17 +201,17 @@ class TestNeighborProfile:
     def test_k_max_zero_rejected(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="depth"):
-            profile_rows(one_shard(shard), np.zeros((1, 3)), np.array([0]))
+            profile_rows(shard, np.zeros((1, 3)), np.array([0]))
 
     def test_k_max_above_size_rejected(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="depth"):
-            profile_rows(one_shard(shard), np.zeros((1, 3)), np.array([3]))
+            profile_rows(shard, np.zeros((1, 3)), np.array([3]))
 
     def test_query_dimension_checked(self):
         shard = Shard(1, np.zeros((2, 3)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
-            oracle.shard_profiles(one_shard(shard), np.zeros(2))
+            oracle.shard_profiles(shard, np.zeros(2))
 
     def test_ties_broken_by_point_index(self):
         # four copies of the same point with different labels: neighbor order
@@ -462,7 +462,7 @@ def test_argmin_rounds_path_by_k():
 def test_kernel_matches_oracle_in_either_layout(order, d):
     rng = np.random.default_rng(40 + d)
     feats = rng.random((60, d)) * 10.0 ** rng.integers(-3, 3, size=(60, d))
-    part = one_shard(Shard(1, feats, rng.integers(0, 2, 60)))
+    part = Shard(1, feats, rng.integers(0, 2, 60))
     part.features = np.asarray(part.features, order=order)
     queries = rng.random((4, d))
     dist = query_distance_matrix(part.features, queries)
@@ -583,7 +583,7 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^shard id must be an integer, got {re.escape(repr(shard_id))}$"):
             Shard(shard_id, np.zeros((2, 1)), np.array([0, 1]))
         assert [Shard(i, np.zeros((2, 1)), np.array([0, 1])).id for i in (1, np.int64(2), np.uint8(3))] == [1, 2, 3]
-        with pytest.raises(ValueError, match="^shard id must be >= 1$"):
+        with pytest.raises(ValueError, match="^shard id must be >= 1, got 0$"):
             Shard(np.int64(0), np.zeros((2, 1)), np.array([0, 1]))
 
     def test_profile_invariant_validation(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from distknn.engine import ClassifierKind, Shard, StoppingConfig, depth_matrix, evaluate_queries
+from distknn.realdata import train_test_split
 from distknn.simharness import (
     ExperimentConfig,
     ExperimentResult,
@@ -121,7 +122,7 @@ class TestGenerateSample:
         assert abs(shard.labels.mean() - expected) < 3 * se
 
     def test_n_below_one_rejected(self):
-        with pytest.raises(ValueError, match="^n must be >= 1$"):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             generate_sample(0, SyntheticModel(0.6), np.random.default_rng(0))
 
 
@@ -198,7 +199,7 @@ class TestPartitionProportional:
     def test_m_below_one_rejected(self):
         rng = np.random.default_rng(4)
         data = generate_sample(5, SyntheticModel(0.6), rng)
-        with pytest.raises(ValueError, match="^m must be >= 1$"):
+        with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
             partition_proportional(data, 0, rng)
 
     def test_union_preserves_data(self):
@@ -230,6 +231,24 @@ def test_shard_count_matches_integer_arithmetic():
             assert m**10 >= N**i and (m - 1) ** 10 < N**i, (N, i / 10, m)
 
 
+@pytest.mark.parametrize(
+    "N, eps, message",
+    [
+        (0, 0.5, "N must be >= 1, got 0"),
+        (-3, 0.5, "N must be >= 1, got -3"),
+        (100, -0.5, "eps=-0.5 outside [0, 1)"),
+        (100, 1.0, "eps=1.0 outside [0, 1)"),
+        (100, math.nan, "eps=nan outside [0, 1)"),
+    ],
+    ids=["N-zero", "N-negative", "eps-negative", "eps-one", "eps-nan"],
+)
+def test_shard_count_outside_its_range_rejected(N, eps, message):
+    # 0 gave 0 shards, -0.5 gave 1 and 1.0 gave 100; -3 met a TypeError about
+    # complex numbers and nan Fraction's "Invalid literal"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        shard_count(N, eps)
+
+
 class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -251,7 +270,7 @@ class TestExperimentConfig:
         assert ExperimentConfig(N=200, kappa=np.float64(0.6), epsilons=(0,)).kappa == 0.6
 
     def test_queries_per_run_below_one_rejected(self):
-        with pytest.raises(ValueError, match="^queries_per_run must be >= 1$"):
+        with pytest.raises(ValueError, match="^queries_per_run must be >= 1, got 0$"):
             ExperimentConfig(N=100, kappa=0.6, epsilons=(0.0,), queries_per_run=0)
 
     @pytest.mark.parametrize(
@@ -308,7 +327,8 @@ def _pooled_call(**counts):
     return evaluate_queries(part, np.zeros((3, 3)), ClassifierKind.D1NN, StoppingConfig(N=10, d=3), **counts)
 
 
-# a bool is an int, so each of these took True as 1 (or met a bare TypeError in numpy)
+# a bool is an int, so each of these took True as 1 (or met a bare TypeError in
+# numpy, or a range check that named another fault)
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -324,9 +344,14 @@ def _pooled_call(**counts):
         (lambda: partition_proportional(_sample(), True, np.random.default_rng(0)), "m must be an integer, got True"),
         (lambda: run_experiment(ExperimentConfig(N=50, kappa=0.6, epsilons=(0,), runs=1), workers=True),
          "workers must be an integer, got True"),
+        (lambda: generate_sample(True, SyntheticModel(0.6), np.random.default_rng(0)),
+         "n must be an integer, got True"),
+        (lambda: shard_count(100, True), "eps must be a number, got True"),
+        (lambda: train_test_split(_sample(), True, np.random.default_rng(0)),
+         "test_fraction must be a number, got True"),
     ],
     ids=["shard-id", "workers", "chunk_size", "stopping-d", "walk", "kappa", "runs", "seed", "uniform-m",
-         "proportional-m", "grid-workers"],
+         "proportional-m", "grid-workers", "sample-n", "eps", "test_fraction"],
 )
 def test_bool_where_a_count_is_required_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
