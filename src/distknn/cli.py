@@ -467,7 +467,7 @@ def run_selftest(instances: int, seed: int) -> int:
         cfg = StoppingConfig(N=n, d=d)
         queries = rng.choice(grid, size=(2, d)) if tie_prone else rng.random((2, d))
         dist = query_distance_matrix(part.features, queries)
-        blocks = [slice(0, 1), slice(1, 2)] if wide else [slice(0, 2)]
+        blocks = [slice(0, 1), slice(1, 2)] if wide else [slice(0, None)]
         # every shard's whole profile: the neighbor order itself, not just the
         # walk's outcome, which a reorder inside a tie group rarely changes
         full = np.concatenate([build_prefix_tensor(part, dist[b], part.sizes) for b in blocks])
@@ -476,9 +476,14 @@ def run_selftest(instances: int, seed: int) -> int:
             for j, (ref, prefix) in enumerate(shards):
                 mismatches += np.sort(row[part.offsets[j] : part.offsets[j + 1]]).tolist() != ref
                 mismatches += got[part.offsets[j] : part.offsets[j + 1]].tolist() != prefix
+        # one or two shards of 260 to 700 points: the classifiers also take the
+        # first two training points, a block of 4 rows that the float32 screen
+        # takes (SCREEN_ROWS, SCREEN_WIDTH); a training point lies at distance
+        # 0 from itself, and the grid's points tie, so the screen meets ties
+        classified = np.concatenate([queries, feats[:2]]) if layout < 0.1 else queries
         for kind in ClassifierKind:
-            got = [r for b in blocks for r in zip(*(a.tolist() for a in evaluate_queries(part, queries[b], kind, cfg)))]
-            if got != [oracle.classify(part, q, kind, cfg) for q in queries]:
+            got = [r for b in blocks for r in zip(*(a.tolist() for a in evaluate_queries(part, classified[b], kind, cfg)))]
+            if got != [oracle.classify(part, q, kind, cfg) for q in classified]:
                 mismatches += 1
         # the scan on the builder's rows at each walk's last depths: its stop
         # and crossed flag against the oracle's statistics, at the paper's

@@ -50,6 +50,19 @@ step's statistic does not depend on earlier decisions, a stage that stops a
 row stops it where the whole walk would, so only the rows that never cross
 read every shard to its end.
 
+A block of at least ``SCREEN_ROWS`` query rows in a single-stage walk screens
+its leading shards of at least ``SCREEN_WIDTH`` points whose depth is short of
+the whole shard (``_screened_points``): their neighbors are selected on
+float32 squared distances from the same kernel, run on the partition's
+float32 copy (``Partition.screen_copy``, built once per partition in each
+process at its first screened block, so one-row blocks never pay for it).
+One check per block then finds every (query, shard) pair whose float32 pick
+may differ from the exact one, by a rigorous bound on the float32 error
+(``_settle_screen``), and redoes it in float64; every other pick is exact and
+is put in (float64 distance, index) order. The rest of the row, full sorts,
+the candidate sort and smaller blocks stay on float64, and every output is
+the float64 path's bit for bit.
+
 Importing this module sets glibc's malloc thresholds for the whole process
 (see ``_keep_temporaries_on_heap``); elsewhere it changes nothing.
 """
@@ -59,10 +72,12 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +133,28 @@ TILE_BYTES = 512 << 10
 SEGMENT_RUNS_PER_ROW = 64
 CANDIDATE_FACTOR = 4
 
+# Blocks of at least SCREEN_ROWS query rows select the neighbors of shards of
+# at least SCREEN_WIDTH points on float32 squared distances and then make the
+# picks exact in float64 (``_settle_screen``). The float32 kernel takes about
+# 0.41 of the float64 one (0.66 against 1.61 ms at 10 x 26049, d = 6), while
+# the check costs a pass over the screened distances and a fixed part per
+# block, and float32 argmin is slower on short rows (2.7x at 58 points).
+# _classify_chunk screened against the float64 path, medians of 7-11
+# interleaved pairs, 2-core Xeon:
+# - rows: on the census stand-in (N = 26049, d = 6) 2-row blocks read d1nn
+#   0.70/0.83/1.01 and dann 0.91/0.89/1.00 at eps 0/0.3/0.6, 3-row blocks
+#   0.77/0.68/0.91 and 0.90/0.84/0.96; on d = 3 grid partitions (N = 20000
+#   uniform, eps 0/0.3/0.5) 2-row blocks lost, d1nn 1.03-1.25 and dann
+#   1.15-1.31, and 3-row blocks dann 1.08-1.24, while 4-row blocks read d1nn
+#   0.75-0.80 and dann 0.96-1.08, and 13-row blocks 0.73-0.83 and 0.94-0.98;
+# - width: census uniform splits into shards of n points (10-row blocks) read
+#   1.15 at n = 8, 0.94 at 16, 0.88 at 32 and 0.73 at 64; at d = 3 (13-row
+#   blocks) shards of 32 read 1.19-1.22, of 48 1.07-1.27 and of 64
+#   0.90-1.05. The census stand-in's proportional split at eps 0.6 (shards of
+#   up to 116 points) read 0.89-0.90 with 32 or 64.
+SCREEN_ROWS = 4
+SCREEN_WIDTH = 64
+
 # ``dann_nes`` walks in stages where n_1 > STAGE_STEPS x STAGE_GROWTH
 # (``_stage_caps``): the first STAGE_STEPS steps, then only the rows that have
 # not crossed on to STAGE_GROWTH times as many steps, and so on, the last stage
@@ -132,6 +169,9 @@ CANDIDATE_FACTOR = 4
 # seeds, and up to 1.6 where walks run to k1 in the thousands (eps <= 0.3).
 STAGE_STEPS = 16
 STAGE_GROWTH = 4
+
+# float32's largest value: a screened pair's limit stays below half of it (``_settle_screen``)
+_F32_MAX = float(np.finfo(np.float32).max)
 
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -362,6 +402,19 @@ class Partition:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @functools.cached_property
+    def screen_copy(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points in float32, column-major and read-only, and each column's largest |x|, for the float32 screen.
+
+        Built at the first screened block (``_screened_points``), once per
+        partition in each process: blocks that are never screened, as every
+        grid's one-row blocks, never pay for it.
+        """
+        with np.errstate(over="ignore"):  # a coordinate past float32's range is inf, and its pairs are redone
+            single = np.asfortranarray(self.features, dtype=np.float32)
+        single.setflags(write=False)
+        return single, np.abs(self.features).max(axis=0)
+
     def size_runs(self, shard_depths: np.ndarray) -> list[tuple[int, int, int]]:
         """(first_shard, last_shard_exclusive, size) for each run of shards of one size and one depth."""
         change = (self.sizes[1:] != self.sizes[:-1]) | (shard_depths[1:] != shard_depths[:-1])
@@ -387,48 +440,70 @@ class Shard(Partition):
 
 
 def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Distances from each query (rows) to each point (columns).
+    """Distances from each query (rows) to each point (columns), in the points' precision.
 
-    Squared differences are added column by column and then square-rooted, at
-    every dimension; the oracle repeats this order, which keeps the two bit
-    for bit equal. The output is filled in tiles of points whose (rows, tile)
-    slab takes about ``TILE_BYTES``: tiles of even width, none narrower than
-    numpy's ufunc buffer (8192 points by default), or one tile where that
-    covers the row. So the d passes over a tile stay in cache, and every
-    element still takes the same operations in the same order. Each tile's
-    sum is built in the output: the first column's square is written there
-    (0 + x == x exactly), and each later column is subtracted and squared in
-    one reused (rows, tile) scratch buffer and then added. Column reads are
-    contiguous when ``features`` is column-major, as a Partition's is. Points
-    with no coordinate (d = 0), and queries that are not rows of the points'
-    d coordinates, are rejected.
+    Squared differences are added column by column (``_add_squares``) and then
+    square-rooted, at every dimension; the oracle repeats this order, which
+    keeps the two bit for bit equal. Float32 points (a Partition's
+    ``screen_copy``) give the float32 screen's values instead: the queries are
+    rounded to float32, the same operations run in float32, and the squared
+    distances are returned without the square root. The output is filled in
+    tiles of points whose (rows, tile) slab takes about ``TILE_BYTES``: tiles
+    of even width, none narrower than numpy's ufunc buffer (8192 points by
+    default), or one tile where that covers the row. So the d passes over a
+    tile stay in cache, and every element still takes the same operations in
+    the same order. Each tile's sum is built in the output, with one reused
+    (rows, tile) scratch buffer. Column reads are contiguous when ``features``
+    is column-major, as a Partition's is. Points with no coordinate (d = 0),
+    and queries that are not rows of the points' d coordinates, are rejected.
     """
     n, d = features.shape
     if d == 0:
         raise ValueError("points need at least one coordinate, got d = 0")
     if queries.ndim != 2 or queries.shape[1] != d:
         raise ValueError(f"queries of shape {queries.shape} do not match points of shape {features.shape}")
+    single = features.dtype == np.float32
     nq = queries.shape[0]
-    out = np.empty((nq, n), dtype=np.float64)
-    width = max(1, TILE_BYTES // (8 * max(nq, 1)))
+    out = np.empty((nq, n), dtype=np.float32 if single else np.float64)
+    width = max(1, TILE_BYTES // (out.itemsize * max(nq, 1)))
     if width < n:
         # numpy runs a 2-D operation whose rows are shorter than about a third
         # of its ufunc buffer through that buffer, at about 4x the cost per
         # element, so tiles are at least a buffer wide before they are evened out
         tiles = -(-n // max(width, np.getbufsize()))
         width = -(-n // tiles)
-    scratch = np.empty((nq, min(width, n)))
+    scratch = np.empty((nq, min(width, n)), dtype=out.dtype)
+    if single:
+        # float32 overflows past 3.4e38, where a screened value is inf or nan
+        # and its pair is redone in float64 (``_settle_screen``): no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = queries.T.astype(np.float32)[:, :, None]
+            for a in range(0, n, width):
+                _add_squares(out[:, a : a + width], scratch, columns, features[a : a + width].T)
+        return out
     for a in range(0, n, width):
         acc = out[:, a : a + width]
-        diff = scratch[:, : acc.shape[1]]
-        for c in range(d):
-            buf = acc if c == 0 else diff
-            np.subtract(queries[:, c, None], features[a : a + width, c], out=buf)
-            np.multiply(buf, buf, out=buf)
-            if c:
-                acc += diff
+        _add_squares(acc, scratch, queries.T[:, :, None], features[a : a + width].T)
         np.sqrt(acc, out=acc)
     return out
+
+
+def _add_squares(acc: np.ndarray, diff: np.ndarray, queries: np.ndarray, points: np.ndarray) -> None:
+    """Write the sum over c of (queries[c] - points[c])^2 into ``acc``, column by column.
+
+    The one operation order of every distance: the first coordinate's square
+    is written to ``acc`` (0 + x == x exactly), and each later one is
+    subtracted and squared in ``diff`` and then added. The leading axis of
+    ``queries`` and ``points`` is the coordinate; the rest broadcast to
+    ``acc``'s shape, and ``diff`` may be wider than ``acc`` in its last axis.
+    """
+    diff = diff[..., : acc.shape[-1]]  # a tile's scratch may be wider than its last tile
+    for c in range(points.shape[0]):
+        buf = acc if c == 0 else diff
+        np.subtract(queries[c], points[c], out=buf)
+        np.multiply(buf, buf, out=buf)
+        if c:
+            acc += diff
 
 
 def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
@@ -480,26 +555,39 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
 
 
 def _argmin_rounds(dist: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest per row, by k rounds of ``argmin`` on a working copy.
+    """The k smallest per row, by k rounds of ``argmin``.
 
-    Each round masks its pick with ``inf``. ``argmin`` returns the lowest
+    Each round masks its pick with ``inf``, in ``dist`` itself, and the picks'
+    values are put back before returning, on error too; a read-only or
+    non-contiguous ``dist`` is masked in a copy. ``argmin`` returns the lowest
     index among equal minima, so while a round's minimum is finite its pick
     is the next entry in (value, index) order, with no sort. Once a row's
     minimum is ``inf``, a round may pick an entry masked earlier: only the
     rows whose last round found ``inf`` are redone, with the stable argsort.
     """
     rows, n = dist.shape
-    work = dist.copy()
-    flat = work.reshape(-1)
+    work = dist if dist.flags.writeable and dist.flags.c_contiguous else dist.copy()
+    flat = work.reshape(-1)  # a view, as ``work`` is contiguous
     start = np.arange(0, rows * n, n)  # flat index of each row's column 0
     idx = np.empty((rows, k), dtype=np.intp)
-    for j in range(k):
-        pick = work.argmin(axis=1)
-        idx[:, j] = pick
-        pick += start
-        if j < k - 1:
-            flat[pick] = np.inf
-    redo = np.flatnonzero(flat[pick] == np.inf)
+    masked = np.empty((k - 1, rows), dtype=np.intp)  # flat index of each masked pick
+    saved = np.empty((k - 1, rows), dtype=dist.dtype)
+    rounds = 0
+    try:
+        for j in range(k):
+            pick = work.argmin(axis=1)
+            idx[:, j] = pick
+            pick += start
+            if j < k - 1:
+                masked[j] = pick
+                saved[j] = flat[pick]
+                flat[pick] = np.inf
+                rounds += 1
+        redo = np.flatnonzero(flat[pick] == np.inf)
+    finally:
+        # in reverse, so an entry picked twice gets its first value back
+        for j in reversed(range(rounds)):
+            flat[masked[j]] = saved[j]
     if redo.size:
         idx[redo] = dist[redo].argsort(axis=1, kind="stable")[:, :k]
     return idx
@@ -535,7 +623,16 @@ def _sorted_rows(dist: np.ndarray) -> np.ndarray:
     return order
 
 
-def build_prefix_tensor(partition: Partition, dist: np.ndarray, shard_depths: np.ndarray) -> np.ndarray:
+class _Screen(NamedTuple):
+    """A block's float32 screen: its query rows, and their float32 squared distances to the partition's first points."""
+
+    queries: np.ndarray  # (q, d) float64
+    near: np.ndarray  # (q, n) float32, the first n points (``_screened_points``)
+
+
+def build_prefix_tensor(
+    partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, screen: _Screen | None = None
+) -> np.ndarray:
     """Every shard's label prefix sums back to back, one row per query: shape (q, sum_j k_j).
 
     ``dist`` is a block of distances, shape (q, N), from q queries to the
@@ -550,6 +647,11 @@ def build_prefix_tensor(partition: Partition, dist: np.ndarray, shard_depths: np
     sort pays for a number of entries that follows the summed depths. So the
     sort is taken where the runs are many per query row
     (``SEGMENT_RUNS_PER_ROW``). Both give the same rows.
+
+    With a ``screen``, the first n points, n = ``screen.near.shape[1]``, are
+    read from its float32 squared distances, ``dist`` holds the distances to
+    the other N - n points, and the block takes the run loop, whose screened
+    runs are made exact as ``_settle_screen`` describes. The rows are the same.
     """
     sizes = partition.sizes
     shard_depths = np.asarray(shard_depths, dtype=np.int64)
@@ -559,35 +661,188 @@ def build_prefix_tensor(partition: Partition, dist: np.ndarray, shard_depths: np
     if bad.size:
         j = int(bad[0])
         raise ValueError(f"shard {j}: depth {shard_depths[j]} outside [1, shard size {sizes[j]}]")
-    if dist.ndim != 2 or dist.shape[1] != partition.total:
+    far = partition.total - (0 if screen is None else screen.near.shape[1])
+    if dist.ndim != 2 or dist.shape[1] != far:
         raise ValueError(f"distances of shape {dist.shape} do not match points of shape {partition.features.shape}")
     nq = dist.shape[0]
     out = np.empty((nq, int(shard_depths.sum())), dtype=np.int64)  # every entry is written
     runs = partition.size_runs(shard_depths)
-    if len(runs) >= SEGMENT_RUNS_PER_ROW * nq:
+    if screen is None and len(runs) >= SEGMENT_RUNS_PER_ROW * nq:
         _segmented_profiles(partition, dist, shard_depths, out)
     else:
-        _run_profiles(partition, dist, shard_depths, runs, out)
+        _run_profiles(partition, dist, shard_depths, runs, out, screen)
     return out
 
 
 def _run_profiles(
-    partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, runs: list[tuple[int, int, int]], out: np.ndarray
+    partition: Partition,
+    dist: np.ndarray,
+    shard_depths: np.ndarray,
+    runs: list[tuple[int, int, int]],
+    out: np.ndarray,
+    screen: _Screen | None = None,
 ) -> None:
-    """Fill ``out`` one run of equal (size, depth) shards at a time, a slab of every row."""
+    """Fill ``out`` one run of equal (size, depth) shards at a time, a slab of every row.
+
+    A run of the ``screen``'s points selects on its float32 values, and
+    ``_settle_screen`` then makes those picks exact and fills their part of
+    ``out``.
+    """
     nq = dist.shape[0]
     offsets, labels = partition.offsets, partition.labels
+    near = 0 if screen is None else screen.near.shape[1]
+    if near:
+        screened = int(np.searchsorted(offsets, near))  # shards, as offsets[screened] == near
+        picks = np.empty((nq, int(shard_depths[:screened].sum())), dtype=np.intp)
+        kth = np.empty((nq, screened), dtype=np.intp)  # each pick's last point
     start = 0
     for first, last, size in runs:
         depth = int(shard_depths[first])
         a, b = int(offsets[first]), int(offsets[last])
-        idx = k_smallest_rows(dist[:, a:b].reshape(-1, size), depth).reshape(nq, last - first, depth)
+        if b <= near:  # a run never straddles the screen's end (``_screened_points``)
+            idx = k_smallest_rows(screen.near[:, a:b].reshape(-1, size), depth).reshape(nq, last - first, depth)
+            idx += offsets[first:last, None]
+            kth[:, first:last] = idx[:, :, -1]
+            picks[:, start : start + (last - first) * depth].reshape(idx.shape)[...] = idx
+            start += (last - first) * depth
+            continue
+        idx = k_smallest_rows(dist[:, a - near : b - near].reshape(-1, size), depth).reshape(nq, last - first, depth)
         idx += offsets[first:last, None]  # shard-local to partition-wide index
         view = out[:, start : start + idx[0].size].reshape(idx.shape)  # a view: splits a contiguous axis
         view[...] = labels[idx]
         if depth > 1:
             np.cumsum(view, axis=2, out=view)
         start += idx[0].size
+    if near:
+        _settle_screen(partition, screen, picks, kth, shard_depths[:screened], out)
+
+
+def _screened_points(partition: Partition, shard_depths: np.ndarray, rows: int) -> int:
+    """How many of the partition's first points a block of ``rows`` query rows screens in float32, or 0.
+
+    A block is screened when it has at least ``SCREEN_ROWS`` rows and takes
+    the run loop (fewer than ``SEGMENT_RUNS_PER_ROW`` runs per row). Its
+    screened shards are the leading ones of at least ``SCREEN_WIDTH`` points
+    whose depth is short of the whole shard: full sorts gain too little from
+    float32, and narrow rows select slower in it. As sizes are nonincreasing
+    and a run shares one size and one depth, the screened points end where a
+    run does.
+    """
+    if rows < SCREEN_ROWS:
+        return 0
+    keep = (partition.sizes >= SCREEN_WIDTH) & (shard_depths < partition.sizes)
+    if not keep[0] or len(partition.size_runs(shard_depths)) >= SEGMENT_RUNS_PER_ROW * rows:
+        return 0
+    return int(partition.offsets[keep.size if keep.all() else int(keep.argmin())])
+
+
+def _settle_screen(
+    partition: Partition, screen: _Screen, picks: np.ndarray, kth: np.ndarray, pick_depths: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Redo in float64 every screened (query, shard) pair whose float32 pick may not be the exact one.
+
+    ``picks`` holds the partition-wide indices of each screened (query, shard)
+    pair's float32 pick, back to back as in a row of ``out``, and ``kth``,
+    shape (q, shards), that of each pick's k-th point, whose float32 value
+    is t. The pairs are checked at once, against the bound below; the exact
+    picks are then ordered by (float64 distance, index) and their label sums
+    written to the first columns of ``out``.
+
+    Let S be an entry's exact squared distance, S64 the float64 kernel's sum
+    (before its square root) and S32 the screen's float32 value. With u =
+    2^-24, u' = u (1 + u), gamma = (d + 1) u / (1 - (d + 1) u), M_c = |q_c| +
+    max_i |x_ic| + 2^-125 (the column maxima of ``screen_copy``) and Q = sum_c
+    M_c^2, every entry with S <= s has |S32 - S| <= B(s), where
+
+        B(s) = err + gamma (s + err) + d 2^-148,
+        err = u (2 + u) s + 2 u' (1 + u) sqrt(s Q) + u'^2 Q.
+
+    Rounding a coordinate v to float32 errs by at most u (|v| + 2^-126), so
+    coordinate c's float32 difference is D_c + e_c, D_c = q_c - x_c, with
+    |e_c| <= u |D_c| + u' M_c after the subtraction's own rounding. Then
+    sum_c (D_c + e_c)^2 - S = sum_c (2 D_c e_c + e_c^2) is at most err in
+    size, by sum_c |D_c| M_c <= sqrt(S Q) (Cauchy-Schwarz). The d squares and
+    d - 1 additions in float32 add at most gamma times the sum, and squares
+    that underflow at most d 2^-149.
+
+    Let k be the pair's depth, gamma64 = (d + 1) 2^-53 / (1 - (d + 1) 2^-53)
+    the float64 kernel's bound on |S64 - S| / S, and kappa = 3 gamma64 +
+    2^-45. Writing B((1 + kappa) s) + kappa s as a + b sqrt(s) + c s, the
+    margin delta = x^2, with x = beta + sqrt(beta^2 + (a + b sqrt(t) + c t) /
+    (1 - c)) and beta = b / (2 (1 - c)) the positive root of (1 - c) x^2 - b
+    x - (a + b sqrt(t) + c t), satisfies delta >= B((1 + kappa) y) + kappa y
+    at y = t + delta, since sqrt(t + delta) <= sqrt(t) + sqrt(delta). The
+    pair is sure when exactly k of its float32 values are at most t + 2 delta
+    and that limit is below half of float32's largest value. An entry with S
+    at most (1 + kappa) y then has float32 squares summing to at most the
+    limit, so none of its float32 operations overflows. Then:
+
+    - Each of the k picks has S <= y. Its S32 <= t, and S - B(S), read as a
+      function of sqrt(S), is increasing past sqrt(delta) >= b / (1 - c) and
+      at least t at S = y.
+    - Every other entry has S > (1 + kappa) y: one with S at most that would
+      have S32 <= (1 + kappa) y + B((1 + kappa) y) <= t + 2 delta.
+    - So its S64 > (1 + kappa)(1 - gamma64) y >= (1 + 2^-50) (1 + gamma64) y,
+      which is at least (1 + 2^-50) times every pick's S64, and its float64
+      distance, the square root rounded, exceeds every pick's. The picks
+      are the k nearest in (distance, index) order whatever their indices,
+      and their float64 distances, added in the kernel's order
+      (``_add_squares``), put them in that order. The 2^-45 in kappa also
+      covers float64 underflow, as delta >= d 2^-148.
+
+    delta is raised by 2^-7 of itself, which covers the float64 rounding of
+    the margin and of t + 2 delta (delta >= c t >= 2^-45 t), and the limit is
+    compared with the float32 values after rounding it to float32, which can
+    only count more of them. Every other pair is redone: its shard's float64
+    distances to those rows come from ``query_distance_matrix`` and its pick
+    from ``k_smallest_rows``, as an unscreened block's would.
+    """
+    queries, near = screen
+    nq, m = kth.shape
+    d = partition.dim
+    u = 2.0**-24
+    u1 = u * (1 + u)
+    gamma = (d + 1) * u / (1 - (d + 1) * u)
+    gamma64 = (d + 1) * 2.0**-53 / (1 - (d + 1) * 2.0**-53)
+    kappa = 3 * gamma64 + 2.0**-45
+    c = ((1 + gamma) * u * (2 + u) + gamma) * (1 + kappa) + kappa
+    spread = np.square(np.abs(queries) + (partition.screen_copy[1] + 2.0**-125)).sum(axis=1, keepdims=True)  # Q
+    a = ((1 + gamma) * u1 * u1 * spread + d * 2.0**-148) / (1 - c)  # a and b over 1 - c
+    b = (1 + gamma) * 2 * u1 * (1 + u) / (1 - c) * np.sqrt((1 + kappa) * spread)
+    t = near[np.arange(nq)[:, None], kth].astype(np.float64)
+    x = b / 2 + np.sqrt(b * b / 4 + a + b * np.sqrt(t) + c / (1 - c) * t)
+    limit = t + (2 + 2.0**-6) * x * x
+    within = near <= np.repeat(np.minimum(limit, _F32_MAX).astype(np.float32), partition.sizes[:m], axis=1)
+    count = np.add.reduceat(within.view(np.int8), partition.offsets[:m], axis=1, dtype=np.int32)
+    unsure = (count != pick_depths) | ~(limit < _F32_MAX / 2)
+    starts = np.cumsum(pick_depths) - pick_depths  # where each shard's pick starts in a row
+    for j in np.flatnonzero(unsure.any(axis=0)):
+        rows = np.flatnonzero(unsure[:, j])
+        lo, hi, k = int(partition.offsets[j]), int(partition.offsets[j + 1]), int(pick_depths[j])
+        idx = k_smallest_rows(query_distance_matrix(partition.features[lo:hi], queries[rows]), k)
+        picks[rows[:, None], starts[j] + np.arange(k)] = idx + lo
+    out[:, : picks.shape[1]] = partition.labels[picks]
+    if picks.shape[1] == m:  # every pick is one point
+        return
+    exact = np.empty(picks.shape)
+    _add_squares(exact, np.empty_like(exact), queries.T[:, :, None], np.take(partition.features.T, picks, axis=1))
+    np.sqrt(exact, out=exact)
+    # the float32 order is the exact one unless two neighbours in a shard's
+    # pick are out of (distance, index) order; only those rows are sorted
+    step = np.diff(exact, axis=1)
+    wrong = (step < 0) | ((step == 0) & (picks[:, 1:] < picks[:, :-1]))
+    wrong[:, starts[1:] - 1] = False  # the last point of a shard and the first of the next
+    rows = np.flatnonzero(wrong.any(axis=1))
+    if rows.size:
+        sub = picks[rows]
+        shard = np.broadcast_to(np.repeat(np.arange(m), pick_depths), sub.shape)
+        order = np.lexsort((sub, exact[rows], shard))
+        out[rows, : picks.shape[1]] = partition.labels[np.take_along_axis(sub, order, axis=1)]
+    sums = out[:, : picks.shape[1]]
+    np.cumsum(sums, axis=1, out=sums)
+    if m > 1:  # each shard's sums restart at its first point
+        sums[:, starts[1]:] -= np.repeat(sums[:, starts[1:] - 1], pick_depths[1:], axis=1)
 
 
 def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, out: np.ndarray) -> None:
@@ -712,10 +967,16 @@ def _classify_chunk(
     built when a row first reaches it, at most once per chunk, so a chunk
     whose walks all stop early never builds the deeper ones. The block's
     distances are dropped before the last stage's scan.
+
+    A single-stage walk's block may be screened (``_screened_points``): the
+    distances to its leading wide shards then come in float32 from the
+    partition's ``screen_copy``, and the rest in float64.
     """
     sizes = partition.sizes
     caps = _stage_caps(kind, int(sizes[0]))
-    stage_rows: list[np.ndarray] = []
+    # a staged walk's last stage reads every shard whole, so only single-stage
+    # walks are screened, and their one stage's depths are needed up front
+    stage_rows: list[np.ndarray] = [] if caps else [depths(kind, sizes, cfg)]
     adaptive = kind in (ClassifierKind.DANN, ClassifierKind.DANN_NES)
     threshold = stopping_threshold(cfg)
     nq = queries.shape[0]
@@ -723,13 +984,21 @@ def _classify_chunk(
     eta_hat = np.empty(nq, dtype=np.float64)
     rows = max(1, BLOCK_BYTES // (8 * partition.total))
     for i in range(0, nq, rows):
-        dist = query_distance_matrix(partition.features, queries[i : i + rows])
+        block = queries[i : i + rows]
+        near = 0 if caps else _screened_points(partition, stage_rows[0][-1], block.shape[0])
+        screen = None
+        if near:
+            screen = _Screen(block, query_distance_matrix(partition.screen_copy[0][:near], block))
+        if not near:
+            dist = query_distance_matrix(partition.features, block)
+        else:
+            dist = query_distance_matrix(partition.features[near:], block) if near < partition.total else block[:, :0]
         walking = slice(i, i + rows)  # the chunk rows of ``dist``, as indices once some have stopped
         for s in range(len(caps) + 1):
             if s == len(stage_rows):
                 stage_rows.append(depth_matrix(caps[s], sizes) if s < len(caps) else depths(kind, sizes, cfg))
             kj = stage_rows[s]
-            prefix = build_prefix_tensor(partition, dist, kj[-1])
+            prefix = build_prefix_tensor(partition, dist, kj[-1], screen)
             last = s == len(caps)
             if last:
                 del dist

@@ -156,6 +156,8 @@ class GridConfig:
             raise ValueError(f"split must be 'uniform' or 'proportional', got {self.split!r}")
         _check_integer("seed", self.seed, 0)
         _check_bool("include_log_in_bound", self.include_log_in_bound)
+        for e in self.epsilons:
+            _check_number("epsilon", e)
         eps = tuple(float(e) for e in self.epsilons)
         kinds = tuple(k if isinstance(k, ClassifierKind) else ClassifierKind.parse(k) for k in self.classifiers)
         for what, keys in (("epsilon", eps), ("classifier", [k.value for k in kinds])):

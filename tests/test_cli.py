@@ -955,6 +955,33 @@ def test_selftest_reaches_both_profile_strategies(monkeypatch):
     assert cut == {True, False}
 
 
+def test_selftest_reaches_the_float32_screen(monkeypatch):
+    """CI's ``selftest --instances 200`` (seed 0) classifies blocks that the
+    float32 screen takes, and some of their pairs are redone in float64."""
+    from distknn import engine
+
+    blocks, inside = [], []
+    settle, kernel = engine._settle_screen, engine.query_distance_matrix
+
+    def settling(*args):
+        blocks.append(0)
+        inside.append(True)
+        try:
+            return settle(*args)
+        finally:
+            inside.pop()
+
+    def distances(features, queries):
+        if inside:
+            blocks[-1] += queries.shape[0]
+        return kernel(features, queries)
+
+    monkeypatch.setattr(engine, "_settle_screen", settling)
+    monkeypatch.setattr(engine, "query_distance_matrix", distances)
+    assert run_selftest(instances=200, seed=0) == 0
+    assert len(blocks) > 0 and sum(blocks) > 0
+
+
 RUN_FACTS = ["started", "finished", "wall_s", "cpu_count", "git_revision", "failures"]
 
 

@@ -450,9 +450,9 @@ def test_segmented_classification_matches_oracle(monkeypatch, strategies, d):
     queries = np.concatenate([rng.choice(TIE_GRID, size=(2, d)), rng.random((1, d))])
     builds = []
 
-    def counting_prefix(partition, dist, shard_depths):
+    def counting_prefix(partition, dist, shard_depths, *rest):
         builds.append(dist.shape[0])
-        return build_prefix_tensor(partition, dist, shard_depths)
+        return build_prefix_tensor(partition, dist, shard_depths, *rest)
 
     monkeypatch.setattr(engine, "build_prefix_tensor", counting_prefix)
     for kind in ClassifierKind:
@@ -659,9 +659,9 @@ def test_walk_crossing_in_its_first_stage_builds_no_deeper_profiles(monkeypatch)
     first_stage = engine.depth_matrix(16, part.sizes)[-1]
     built = []
 
-    def recording_prefix(partition, dist, shard_depths):
+    def recording_prefix(partition, dist, shard_depths, *rest):
         built.append(np.asarray(shard_depths).copy())
-        return build_prefix_tensor(partition, dist, shard_depths)
+        return build_prefix_tensor(partition, dist, shard_depths, *rest)
 
     monkeypatch.setattr(engine, "build_prefix_tensor", recording_prefix)
     queries = rng.random((5, 3))

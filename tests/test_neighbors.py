@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -455,6 +456,28 @@ def test_argmin_rounds_path_by_k():
         with mock.patch.object(engine, "_argmin_rounds", wraps=engine._argmin_rounds) as spy:
             np.testing.assert_array_equal(k_smallest_rows(dist, k), stable_k(dist, k))
         assert spy.called is rounds, (shape, k)
+
+
+def test_argmin_rounds_mask_in_place_and_put_the_block_back():
+    # a census block (10 x 26049) at k = 2: the rounds mask the block itself,
+    # where a copy of it took 2 MB and twice the time, and restore it; a
+    # read-only block, as a partition's, is masked in a copy
+    rng = np.random.default_rng(38)
+    dist = rng.random((10, 26049))
+    dist[:, ::5] = dist[:, :1]  # ties with each row's first entry
+    before = dist.copy()
+    tracemalloc.start()
+    try:
+        idx = engine._argmin_rounds(dist, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dist.nbytes / 4
+    np.testing.assert_array_equal(idx, stable_k(before, 2))
+    np.testing.assert_array_equal(dist, before)
+    dist.setflags(write=False)
+    np.testing.assert_array_equal(engine._argmin_rounds(dist, 5), stable_k(before, 5))
+    np.testing.assert_array_equal(dist, before)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -378,8 +378,12 @@ class TestGridConfig:
             ({"epsilons": (0.0,), "classifiers": ()}, "need at least one classifier"),
             ({"epsilons": (0.0,), "split": "diagonal"}, "split must be 'uniform' or 'proportional', got 'diagonal'"),
             ({"epsilons": (0.0,), "seed": -1}, "seed must be >= 0, got -1"),
+            ({"epsilons": (False, 0.5)}, "epsilon must be a number, got False"),
+            ({"epsilons": ("0.25",)}, "epsilon must be a number, got '0.25'"),
+            ({"epsilons": (None,)}, "epsilon must be a number, got None"),
         ],
-        ids=["epsilon-range", "no-epsilon", "no-classifier", "split", "negative-seed"],
+        ids=["epsilon-range", "no-epsilon", "no-classifier", "split", "negative-seed", "bool-epsilon",
+             "string-epsilon", "none-epsilon"],
     )
     def test_every_grid_check(self, kw, message):
         for config in (GridConfig, lambda **k: ExperimentConfig(N=100, kappa=0.6, **k)):
