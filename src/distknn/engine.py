@@ -59,9 +59,10 @@ process at its first screened block, so one-row blocks never pay for it).
 One check per block then finds every (query, shard) pair whose float32 pick
 may differ from the exact one, by a rigorous bound on the float32 error
 (``_settle_screen``), and redoes it in float64; every other pick is exact and
-is put in (float64 distance, index) order. The rest of the row, full sorts,
-the candidate sort and smaller blocks stay on float64, and every output is
-the float64 path's bit for bit.
+is put in (float64 distance, index) order. Only the picks are corrected: the
+run loop then turns every pick, screened or not, into label sums the same
+way. The rest of the row, full sorts, the candidate sort and smaller blocks
+stay on float64, and every output is the float64 path's bit for bit.
 
 Importing this module sets glibc's malloc thresholds for the whole process
 (see ``_keep_temporaries_on_heap``); elsewhere it changes nothing.
@@ -650,8 +651,9 @@ def build_prefix_tensor(
 
     With a ``screen``, the first n points, n = ``screen.near.shape[1]``, are
     read from its float32 squared distances, ``dist`` holds the distances to
-    the other N - n points, and the block takes the run loop, whose screened
-    runs are made exact as ``_settle_screen`` describes. The rows are the same.
+    the other N - n points (none when n = N), and the block takes the run
+    loop. The screened runs' picks are corrected as ``_settle_screen``
+    describes before any label is read, so the rows are the same.
     """
     sizes = partition.sizes
     shard_depths = np.asarray(shard_depths, dtype=np.int64)
@@ -684,37 +686,36 @@ def _run_profiles(
 ) -> None:
     """Fill ``out`` one run of equal (size, depth) shards at a time, a slab of every row.
 
-    A run of the ``screen``'s points selects on its float32 values, and
-    ``_settle_screen`` then makes those picks exact and fills their part of
-    ``out``.
+    Each run's picks, one ``k_smallest_rows`` call over all of its (query,
+    shard) rows, go into one (q, sum_j k_j) array of partition-wide indices,
+    laid out as ``out``. A run of the ``screen``'s points selects on its
+    float32 values, and ``_settle_screen`` then corrects those picks. The
+    labels of every pick are then gathered into ``out`` at once, and each
+    run deeper than one point is summed along its picks.
     """
     nq = dist.shape[0]
-    offsets, labels = partition.offsets, partition.labels
+    offsets = partition.offsets
     near = 0 if screen is None else screen.near.shape[1]
-    if near:
-        screened = int(np.searchsorted(offsets, near))  # shards, as offsets[screened] == near
-        picks = np.empty((nq, int(shard_depths[:screened].sum())), dtype=np.intp)
-        kth = np.empty((nq, screened), dtype=np.intp)  # each pick's last point
+    picks = np.empty(out.shape, dtype=np.intp)
+    deep = []  # the slabs of ``out`` of runs deeper than one point
     start = 0
     for first, last, size in runs:
         depth = int(shard_depths[first])
         a, b = int(offsets[first]), int(offsets[last])
-        if b <= near:  # a run never straddles the screen's end (``_screened_points``)
-            idx = k_smallest_rows(screen.near[:, a:b].reshape(-1, size), depth).reshape(nq, last - first, depth)
-            idx += offsets[first:last, None]
-            kth[:, first:last] = idx[:, :, -1]
-            picks[:, start : start + (last - first) * depth].reshape(idx.shape)[...] = idx
-            start += (last - first) * depth
-            continue
-        idx = k_smallest_rows(dist[:, a - near : b - near].reshape(-1, size), depth).reshape(nq, last - first, depth)
-        idx += offsets[first:last, None]  # shard-local to partition-wide index
-        view = out[:, start : start + idx[0].size].reshape(idx.shape)  # a view: splits a contiguous axis
-        view[...] = labels[idx]
+        # a run never straddles the screen's end (``_screened_points``)
+        slab = screen.near[:, a:b] if b <= near else dist[:, a - near : b - near]
+        stop = start + (last - first) * depth
+        view = picks[:, start:stop].reshape(nq, last - first, depth)  # a view: splits a contiguous axis
+        np.add(k_smallest_rows(slab.reshape(-1, size), depth).reshape(view.shape), offsets[first:last, None], out=view)
         if depth > 1:
-            np.cumsum(view, axis=2, out=view)
-        start += idx[0].size
+            deep.append(out[:, start:stop].reshape(view.shape))
+        start = stop
     if near:
-        _settle_screen(partition, screen, picks, kth, shard_depths[:screened], out)
+        screened = int(np.searchsorted(offsets, near))  # shards, as offsets[screened] == near
+        _settle_screen(partition, screen, picks, shard_depths[:screened])
+    np.take(partition.labels, picks, out=out, mode="clip")  # "clip" skips the buffered copy of ``out``
+    for sums in deep:
+        np.cumsum(sums, axis=2, out=sums)
 
 
 def _screened_points(partition: Partition, shard_depths: np.ndarray, rows: int) -> int:
@@ -736,18 +737,16 @@ def _screened_points(partition: Partition, shard_depths: np.ndarray, rows: int) 
     return int(partition.offsets[keep.size if keep.all() else int(keep.argmin())])
 
 
-def _settle_screen(
-    partition: Partition, screen: _Screen, picks: np.ndarray, kth: np.ndarray, pick_depths: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Redo in float64 every screened (query, shard) pair whose float32 pick may not be the exact one.
+def _settle_screen(partition: Partition, screen: _Screen, picks: np.ndarray, pick_depths: np.ndarray) -> None:
+    """Correct the float32 picks of the screened shards in place: picks in, exact picks out.
 
-    ``picks`` holds the partition-wide indices of each screened (query, shard)
-    pair's float32 pick, back to back as in a row of ``out``, and ``kth``,
-    shape (q, shards), that of each pick's k-th point, whose float32 value
-    is t. The pairs are checked at once, against the bound below; the exact
-    picks are then ordered by (float64 distance, index) and their label sums
-    written to the first columns of ``out``.
+    ``picks`` holds each query's partition-wide picks, shard by shard, as in
+    a row of ``build_prefix_tensor``; its first sum(``pick_depths``) columns
+    are the screened shards' float32 picks, each in float32 (value, index)
+    order, and the other columns are left as they are. A pick's k-th point,
+    at its start + k - 1, has the float32 value t. The pairs are checked at
+    once, against the bound below, the unsure ones are redone, and the rows
+    whose exact picks are out of (float64 distance, index) order are sorted.
 
     Let S be an entry's exact squared distance, S64 the float64 kernel's sum
     (before its square root) and S32 the screen's float32 value. With u =
@@ -799,7 +798,9 @@ def _settle_screen(
     from ``k_smallest_rows``, as an unscreened block's would.
     """
     queries, near = screen
-    nq, m = kth.shape
+    nq, m = picks.shape[0], pick_depths.size
+    width = int(pick_depths.sum())
+    starts = np.cumsum(pick_depths) - pick_depths  # where each shard's pick starts in a row
     d = partition.dim
     u = 2.0**-24
     u1 = u * (1 + u)
@@ -810,39 +811,33 @@ def _settle_screen(
     spread = np.square(np.abs(queries) + (partition.screen_copy[1] + 2.0**-125)).sum(axis=1, keepdims=True)  # Q
     a = ((1 + gamma) * u1 * u1 * spread + d * 2.0**-148) / (1 - c)  # a and b over 1 - c
     b = (1 + gamma) * 2 * u1 * (1 + u) / (1 - c) * np.sqrt((1 + kappa) * spread)
-    t = near[np.arange(nq)[:, None], kth].astype(np.float64)
+    t = near[np.arange(nq)[:, None], picks[:, starts + pick_depths - 1]].astype(np.float64)
     x = b / 2 + np.sqrt(b * b / 4 + a + b * np.sqrt(t) + c / (1 - c) * t)
     limit = t + (2 + 2.0**-6) * x * x
     within = near <= np.repeat(np.minimum(limit, _F32_MAX).astype(np.float32), partition.sizes[:m], axis=1)
     count = np.add.reduceat(within.view(np.int8), partition.offsets[:m], axis=1, dtype=np.int32)
     unsure = (count != pick_depths) | ~(limit < _F32_MAX / 2)
-    starts = np.cumsum(pick_depths) - pick_depths  # where each shard's pick starts in a row
     for j in np.flatnonzero(unsure.any(axis=0)):
         rows = np.flatnonzero(unsure[:, j])
         lo, hi, k = int(partition.offsets[j]), int(partition.offsets[j + 1]), int(pick_depths[j])
         idx = k_smallest_rows(query_distance_matrix(partition.features[lo:hi], queries[rows]), k)
         picks[rows[:, None], starts[j] + np.arange(k)] = idx + lo
-    out[:, : picks.shape[1]] = partition.labels[picks]
-    if picks.shape[1] == m:  # every pick is one point
+    if width == m:  # every pick is one point
         return
-    exact = np.empty(picks.shape)
-    _add_squares(exact, np.empty_like(exact), queries.T[:, :, None], np.take(partition.features.T, picks, axis=1))
+    screened = picks[:, :width]
+    exact = np.empty(screened.shape)
+    _add_squares(exact, np.empty_like(exact), queries.T[:, :, None], np.take(partition.features.T, screened, axis=1))
     np.sqrt(exact, out=exact)
     # the float32 order is the exact one unless two neighbours in a shard's
     # pick are out of (distance, index) order; only those rows are sorted
     step = np.diff(exact, axis=1)
-    wrong = (step < 0) | ((step == 0) & (picks[:, 1:] < picks[:, :-1]))
+    wrong = (step < 0) | ((step == 0) & (screened[:, 1:] < screened[:, :-1]))
     wrong[:, starts[1:] - 1] = False  # the last point of a shard and the first of the next
     rows = np.flatnonzero(wrong.any(axis=1))
     if rows.size:
-        sub = picks[rows]
+        sub = screened[rows]
         shard = np.broadcast_to(np.repeat(np.arange(m), pick_depths), sub.shape)
-        order = np.lexsort((sub, exact[rows], shard))
-        out[rows, : picks.shape[1]] = partition.labels[np.take_along_axis(sub, order, axis=1)]
-    sums = out[:, : picks.shape[1]]
-    np.cumsum(sums, axis=1, out=sums)
-    if m > 1:  # each shard's sums restart at its first point
-        sums[:, starts[1]:] -= np.repeat(sums[:, starts[1:] - 1], pick_depths[1:], axis=1)
+        screened[rows] = np.take_along_axis(sub, np.lexsort((sub, exact[rows], shard)), axis=1)
 
 
 def _segmented_profiles(partition: Partition, dist: np.ndarray, shard_depths: np.ndarray, out: np.ndarray) -> None:
@@ -986,13 +981,8 @@ def _classify_chunk(
     for i in range(0, nq, rows):
         block = queries[i : i + rows]
         near = 0 if caps else _screened_points(partition, stage_rows[0][-1], block.shape[0])
-        screen = None
-        if near:
-            screen = _Screen(block, query_distance_matrix(partition.screen_copy[0][:near], block))
-        if not near:
-            dist = query_distance_matrix(partition.features, block)
-        else:
-            dist = query_distance_matrix(partition.features[near:], block) if near < partition.total else block[:, :0]
+        screen = _Screen(block, query_distance_matrix(partition.screen_copy[0][:near], block)) if near else None
+        dist = query_distance_matrix(partition.features[near:], block)  # (q, 0) when the screen takes every point
         walking = slice(i, i + rows)  # the chunk rows of ``dist``, as indices once some have stopped
         for s in range(len(caps) + 1):
             if s == len(stage_rows):

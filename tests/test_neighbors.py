@@ -75,6 +75,13 @@ class TestEuclideanDistance:
         with pytest.raises(ValueError, match="d = 0"):
             query_distance_matrix(np.zeros((5, 0)), np.zeros((2, 0)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_points_give_an_empty_block(self, dtype):
+        # a block whose points the float32 screen takes all of asks the
+        # float64 kernel for the distances to none
+        out = query_distance_matrix(np.zeros((0, 3), dtype=dtype), np.ones((4, 3)))
+        assert out.shape == (4, 0) and out.dtype == dtype
+
     @pytest.mark.parametrize("queries", [[[3.0, 4.0, 100.0]], [3.0, 4.0]], ids=["extra-column", "one-dimensional"])
     def test_query_shape_must_match_the_points(self, queries):
         # the kernel reads only the points' d columns: against 2-column points

@@ -26,6 +26,7 @@ from distknn.engine import (
     depths,
     evaluate_queries,
     evaluate_query,
+    k_smallest_rows,
     query_distance_matrix,
 )
 from distknn.simharness import SyntheticModel, generate_sample, partition_proportional, partition_uniform, shard_count
@@ -38,6 +39,30 @@ def screened_rows(partition, queries, shard_depths):
     screen = engine._Screen(queries, query_distance_matrix(partition.screen_copy[0][:near], queries))
     far = query_distance_matrix(partition.features[near:], queries)
     return build_prefix_tensor(partition, far, shard_depths, screen)
+
+
+# called directly, not through the ``redone`` fixture's patch, which counts only the blocks' own calls
+settle = engine._settle_screen
+
+
+def shard_picks(part, dist, shard_depths):
+    """The ``k_smallest_rows`` pick on ``dist`` of each of the first len(shard_depths) shards, partition-wide and
+    back to back."""
+    lo = part.offsets
+    return np.hstack([k_smallest_rows(dist[:, lo[j] : lo[j + 1]], k) + lo[j] for j, k in enumerate(shard_depths)])
+
+
+def settled_picks(part, queries, shard_depths):
+    """The screened columns of a block's picks after ``_settle_screen``, its other columns checked untouched."""
+    shard_depths = np.asarray(shard_depths)
+    near = engine._screened_points(part, shard_depths, queries.shape[0])
+    screened = shard_depths[: np.searchsorted(part.offsets, near)]
+    screen = engine._Screen(queries, query_distance_matrix(part.screen_copy[0][:near], queries))
+    picks = np.full((queries.shape[0], shard_depths.sum()), -1, dtype=np.intp)  # -1: not screened
+    picks[:, : screened.sum()] = shard_picks(part, screen.near, screened)
+    settle(part, screen, picks, screened)
+    assert (picks[:, screened.sum() :] == -1).all()
+    return picks[:, : screened.sum()]
 
 
 def classifications(partition, queries, kind, cfg, **kw):
@@ -76,7 +101,10 @@ def float64_outcomes(monkeypatch, fn):
 
 
 def check_block(monkeypatch, part, queries, shard_depths):
-    """The screened rows equal the float64 path's and the oracle's."""
+    """The screened rows equal the float64 path's and the oracle's, and the settled picks the float64 picks."""
+    picks = settled_picks(part, queries, shard_depths)
+    exact = shard_picks(part, query_distance_matrix(part.features, queries), shard_depths)
+    np.testing.assert_array_equal(picks, exact[:, : picks.shape[1]])
     got = screened_rows(part, queries, shard_depths)
     want = float64_outcomes(monkeypatch, lambda: profile_rows(part, queries, shard_depths))
     np.testing.assert_array_equal(got, want)
@@ -142,6 +170,7 @@ def test_ties_on_an_eighth_grid(monkeypatch):
     queries = rng.choice(grid, (6, 3))
     for k in (1, 2, 7, 12, 13, 60, 119):
         check_block(monkeypatch, part, queries, [k] * 4)
+    check_block(monkeypatch, part, queries, [13, 13, 13, 120])  # the last shard read whole is not screened
     cfg = StoppingConfig(N=480, d=3)
     for kind in ClassifierKind:
         got = classifications(part, queries, kind, cfg)
@@ -159,6 +188,9 @@ def test_coordinates_near_1e7_fall_back_to_float64(monkeypatch, redone):
     queries = 1e7 + rng.random((5, 2))
     check_block(monkeypatch, part, queries, [3, 3])
     assert redone == [10]
+    redone.clear()
+    check_block(monkeypatch, part, queries, [3, 150])  # the second shard, read whole, is not screened
+    assert redone == [5]
     cfg = StoppingConfig(N=300, d=2)
     for kind in ClassifierKind:
         redone.clear()
