@@ -323,30 +323,15 @@ def depths(kind: ClassifierKind, sizes: np.ndarray, cfg: StoppingConfig) -> np.n
     raise ValueError(f"unhandled classifier kind {kind!r}")
 
 
-def _checked_labels(features: np.ndarray, labels) -> np.ndarray:
-    """Check labeled points and return their labels as contiguous int64.
-
-    ``features`` must be a nonempty (n, d) float array of finite points, and ``labels``
-    n values of 0 or 1, checked before the cast, which would round 0.5 to 0.
-    """
-    labs = np.asarray(labels)
-    if features.ndim != 2 or features.size == 0:
-        raise ValueError(f"features must be a nonempty (n, d) array, got shape {features.shape}")
-    if labs.shape != (features.shape[0],):
-        raise ValueError("labels must be a vector matching the point count")
-    if not np.isfinite(features).all():
-        row = int(np.argmin(np.isfinite(features).all(axis=1)))
-        raise ValueError(f"features must be finite: row {row} is {features[row].tolist()}")
-    bad = (labs != 0) & (labs != 1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"labels must be 0 or 1: row {row} is {labs[row].item()!r}")
-    return np.ascontiguousarray(labs, dtype=np.int64)
-
-
 @dataclass(eq=False)
 class Partition:
-    """Shards of one dataset, stored contiguously and read-only, largest first; checks its points, labels and sizes."""
+    """Shards of one dataset, stored contiguously and read-only, largest first.
+
+    It checks what it is given: ``features`` must be a nonempty (N, d) array
+    of finite points, ``labels`` N values of 0 or 1 (kept as int64), and
+    ``sizes`` whole numbers of at least 1, nonincreasing and summing to N.
+    A ``Shard`` is a Partition of one shard, and these are its checks too.
+    """
 
     features: np.ndarray  # (N, d), shard j in rows offsets[j]:offsets[j+1]; column-major from from_shard
     labels: np.ndarray  # (N,)
@@ -355,7 +340,20 @@ class Partition:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64).view()  # float64 kept as given, layout included
-        self.labels = _checked_labels(self.features, self.labels).view()
+        features, labels = self.features, np.asarray(self.labels)
+        if features.ndim != 2 or features.size == 0:
+            raise ValueError(f"features must be a nonempty (n, d) array, got shape {features.shape}")
+        if labels.shape != (features.shape[0],):
+            raise ValueError("labels must be a vector matching the point count")
+        if not np.isfinite(features).all():
+            row = int(np.argmin(np.isfinite(features).all(axis=1)))
+            raise ValueError(f"features must be finite: row {row} is {features[row].tolist()}")
+        # checked before the int64 cast, which would round 0.5 to 0
+        bad = (labels != 0) & (labels != 1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"labels must be 0 or 1: row {row} is {labels[row].item()!r}")
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64).view()
         raw = np.asarray(self.sizes)
         if raw.ndim != 1 or raw.dtype.kind not in "iuf":
             raise ValueError(f"shard sizes must be a 1-D array of numbers, got {raw.dtype} of shape {raw.shape}")
@@ -432,9 +430,7 @@ class Shard(Partition):
         self.id = int(shard_id)
         super().__init__(features, labels, np.shape(features)[:1])
 
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
+    size = Partition.total
 
     def __repr__(self) -> str:
         return f"Shard(id={self.id}, size={self.size}, dim={self.dim})"
@@ -447,16 +443,18 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
     square-rooted, at every dimension; the oracle repeats this order, which
     keeps the two bit for bit equal. Float32 points (a Partition's
     ``screen_copy``) give the float32 screen's values instead: the queries are
-    rounded to float32, the same operations run in float32, and the squared
-    distances are returned without the square root. The output is filled in
-    tiles of points whose (rows, tile) slab takes about ``TILE_BYTES``: tiles
-    of even width, none narrower than numpy's ufunc buffer (8192 points by
-    default), or one tile where that covers the row. So the d passes over a
-    tile stay in cache, and every element still takes the same operations in
-    the same order. Each tile's sum is built in the output, with one reused
-    (rows, tile) scratch buffer. Column reads are contiguous when ``features``
-    is column-major, as a Partition's is. Points with no coordinate (d = 0),
-    and queries that are not rows of the points' d coordinates, are rejected.
+    rounded to float32, the same loop runs in float32 with its overflow left
+    silent, and the squared distances are returned without the square root.
+    Either precision fills the output in one loop over tiles of points whose
+    (rows, tile) slab takes about ``TILE_BYTES``: tiles of even width, none
+    narrower than numpy's ufunc buffer (8192 points by default), or one tile
+    where that covers the row. So the d passes over a tile (and the float64
+    square root) stay in cache, and every element still takes the same
+    operations in the same order. Each tile's sum is built in the output,
+    with one reused (rows, tile) scratch buffer. Column reads are contiguous
+    when ``features`` is column-major, as a Partition's is. Points with no
+    coordinate (d = 0), and queries that are not rows of the points' d
+    coordinates, are rejected.
     """
     n, d = features.shape
     if d == 0:
@@ -474,18 +472,15 @@ def query_distance_matrix(features: np.ndarray, queries: np.ndarray) -> np.ndarr
         tiles = -(-n // max(width, np.getbufsize()))
         width = -(-n // tiles)
     scratch = np.empty((nq, min(width, n)), dtype=out.dtype)
-    if single:
-        # float32 overflows past 3.4e38, where a screened value is inf or nan
-        # and its pair is redone in float64 (``_settle_screen``): no warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            columns = queries.T.astype(np.float32)[:, :, None]
-            for a in range(0, n, width):
-                _add_squares(out[:, a : a + width], scratch, columns, features[a : a + width].T)
-        return out
-    for a in range(0, n, width):
-        acc = out[:, a : a + width]
-        _add_squares(acc, scratch, queries.T[:, :, None], features[a : a + width].T)
-        np.sqrt(acc, out=acc)
+    # float32 overflows past 3.4e38, where a screened value is inf or nan and
+    # its pair is redone in float64 (``_settle_screen``): no warning there
+    with np.errstate(over="ignore", invalid="ignore") if single else contextlib.nullcontext():
+        columns = queries.T.astype(out.dtype, copy=False)[:, :, None]
+        for a in range(0, n, width):
+            acc = out[:, a : a + width]
+            _add_squares(acc, scratch, columns, features[a : a + width].T)
+            if not single:
+                np.sqrt(acc, out=acc)
     return out
 
 
@@ -530,11 +525,11 @@ def k_smallest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     rows, n = dist.shape
     if k == 1:
         return dist.argmin(axis=1, keepdims=True)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if k >= n:
         return dist.argsort(axis=1, kind="stable") if n < SORT_WIDTH else _sorted_rows(dist)
     if k <= ROUNDS_K:
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
         return _argmin_rounds(dist, k)
     row = np.arange(rows)[:, None]
     idx = dist.argpartition(k - 1, axis=1)[:, :k]
@@ -1100,10 +1095,10 @@ def evaluate_queries(
     chunk. ``chunk_size`` only sets the pool's task split; rows are classified
     in blocks of ``BLOCK_BYTES``. ``queries`` must be (n, d) with the
     partition's d, and a row with a non-finite coordinate is rejected, naming
-    the first such row (0-based). ``cfg`` must hold the partition's N and d.
-    No query rows give three empty arrays.
+    the first such row (0-based). ``cfg`` must hold the partition's N and d,
+    and ``workers`` be at least 1. No query rows give three empty arrays.
     """
-    _check_integer("workers", workers)
+    _check_integer("workers", workers, 1)
     _check_integer("chunk_size", chunk_size, 1)
     if (cfg.N, cfg.d) != (partition.total, partition.dim):
         raise ValueError(f"stopping config has N={cfg.N}, d={cfg.d}; "

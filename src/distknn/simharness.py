@@ -319,9 +319,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     more than there are runs; results are identical to the single-process run
     because every run owns an independent seed stream and the outcomes come
     back in task order. A run that raises is listed in ``failures``; an
-    epsilon whose every run does has no rows.
+    epsilon whose every run does has no rows. ``workers`` below 1 is rejected.
     """
-    _check_integer("workers", workers)
+    _check_integer("workers", workers, 1)
     tasks = [(cfg, ei, ri) for ei in range(len(cfg.epsilons)) for ri in range(cfg.runs)]
     workers = min(workers, len(tasks))
     if workers <= 1:

@@ -732,7 +732,8 @@ def test_chunk_size_below_one_rejected(setup, chunk_size):
 
 
 # a worker or chunk count that is not an integer is named with its value, where
-# it would otherwise fail in range() or the pool, or be ignored on one worker
+# it would otherwise fail in range() or the pool, or be ignored on one worker;
+# so is a worker count below 1, which would otherwise classify in one process
 @pytest.mark.parametrize(
     "workers, chunk_size, queries, message",
     [
@@ -740,8 +741,12 @@ def test_chunk_size_below_one_rejected(setup, chunk_size):
         (1, 2.5, 600, "chunk_size must be an integer, got 2.5"),
         (1.5, 5, 20, "workers must be an integer, got 1.5"),
         (1.5, None, None, "workers must be an integer, got 1.5"),
+        (0, 5, 20, "workers must be >= 1, got 0"),
+        (-5, 5, 20, "workers must be >= 1, got -5"),
+        (-1, None, None, "workers must be >= 1, got -1"),
     ],
-    ids=["chunk-pool", "chunk-serial", "workers", "grid-workers"],
+    ids=["chunk-pool", "chunk-serial", "workers", "grid-workers", "workers-zero", "workers-negative",
+         "grid-workers-negative"],
 )
 def test_worker_and_chunk_counts_that_are_not_integers_rejected(setup, workers, chunk_size, queries, message):
     rng, data = setup

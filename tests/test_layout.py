@@ -9,7 +9,9 @@ they make is a classification. Only ``cli.py`` writes files, so that one
 module knows how every output file is written. Every import is of the
 standard library or of a dependency that ``pyproject.toml`` declares, so that
 a package installed only on the machine at hand cannot pass here and fail on
-a clean install."""
+a clean install. Every module-level private name is read somewhere in the
+package outside its own definition, so that a fold cannot leave a helper
+behind once its last caller is gone."""
 
 import ast
 import importlib
@@ -135,3 +137,30 @@ def test_every_import_is_standard_library_or_declared():
                 continue
             undeclared += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert undeclared == [], f"imports neither of the standard library nor declared in pyproject.toml: {undeclared}"
+
+
+def test_every_private_module_name_is_used():
+    # a private function, class or constant that nothing in the package reads
+    # is a leftover of a fold: its last caller went and it stayed behind
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "distknn").glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = {id(inner) for inner in ast.walk(node)}
+            for private in (n for n in defined if n.startswith("_") and not n.startswith("__")):
+                used = any(
+                    id(ref) not in inside
+                    and ((isinstance(ref, ast.Name) and ref.id == private and isinstance(ref.ctx, ast.Load))
+                         or (isinstance(ref, ast.Attribute) and ref.attr == private))
+                    for module in trees.values() for ref in ast.walk(module)
+                )
+                if not used:
+                    unused.append(f"{name}:{node.lineno} {private}")
+    assert unused == [], f"private names that nothing in src/distknn reads: {unused}"

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -81,6 +82,18 @@ class TestEuclideanDistance:
         # float64 kernel for the distances to none
         out = query_distance_matrix(np.zeros((0, 3), dtype=dtype), np.ones((4, 3)))
         assert out.shape == (4, 0) and out.dtype == dtype
+
+    def test_overflow_warns_in_float64_only(self):
+        # float64 overflow is a fault numpy reports; float32 overflow is the
+        # screen's, whose inf or nan pairs are redone in float64, so it is silent
+        points = np.array([[1e200, -1e200], [0.0, 1e200]])
+        queries = np.array([[-1e200, 1e200], [1.0, 2.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            query_distance_matrix(points, queries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = query_distance_matrix(np.array([[3e38, -3e38], [0.0, 1.0]], dtype=np.float32), queries)
+        assert np.isinf(out[0]).all() and np.isfinite(out[1, 1])
 
     @pytest.mark.parametrize("queries", [[[3.0, 4.0, 100.0]], [3.0, 4.0]], ids=["extra-column", "one-dimensional"])
     def test_query_shape_must_match_the_points(self, queries):
@@ -320,8 +333,10 @@ def test_k_smallest_rows_boundary_cases(row, k, rounds_k):
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_k_smallest_rows_k_below_one_rejected(k):
-    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
-        k_smallest_rows(np.zeros((2, 5)), k)
+    # at every width: rows of no entries once returned a (2, 0) block for k = 0
+    for shape in [(2, 5), (2, 1), (2, 0), (0, 0)]:
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            k_smallest_rows(np.zeros(shape), k)
 
 
 def test_k_smallest_rows_on_large_tied_blocks():
